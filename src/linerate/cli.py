@@ -90,14 +90,12 @@ def simulated_raw(settings: dict, direction: str,
     aggregate = flowmodel.simulate_transfer(link, n, duration=settings["duration"],
                                             sample_interval=sample_interval)
     # The model's flows are symmetric, so the exact per-connection answer is
-    # an equal split of the aggregate.
-    per_connection = tuple(
-        flowmodel.ThroughputTrace(
-            sample_interval=sample_interval,
-            samples=tuple((t, b / n) for t, b in aggregate.samples),
-        )
-        for _ in range(n)
+    # an equal split of the aggregate: one frozen trace, repeated n times.
+    share = flowmodel.ThroughputTrace(
+        sample_interval=sample_interval,
+        samples=tuple((t, b / n) for t, b in aggregate.samples),
     )
+    per_connection = (share,) * n
     spec = TestSpec(target=SIMULATED_TARGET, direction=direction,
                     duration=settings["duration"], n_connections=n,
                     sample_interval=sample_interval, target_id=SIMULATED_FLAG)

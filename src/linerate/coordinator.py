@@ -23,13 +23,7 @@ from .engine import (
     TestRefusedError,
     UnreachableTargetError,
 )
-from .flowmodel import (
-    FlowState,
-    LinkModel,
-    RoundLedger,
-    ThroughputTrace,
-    advance_round,
-)
+from .flowmodel import LinkModel, ThroughputTrace, simulate_paths
 
 OUTCOME_OK = "ok"
 OUTCOME_UNDERPERFORMED = "underperformed"
@@ -183,12 +177,6 @@ class Registry:
             updated = apply_outcome(self._servers[server_id], outcome)
             self._servers[server_id] = updated
             return updated
-
-
-def update_health(registry: Registry, server_id: str, outcome: str) -> Registry:
-    """Record one outcome for one server; returns the registry for chaining."""
-    registry.update_health(server_id, outcome)
-    return registry
 
 
 def replay_outcomes(registry: Registry, outcome_log) -> Registry:
@@ -479,7 +467,8 @@ def simulate_destination_transfers(
     Each destination runs its own capped path with n_connections flows; all
     paths share the client's access link.  Rounds advance in lockstep (equal
     RTTs), splitting each destination's capacity over its flows and then
-    scaling everything down when the summed demand exceeds the access link.
+    scaling everything down when the summed demand exceeds the access link
+    (``flowmodel.simulate_paths``, one representative flow per destination).
     Returns (per-destination traces, aggregate trace).
     """
     caps = list(destination_caps_bps)
@@ -487,49 +476,19 @@ def simulate_destination_transfers(
         raise ValueError("need at least one destination")
     if access_capacity_bps <= 0:
         raise ValueError("access capacity must be positive")
+    if n_connections < 1:
+        raise ValueError(f"n_connections must be >= 1, got {n_connections}")
     links = [LinkModel(capacity=cap, rtt=rtt_ms, loss_rate=0.0) for cap in caps]
-    mss = links[0].mss
-    access_bdp = access_capacity_bps * (rtt_ms / 1000.0) / (mss * 8)
-
-    flows = [[FlowState() for _ in range(n_connections)] for _ in links]
-    ledgers = [RoundLedger(rtt=rtt_ms) for _ in links]
-    total_ledger = RoundLedger(rtt=rtt_ms)
-
+    access_bdp = access_capacity_bps * (rtt_ms / 1000.0) / (links[0].mss * 8)
     duration_ms = duration_s * 1000.0
-    for _ in range(math.ceil(duration_ms / rtt_ms)):
-        demands = []
-        shares = []
-        for link, dest_flows in zip(links, flows):
-            bdp = link.bdp_segments
-            total_cwnd = sum(min(f.cwnd, bdp) for f in dest_flows)
-            share = min(1.0, bdp / total_cwnd) if total_cwnd > 0 else 1.0
-            demands.append(total_cwnd * share)
-            shares.append(share)
-        access_scale = min(1.0, access_bdp / sum(demands)) if sum(demands) > 0 else 1.0
+    ledgers, total_ledger = simulate_paths(links, n_connections, duration_ms,
+                                           access_bdp=access_bdp)
 
-        round_total = 0.0
-        for i, (link, dest_flows) in enumerate(zip(links, flows)):
-            before = sum(f.delivered for f in dest_flows)
-            flows[i] = [advance_round(f, link, capacity_share=shares[i] * access_scale)
-                        for f in dest_flows]
-            delta = (sum(f.delivered for f in flows[i]) - before) * mss
-            ledgers[i].add_round(delta)
-            round_total += delta
-        total_ledger.add_round(round_total)
-
-    n_samples = math.floor(duration_ms / sample_interval_ms)
-    ticks = [k * sample_interval_ms for k in range(n_samples + 1)]
     per_destination = []
     for link, ledger in zip(links, ledgers):
-        trace = ThroughputTrace(
-            sample_interval=sample_interval_ms,
-            samples=tuple((t, ledger.bytes_at(t)) for t in ticks),
-        )
+        trace = ledger.sample(sample_interval_ms, duration_ms)
         trace.check_rate_cap(link.capacity)
         per_destination.append(trace)
-    aggregate = ThroughputTrace(
-        sample_interval=sample_interval_ms,
-        samples=tuple((t, total_ledger.bytes_at(t)) for t in ticks),
-    )
+    aggregate = total_ledger.sample(sample_interval_ms, duration_ms)
     aggregate.check_rate_cap(min(access_capacity_bps, sum(caps)))
     return per_destination, aggregate

@@ -1,10 +1,13 @@
-"""Deterministic fluid model of TCP slow start and AIMD over one bottleneck link.
+"""Deterministic fluid model of TCP slow start and AIMD over bottleneck paths.
 
 The model advances whole RTT rounds instead of individual packets: each round a
 flow transmits its congestion window, the link delivers at most one
 bandwidth-delay product worth of segments, and the window reacts to a
-deterministic loss schedule. Identical inputs always produce identical traces,
-which is what makes the throughput estimators testable at desk scale.
+deterministic loss schedule. The n flows of a path start identical and always
+get equal shares, so they stay in lockstep: one representative flow stands for
+all n and the path delivers n times what it does. Identical inputs always
+produce identical traces, which is what makes the throughput estimators
+testable at desk scale.
 """
 
 from __future__ import annotations
@@ -133,6 +136,45 @@ def _drops_between(sent_before: float, sent_after: float, period: int | None) ->
     return math.floor(sent_after / period) - math.floor(sent_before / period)
 
 
+def _step(flow: tuple, initial_cwnd: float, bdp: float, period: int | None,
+          share: float) -> tuple[tuple, float]:
+    # The AIMD rules, on plain floats. ``flow`` is (cwnd, ssthresh, phase,
+    # sent, loss_rounds); returns the next flow and the segments it delivered
+    # this round. advance_round and the path loop both call this.
+    cwnd, ssthresh, phase, sent, loss_rounds = flow
+    cwnd = min(cwnd, bdp)  # the link cannot carry more than one bdp
+    send = cwnd * share
+
+    drops = _drops_between(sent, sent + send, period)
+    delivered = max(0.0, send - drops)
+
+    if drops > 0:
+        loss_rounds += 1
+        if loss_rounds >= TIMEOUT_LOSS_ROUNDS:
+            # Sustained loss: timeout, window collapses to the initial value.
+            ssthresh = max(cwnd / 2.0, 2.0)
+            new_cwnd = initial_cwnd
+            phase = TIMEOUT_RECOVERY
+            loss_rounds = 0
+        else:
+            new_cwnd = max(cwnd / 2.0, 1.0)
+            ssthresh = new_cwnd
+            phase = CONGESTION_AVOIDANCE
+    else:
+        loss_rounds = 0
+        if phase in (SLOW_START, TIMEOUT_RECOVERY):
+            new_cwnd = min(cwnd * 2.0, ssthresh)
+            phase = SLOW_START if new_cwnd < ssthresh else CONGESTION_AVOIDANCE
+        else:
+            new_cwnd = cwnd + 1.0
+            phase = CONGESTION_AVOIDANCE
+        new_cwnd = min(new_cwnd, bdp)
+        if phase == SLOW_START and new_cwnd >= ssthresh:
+            phase = CONGESTION_AVOIDANCE
+
+    return (max(new_cwnd, 1.0), ssthresh, phase, sent + send, loss_rounds), delivered
+
+
 def advance_round(state: FlowState, link: LinkModel, capacity_share: float = 1.0) -> FlowState:
     """Advance one flow by a single RTT round.
 
@@ -145,46 +187,15 @@ def advance_round(state: FlowState, link: LinkModel, capacity_share: float = 1.0
     """
     if not 0 < capacity_share <= 1:
         raise ValueError(f"capacity_share must be in (0, 1], got {capacity_share}")
-
-    bdp = link.bdp_segments
-    cwnd = min(state.cwnd, bdp)  # the link cannot carry more than one bdp
-    send = cwnd * capacity_share
-
-    drops = _drops_between(state.sent, state.sent + send, link.loss_period)
-    sent = state.sent + send
-    delivered = state.delivered + max(0.0, send - drops)
-
-    if drops > 0:
-        loss_rounds = state.loss_rounds + 1
-        if loss_rounds >= TIMEOUT_LOSS_ROUNDS:
-            # Sustained loss: timeout, window collapses to the initial value.
-            ssthresh = max(cwnd / 2.0, 2.0)
-            new_cwnd = state.initial_cwnd
-            phase = TIMEOUT_RECOVERY
-            loss_rounds = 0
-        else:
-            new_cwnd = max(cwnd / 2.0, 1.0)
-            ssthresh = new_cwnd
-            phase = CONGESTION_AVOIDANCE
-    else:
-        loss_rounds = 0
-        ssthresh = state.ssthresh
-        if state.phase in (SLOW_START, TIMEOUT_RECOVERY):
-            new_cwnd = min(cwnd * 2.0, ssthresh)
-            phase = SLOW_START if new_cwnd < ssthresh else CONGESTION_AVOIDANCE
-        else:
-            new_cwnd = cwnd + 1.0
-            phase = CONGESTION_AVOIDANCE
-        new_cwnd = min(new_cwnd, bdp)
-        if phase == SLOW_START and new_cwnd >= ssthresh:
-            phase = CONGESTION_AVOIDANCE
-
+    (cwnd, ssthresh, phase, sent, loss_rounds), delivered = _step(
+        (state.cwnd, state.ssthresh, state.phase, state.sent, state.loss_rounds),
+        state.initial_cwnd, link.bdp_segments, link.loss_period, capacity_share)
     return replace(
         state,
-        cwnd=max(new_cwnd, 1.0),
+        cwnd=cwnd,
         ssthresh=ssthresh,
         phase=phase,
-        delivered=delivered,
+        delivered=state.delivered + delivered,
         sent=sent,
         loss_rounds=loss_rounds,
     )
@@ -210,6 +221,65 @@ class RoundLedger:
         frac = pos - lo
         return self.boundaries[lo] + frac * (self.boundaries[lo + 1] - self.boundaries[lo])
 
+    def sample(self, sample_interval: float, duration_ms: float) -> ThroughputTrace:
+        """The ledger as a trace sampled every ``sample_interval`` ms up to ``duration_ms``."""
+        n_samples = math.floor(duration_ms / sample_interval)
+        return ThroughputTrace(
+            sample_interval=sample_interval,
+            samples=tuple((k * sample_interval, self.bytes_at(k * sample_interval))
+                          for k in range(n_samples + 1)),
+        )
+
+
+def simulate_paths(
+    links: list[LinkModel],
+    n_connections: int,
+    duration_ms: float,
+    access_bdp: float = math.inf,
+    initial: FlowState = FlowState(),
+) -> tuple[list[RoundLedger], RoundLedger]:
+    """Round ledgers of paths that share one access link, each carrying n flows.
+
+    All paths have the same RTT, so rounds advance in lockstep. The n flows on
+    a path start identical and always get the same share of it, so they stay
+    identical: one representative flow, starting from ``initial``, stands for
+    all n and its delivery is scaled by n. Each round a path's capacity is
+    split over its flows (share = min(1, bdp / sum of windows)), then every
+    path is scaled down when the summed demand exceeds ``access_bdp``
+    segments. A single link is one path behind an uncapped access link.
+    Returns (per-path ledgers, aggregate ledger).
+    """
+    rtt = links[0].rtt
+    if any(link.rtt != rtt for link in links):
+        raise ValueError("paths advance in lockstep and need equal RTTs")
+    bdps = [link.bdp_segments for link in links]
+    periods = [link.loss_period for link in links]
+    mss = [link.mss for link in links]
+    flows = [(initial.cwnd, initial.ssthresh, initial.phase, initial.sent,
+              initial.loss_rounds)] * len(links)
+    ledgers = [RoundLedger(rtt=rtt) for _ in links]
+    total_ledger = RoundLedger(rtt=rtt)
+
+    for _ in range(math.ceil(duration_ms / rtt)):
+        shares = []
+        demand = 0.0
+        for flow, bdp in zip(flows, bdps):
+            window = n_connections * min(flow[0], bdp)
+            share = min(1.0, bdp / window)
+            shares.append(share)
+            demand += window * share
+        access_scale = min(1.0, access_bdp / demand)
+
+        round_total = 0.0
+        for i in range(len(links)):
+            flows[i], delivered = _step(flows[i], initial.initial_cwnd, bdps[i], periods[i],
+                                        shares[i] * access_scale)
+            delta = n_connections * delivered * mss[i]
+            ledgers[i].add_round(delta)
+            round_total += delta
+        total_ledger.add_round(round_total)
+    return ledgers, total_ledger
+
 
 def simulate_transfer(
     link: LinkModel,
@@ -221,10 +291,12 @@ def simulate_transfer(
 ) -> ThroughputTrace:
     """Simulate ``n_connections`` flows sharing one link for ``duration`` seconds.
 
-    Flows are independent FlowStates; each round the link's capacity is split
-    proportionally to the windows (share = min(1, bdp / sum of cwnd)). Returns
-    the aggregate trace sampled every ``sample_interval`` ms. Pure function:
-    identical inputs yield identical traces.
+    The flows start identical and split the link proportionally to their
+    windows, so they stay in lockstep: one representative flow stands for all
+    n and the link's delivery is n times its own (see ``simulate_paths``), at a
+    cost that does not depend on n. Returns the aggregate trace sampled every
+    ``sample_interval`` ms. Pure function: identical inputs yield identical
+    traces.
     """
     if n_connections < 1:
         raise ValueError(f"n_connections must be >= 1, got {n_connections}")
@@ -235,30 +307,11 @@ def simulate_transfer(
         raise ValueError(
             f"sample_interval {sample_interval} ms exceeds duration {duration_ms} ms"
         )
-
-    flows = [
-        FlowState(cwnd=initial_cwnd, ssthresh=initial_ssthresh, initial_cwnd=initial_cwnd)
-        for _ in range(n_connections)
-    ]
-    bdp = link.bdp_segments
-    ledger = RoundLedger(rtt=link.rtt)
-
-    n_rounds = math.ceil(duration_ms / link.rtt)
-    for _ in range(n_rounds):
-        total_cwnd = sum(min(f.cwnd, bdp) for f in flows)
-        share = min(1.0, bdp / total_cwnd) if total_cwnd > 0 else 1.0
-        before = sum(f.delivered for f in flows)
-        flows = [advance_round(f, link, capacity_share=share) for f in flows]
-        after = sum(f.delivered for f in flows)
-        ledger.add_round((after - before) * link.mss)
-
-    n_samples = math.floor(duration_ms / sample_interval)
-    samples = [
-        (k * sample_interval, ledger.bytes_at(k * sample_interval))
-        for k in range(n_samples + 1)
-    ]
-    trace = ThroughputTrace(sample_interval=sample_interval, samples=tuple(samples))
-    trace.check_rate_cap(link.capacity * n_connections)
+    initial = FlowState(cwnd=initial_cwnd, ssthresh=initial_ssthresh, initial_cwnd=initial_cwnd)
+    _, ledger = simulate_paths([link], n_connections, duration_ms, initial=initial)
+    trace = ledger.sample(sample_interval, duration_ms)
+    # The link never delivers more than one bdp per round, whatever n is.
+    trace.check_rate_cap(link.capacity)
     return trace
 
 

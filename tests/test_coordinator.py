@@ -1,12 +1,14 @@
 """Registry health, latency-ranked selection, scheduling, multi-destination runs."""
 
 import itertools
+import math
 import random
 import socket
 import threading
 from datetime import date, datetime, timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linerate import coordinator as co
 from linerate import engine as engine_mod
@@ -432,6 +434,33 @@ class TestScheduleGeneration:
         assert times == sorted(times)
 
 
+def oracle_destination_bytes(access_bps, caps, rtt_ms, n_connections, n_rounds):
+    """Independent oracle: n FlowStates per destination advanced by advance_round.
+
+    Returns the cumulative delivered bytes at each round boundary, per
+    destination and in aggregate, with no trace sampling involved.
+    """
+    links = [flowmodel.LinkModel(capacity=cap, rtt=rtt_ms) for cap in caps]
+    access_bdp = access_bps * (rtt_ms / 1000.0) / (links[0].mss * 8)
+    flows = [[flowmodel.FlowState() for _ in range(n_connections)] for _ in links]
+    per = [[0.0] for _ in links]
+    total = [0.0]
+    for _ in range(n_rounds):
+        shares, demand = [], 0.0
+        for link, dest_flows in zip(links, flows):
+            bdp = link.bdp_segments
+            window = sum(min(f.cwnd, bdp) for f in dest_flows)
+            shares.append(min(1.0, bdp / window))
+            demand += window * shares[-1]
+        access_scale = min(1.0, access_bdp / demand)
+        for i, link in enumerate(links):
+            flows[i] = [flowmodel.advance_round(f, link, capacity_share=shares[i] * access_scale)
+                        for f in flows[i]]
+            per[i].append(sum(f.delivered for f in flows[i]) * link.mss)
+        total.append(sum(p[-1] for p in per))
+    return per, total
+
+
 class TestMultiDestinationSimulation:
     def estimate(self, trace):
         return metrics.estimate_throughput(trace, EstimationMethod())
@@ -484,6 +513,33 @@ class TestMultiDestinationSimulation:
             simulate_destination_transfers(1e9, [])
         with pytest.raises(ValueError):
             simulate_destination_transfers(0, [1e6])
+        with pytest.raises(ValueError):
+            simulate_destination_transfers(1e9, [1e6], n_connections=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        access=st.floats(min_value=1e7, max_value=10e9),
+        caps=st.lists(st.floats(min_value=1e6, max_value=2e9), min_size=1, max_size=4),
+        rtt=st.floats(min_value=10.0, max_value=100.0),
+        n_connections=st.integers(min_value=1, max_value=64),
+    )
+    def test_matches_n_flow_reference(self, access, caps, rtt, n_connections):
+        # One sample per round: sample k sits on round boundary k.
+        per, agg = simulate_destination_transfers(access, caps, rtt_ms=rtt, duration_s=1.5,
+                                                  n_connections=n_connections,
+                                                  sample_interval_ms=rtt)
+        ref_per, ref_total = oracle_destination_bytes(access, caps, rtt, n_connections,
+                                                      len(agg.samples) - 1)
+        for trace, expected in zip(per + [agg], ref_per + [ref_total]):
+            for (_, got), want in zip(trace.samples, expected):
+                assert got == pytest.approx(want, rel=1e-9)
+
+    def test_cost_per_destination_does_not_depend_on_connections(self, step_calls):
+        for n in (1, 64):
+            step_calls.clear()
+            simulate_destination_transfers(1e9, [400e6] * 3, rtt_ms=7.0, duration_s=2.0,
+                                           n_connections=n)
+            assert len(step_calls) == 3 * math.ceil(2000 / 7.0)
 
 
 def quiet_factory():

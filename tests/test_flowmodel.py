@@ -1,7 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from linerate import flowmodel
 from linerate.flowmodel import (
     CONGESTION_AVOIDANCE,
     SLOW_START,
@@ -30,6 +32,8 @@ def oracle_round_bytes(link, n_connections, n_rounds, initial_cwnd=10.0, initial
     bdp = link.bdp_segments
     cumulative = [0.0]
     for _ in range(n_rounds):
+        # Every flow is advanced on its own, so the model's claim that n
+        # lockstep flows act as one representative flow is tested, not assumed.
         total = sum(min(f.cwnd, bdp) for f in flows)
         share = min(1.0, bdp / total)
         flows = [advance_round(f, link, capacity_share=share) for f in flows]
@@ -242,6 +246,40 @@ class TestSimulateTransfer:
             simulate_transfer(link, 1, 2, sample_interval=3000)
 
 
+class TestPathModel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        capacity=st.floats(min_value=1e6, max_value=10e9),
+        rtt=st.floats(min_value=10.0, max_value=100.0),
+        loss=st.one_of(st.just(0.0), st.floats(min_value=1e-5, max_value=0.2)),
+        n_connections=st.integers(min_value=1, max_value=64),
+        duration=st.floats(min_value=1.0, max_value=3.0),
+        initial_cwnd=st.sampled_from([1.0, 4.0, 10.0, 32.0]),
+    )
+    def test_matches_n_flow_reference(self, capacity, rtt, loss, n_connections, duration,
+                                      initial_cwnd):
+        link = LinkModel(capacity=capacity, rtt=rtt, loss_rate=loss)
+        # One sample per round: sample k sits on round boundary k.
+        trace = simulate_transfer(link, n_connections, duration, sample_interval=rtt,
+                                  initial_cwnd=initial_cwnd)
+        cumulative = oracle_round_bytes(link, n_connections, len(trace.samples) - 1,
+                                        initial_cwnd=initial_cwnd)
+        for (_, got), expected in zip(trace.samples, cumulative):
+            assert got == pytest.approx(expected, rel=1e-9)
+
+    def test_cost_does_not_depend_on_connections(self, step_calls):
+        link = LinkModel(capacity=1e9, rtt=7.0, loss_rate=1e-4)
+        for n in (1, 64):
+            step_calls.clear()
+            simulate_transfer(link, n, 2)
+            assert len(step_calls) == math.ceil(2000 / 7.0)
+
+    def test_unequal_rtts_rejected(self):
+        with pytest.raises(ValueError):
+            flowmodel.simulate_paths([LinkModel(capacity=1e6, rtt=10),
+                                      LinkModel(capacity=1e6, rtt=20)], 1, 1000)
+
+
 class TestSlowStartRounds:
     def test_100mbps_20ms(self):
         # oracle: 10, 20, 40, 80, 160, 320 >= 166.7 after 5 doublings
@@ -265,6 +303,28 @@ class TestSlowStartRounds:
             rounds += 1
         assert rounds == 8
         assert slow_start_rounds(link, 10) == 8
+
+    @given(
+        doublings=st.integers(min_value=0, max_value=20),
+        fraction=st.floats(min_value=0.01, max_value=0.99),
+        initial_cwnd=st.sampled_from([1.0, 2.0, 10.0]),
+        rtt=st.floats(min_value=1.0, max_value=200.0),
+    )
+    def test_log2_oracle(self, doublings, fraction, initial_cwnd, rtt):
+        # A bdp strictly between two powers of two times the initial window,
+        # so rounding in log2 cannot move the ceiling.
+        bdp = initial_cwnd * 2 ** (doublings + fraction)
+        link = LinkModel(capacity=bdp * 1500 * 8 / (rtt / 1000), rtt=rtt)
+        expected = math.ceil(math.log2(link.bdp_segments / initial_cwnd))
+        assert expected == doublings + 1
+        assert slow_start_rounds(link, initial_cwnd) == expected
+
+    @pytest.mark.parametrize("doublings", [0, 1, 5, 12])
+    def test_log2_oracle_exact_power(self, doublings):
+        # rtt 1 s and 1-byte segments make bdp = capacity / 8 exactly.
+        link = LinkModel(capacity=8 * 10 * 2 ** doublings, rtt=1000, mss=1)
+        assert link.bdp_segments == 10 * 2 ** doublings
+        assert slow_start_rounds(link, 10) == doublings
 
 
 class TestLossLimitedThroughput:
@@ -298,3 +358,18 @@ class TestLossLimitedThroughput:
     def test_rejects_lossless_link(self):
         with pytest.raises(ValueError):
             loss_limited_throughput(LinkModel(capacity=100e6, rtt=40, loss_rate=0.0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        loss=st.floats(min_value=1e-5, max_value=1e-3),
+        rtt=st.floats(min_value=1.0, max_value=300.0),
+        mss=st.sampled_from([536, 1500, 9000]),
+        headroom=st.floats(min_value=4 / 3, max_value=100.0),
+    )
+    def test_mathis_oracle(self, loss, rtt, mss, headroom):
+        # Mathis et al. (CCR 1997): periodic loss p gives MSS/RTT * sqrt(3/(2p)).
+        # Its sawtooth peaks at 4/3 of the mean window, so the link is given at
+        # least that much room; a capped window would clip the sawtooth.
+        mathis = mss * 8 / (rtt / 1000) * math.sqrt(3 / (2 * loss))
+        link = LinkModel(capacity=headroom * mathis, rtt=rtt, loss_rate=loss, mss=mss)
+        assert 0.97 <= loss_limited_throughput(link) / mathis <= 1.0

@@ -216,6 +216,9 @@ class TestServeData:
                              duration_ms=10_000)[0] == protocol.HELLO_ACK
             first = open_data(responder.address, nonce, index=0)
             try:
+                # Wait until the first connection is streaming, so it is the
+                # one attached and the second is the extra one.
+                assert first.recv(1)
                 with socket.create_connection(responder.address, timeout=10.0) as second:
                     protocol.send_frame(second, protocol.START_DATA, nonce,
                                         protocol.pack_start_data(1))
