@@ -39,7 +39,6 @@ CROSS_TRAFFIC_CAPACITY_FRACTION = 0.05
 CROSS_TRAFFIC_FLOOR_BPS = 5e6
 DEFAULT_COUNTER_PATH = "/proc/net/dev"
 
-CHUNK_BYTES = 256 * 1024
 UPLOAD_POOL_BYTES = 4 * 1024 * 1024
 
 FLAG_CROSS_TRAFFIC = "cross_traffic_detected"
@@ -319,7 +318,11 @@ class Engine:
         counters = [0] * n
         failed = [c is None for c in conns]
         stop = threading.Event()
-        pool = os.urandom(UPLOAD_POOL_BYTES) if spec.direction == "upload" else b""
+        # Uploads send slices ring[offset : offset + CHUNK_BYTES] with offset
+        # below UPLOAD_POOL_BYTES. Random bytes need not repeat, so the ring is
+        # just CHUNK_BYTES longer than its period and nothing is copied to wrap.
+        ring = (memoryview(os.urandom(UPLOAD_POOL_BYTES + protocol.CHUNK_BYTES))
+                if spec.direction == "upload" else None)
         duration_s = spec.duration
         interval_ms = spec.sample_interval
 
@@ -331,28 +334,25 @@ class Engine:
             # error meaningfully before the deadline counts as a lost connection.
             try:
                 sock.settimeout(0.2)
-                offset = 0
-                while not stop.is_set() and time.monotonic() < deadline:
-                    if spec.direction == "download":
+                if spec.direction == "download":
+                    buf = bytearray(protocol.CHUNK_BYTES)
+                    while not stop.is_set() and time.monotonic() < deadline:
                         try:
-                            chunk = sock.recv(CHUNK_BYTES)
+                            got = sock.recv_into(buf)
                         except TimeoutError:
                             continue
-                        if not chunk:
+                        if not got:
                             return
-                        counters[index] += len(chunk)
-                        self._credit_own_bytes(len(chunk))
-                    else:
-                        piece = pool[offset : offset + CHUNK_BYTES]
-                        if len(piece) < CHUNK_BYTES:
-                            piece += pool[: CHUNK_BYTES - len(piece)]
+                        counters[index] += got
+                else:
+                    offset = 0
+                    while not stop.is_set() and time.monotonic() < deadline:
                         try:
-                            sent = sock.send(piece)
+                            sent = sock.send(ring[offset : offset + protocol.CHUNK_BYTES])
                         except TimeoutError:
                             continue
                         counters[index] += sent
-                        self._credit_own_bytes(sent)
-                        offset = (offset + sent) % len(pool)
+                        offset = (offset + sent) % UPLOAD_POOL_BYTES
             except OSError:
                 if time.monotonic() < deadline - interval_ms / 1000.0:
                     failed[index] = True
@@ -386,6 +386,9 @@ class Engine:
         for sock in conns:
             if sock is not None:
                 sock.close()
+        # One credit per transfer: cross traffic is measured before the
+        # transfer starts, so no window ever needs a partial count.
+        self._credit_own_bytes(sum(counters))
 
         server_summary = self._collect_summary(control, spec)
 

@@ -19,6 +19,9 @@ PROTOCOL_VERSION = 1
 NONCE_LEN = 16
 LENGTH_PREFIX = struct.Struct("!I")
 MAX_FRAME_BODY = 1 << 20  # control frames are tiny; anything near this is garbage
+# Largest piece of the raw stream one send() or recv_into() call moves, on
+# both ends of a data connection.
+CHUNK_BYTES = 256 * 1024
 
 # Message kinds.
 HELLO = 1

@@ -30,8 +30,10 @@ DEFAULT_MAX_TESTS = 8
 PER_TEST_PEAK_BPS = 1_000_000_000
 SESSION_GRACE_S = 5.0
 DATA_POOL_BYTES = 4 * 1024 * 1024
-CHUNK_BYTES = 64 * 1024
 MAX_CONNECTIONS_PER_TEST = 64
+# Longest test a HELLO may ask for: an admitted session holds a slot and may
+# stream for its whole duration.
+MAX_TEST_DURATION_MS = 3_600_000
 _POLL_S = 0.5
 
 
@@ -51,14 +53,22 @@ class SessionState:
     attached_connections: int = 0
     transfers: list = field(default_factory=list)  # (index, bytes, duration_ms)
     cond: threading.Condition = field(default_factory=threading.Condition, repr=False)
-    _pool: bytes = field(default=b"", repr=False)
+    _ring: memoryview | None = field(default=None, repr=False)
 
-    def pool(self) -> bytes:
-        # Seeded from the nonce: deterministic per session, uncompressible.
-        if not self._pool:
-            seed = int.from_bytes(self.nonce, "big")
-            self._pool = random.Random(seed).randbytes(DATA_POOL_BYTES)
-        return self._pool
+    def pool(self) -> memoryview:
+        """The session's pool followed by its first CHUNK_BYTES, built once.
+
+        For every offset below DATA_POOL_BYTES, ``ring[offset : offset +
+        CHUNK_BYTES]`` is the next chunk of the pool repeated cyclically, so a
+        sender slices it without copying and never joins a chunk at the wrap.
+        Seeded from the nonce: deterministic per session, uncompressible.
+        """
+        with self.cond:
+            if self._ring is None:
+                seed = int.from_bytes(self.nonce, "big")
+                pool = random.Random(seed).randbytes(DATA_POOL_BYTES)
+                self._ring = memoryview(pool + pool[: protocol.CHUNK_BYTES])
+            return self._ring
 
 
 class Responder:
@@ -93,8 +103,8 @@ class Responder:
         self._listener = listener
         self._running = True
         accept = threading.Thread(target=self._accept_loop, daemon=True)
+        self._threads.append(accept)  # before start: the accept loop rebinds the list
         accept.start()
-        self._threads.append(accept)
         log.info("responder listening on %s:%d, max_tests=%d", *self.address, self.max_tests)
         return self
 
@@ -141,7 +151,8 @@ class Responder:
             with self._lock:
                 self._conns.add(conn)
             thread = threading.Thread(target=self._handle_connection, args=(conn,), daemon=True)
-            self._threads.append(thread)
+            # Drop finished connection threads so the list tracks live ones.
+            self._threads = [t for t in self._threads if t.is_alive()] + [thread]
             thread.start()
 
     def _handle_connection(self, conn):
@@ -213,7 +224,7 @@ class Responder:
         if fields["version"] != protocol.PROTOCOL_VERSION:
             self._refuse_quietly(conn, nonce, protocol.REASON_VERSION_MISMATCH)
             return None
-        if fields["duration_ms"] <= 0 or not (
+        if not (0 < fields["duration_ms"] <= MAX_TEST_DURATION_MS) or not (
             1 <= fields["n_connections"] <= MAX_CONNECTIONS_PER_TEST
         ):
             self._refuse_quietly(conn, nonce, protocol.REASON_BAD_PARAMS)
@@ -299,38 +310,36 @@ class Responder:
 
     def _stream_to(self, conn, session) -> int:
         """Serve pseudo-random bytes until the session deadline; return count."""
-        pool = session.pool()
+        ring = session.pool()
         sent = 0
         offset = 0
         conn.settimeout(1.0)
         while self._running and time.monotonic() < session.deadline:
-            chunk = pool[offset : offset + CHUNK_BYTES]
-            if len(chunk) < CHUNK_BYTES:
-                chunk += pool[: CHUNK_BYTES - len(chunk)]
             try:
-                n = conn.send(chunk)
+                n = conn.send(ring[offset : offset + protocol.CHUNK_BYTES])
             except TimeoutError:
                 continue
             except OSError:
                 break
             sent += n
-            offset = (offset + n) % len(pool)
+            offset = (offset + n) % DATA_POOL_BYTES
         return sent
 
     def _drain_from(self, conn, session) -> int:
         """Count uploaded bytes until peer close or deadline; return count."""
+        buf = bytearray(protocol.CHUNK_BYTES)
         got = 0
         conn.settimeout(_POLL_S)
         while self._running and time.monotonic() < session.deadline:
             try:
-                chunk = conn.recv(CHUNK_BYTES)
+                n = conn.recv_into(buf)
             except TimeoutError:
                 continue
             except OSError:
                 break
-            if not chunk:
+            if not n:
                 break
-            got += len(chunk)
+            got += n
         return got
 
 

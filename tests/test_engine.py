@@ -111,17 +111,30 @@ class ResetMidTransferServer:
                         protocol.send_frame(conn, protocol.DONE, nonce,
                                             protocol.pack_done_summary([]))
             elif kind == protocol.START_DATA:
-                conn.sendall(b"\x42" * 65536)
-                time.sleep(0.3)
-                # RST instead of FIN: an abrupt mid-test connection loss.
-                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
-                                b"\x01\x00\x00\x00\x00\x00\x00\x00")
-                conn.close()
+                self._serve_data(conn)
         except (ConnectionError, OSError):
             pass
 
+    def _serve_data(self, conn):
+        conn.sendall(b"\x42" * 65536)
+        time.sleep(0.3)
+        # RST instead of FIN: an abrupt mid-test connection loss.
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        b"\x01\x00\x00\x00\x00\x00\x00\x00")
+        conn.close()
+
     def close(self):
         self._listener.close()
+
+
+class ExactBytesServer(ResetMidTransferServer):
+    """Sends exactly DATA_BYTES on every data connection, then closes cleanly."""
+
+    DATA_BYTES = 3 * 1024 * 1024 + 12345
+
+    def _serve_data(self, conn):
+        conn.sendall(bytes(self.DATA_BYTES))
+        conn.close()
 
 
 class TestSpecValidation:
@@ -338,6 +351,38 @@ class TestRunTest:
         record = eng.run_test(spec, cross_window_s=0.2)
         assert engine_mod.FLAG_CROSS_TRAFFIC in record.flags
         assert record.cross_traffic_bps > 5e6
+
+    def test_own_bytes_are_exactly_the_bytes_moved(self):
+        server = ExactBytesServer()
+        eng = quiet_engine()
+        try:
+            record = eng.run_test(
+                engine_mod.TestSpec(target=server.address, duration=1.0, n_connections=3),
+                cross_window_s=0.05,
+            )
+        finally:
+            server.close()
+        finals = [trace.samples[-1][1] for trace in record.per_connection_traces]
+        assert finals == [ExactBytesServer.DATA_BYTES] * 3
+        assert eng._own_bytes == sum(finals) == record.aggregate_trace.total_bytes
+
+    @pytest.mark.parametrize("direction", ["download", "upload"])
+    def test_own_bytes_credited_once_per_transfer(self, responder, direction, monkeypatch):
+        eng = quiet_engine()
+        credits = []
+        credit = eng._credit_own_bytes
+        monkeypatch.setattr(eng, "_credit_own_bytes", lambda n: (credits.append(n), credit(n)))
+        spec = engine_mod.TestSpec(target="%s:%d" % responder.address, direction=direction,
+                                   duration=1.0, n_connections=2)
+        record = eng.run_test(spec, cross_window_s=0.05)
+        assert len(credits) == 1
+        assert eng._own_bytes == credits[0] >= record.aggregate_trace.total_bytes > 0
+        # The receiving end can only have counted what the sending end moved.
+        server_total = sum(entry[1] for entry in record.server_summary)
+        if direction == "download":
+            assert eng._own_bytes <= server_total
+        else:
+            assert server_total <= eng._own_bytes
 
     def test_engine_rejects_concurrent_runs(self, responder):
         eng = quiet_engine()

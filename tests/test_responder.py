@@ -1,6 +1,7 @@
 """Responder behavior over real loopback sockets."""
 
 import os
+import random
 import socket
 import statistics
 import threading
@@ -10,7 +11,7 @@ import zlib
 import pytest
 
 from linerate import protocol
-from linerate.responder import Responder
+from linerate.responder import DATA_POOL_BYTES, MAX_TEST_DURATION_MS, Responder, SessionState
 
 
 def new_nonce() -> bytes:
@@ -82,6 +83,18 @@ class TestHandshake:
             kind, _nonce, payload = say_hello(sock, new_nonce(), n_connections=0)
             assert kind == protocol.REFUSE
             assert protocol.unpack_refuse(payload) == protocol.REASON_BAD_PARAMS
+
+    def test_huge_duration_refused_without_state_change(self, responder):
+        before = responder.active_tests()
+        with open_control(responder.address) as sock:
+            kind, _nonce, payload = say_hello(sock, new_nonce(), duration_ms=2**32 - 1)
+            assert kind == protocol.REFUSE
+            assert protocol.unpack_refuse(payload) == protocol.REASON_BAD_PARAMS
+            assert responder.active_tests() == before
+            # The cap itself is still a valid duration.
+            kind, _nonce, _payload = say_hello(sock, new_nonce(),
+                                               duration_ms=MAX_TEST_DURATION_MS)
+            assert kind == protocol.HELLO_ACK
 
     def test_duplicate_nonce_refused(self, responder):
         nonce = new_nonce()
@@ -309,6 +322,33 @@ class TestServeData:
         compressed = zlib.compress(block, 9)
         assert len(compressed) > 0.99 * len(block)
 
+    def test_download_stream_is_the_session_pool_repeated(self, responder):
+        # Past the end of the pool and one chunk beyond: every send slices the
+        # session's ring, so a wrong offset at the wrap would corrupt the stream.
+        nbytes = DATA_POOL_BYTES + 2 * protocol.CHUNK_BYTES
+        nonce = new_nonce()
+        with open_control(responder.address) as control:
+            assert say_hello(control, nonce, duration_ms=10_000)[0] == protocol.HELLO_ACK
+            with open_data(responder.address, nonce, index=0) as data:
+                data.settimeout(10.0)
+                got = protocol.recv_exact(data, nbytes)
+        pool = random.Random(int.from_bytes(nonce, "big")).randbytes(DATA_POOL_BYTES)
+        assert got == (pool + pool)[:nbytes]
+
+    def test_every_ring_slice_is_the_pool_repeated(self):
+        # On loopback every send is a full chunk, so offsets stay on the chunk
+        # grid and the stream test above never reads past the pool; partial
+        # sends on real links do, so check those offsets directly.
+        nonce = new_nonce()
+        ring = SessionState(nonce=nonce, direction="download", duration_ms=1_000,
+                            expected_connections=1, deadline=0.0).pool()
+        pool = random.Random(int.from_bytes(nonce, "big")).randbytes(DATA_POOL_BYTES)
+        cyclic = pool + pool
+        chunk = protocol.CHUNK_BYTES
+        for offset in (0, 1, DATA_POOL_BYTES - chunk, DATA_POOL_BYTES - chunk + 1,
+                       DATA_POOL_BYTES - 12_345, DATA_POOL_BYTES - 1):
+            assert ring[offset : offset + chunk] == cyclic[offset : offset + chunk]
+
     def test_distinct_sessions_serve_distinct_streams(self, responder):
         def first_chunk() -> bytes:
             nonce = new_nonce()
@@ -354,3 +394,19 @@ class TestAdmissionStorm:
             assert len(refusals) == 14
             assert len(outcomes) == 16
             assert active_during_hold == 2
+
+
+class TestThreads:
+    def test_finished_connections_leave_no_threads(self):
+        with Responder("127.0.0.1", 0) as server:
+            baseline = threading.active_count()
+            for _ in range(100):
+                # One echo per client: its connection is accepted and served
+                # before the next client connects.
+                with open_control(server.address) as sock:
+                    echo_round_trip(sock)
+            deadline = time.monotonic() + 2.0
+            while threading.active_count() > baseline and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert threading.active_count() == baseline
+            assert len(server._threads) < 10
