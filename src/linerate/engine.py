@@ -10,6 +10,7 @@ jitter, steady-state detection) comes from the metrics module, so the
 methodology behind a result is always inspectable and replaceable.
 """
 
+import functools
 import logging
 import os
 import random
@@ -168,6 +169,16 @@ def cross_traffic_threshold_bps(capacity_hint_bps: float | None) -> float:
     return CROSS_TRAFFIC_FLOOR_BPS
 
 
+@functools.cache
+def _upload_ring() -> memoryview:
+    # Uploads send slices ring[offset : offset + CHUNK_BYTES] with offset
+    # below UPLOAD_POOL_BYTES. Random bytes need not repeat, so the ring is
+    # just CHUNK_BYTES longer than its period and nothing is copied to wrap.
+    # The ring is read-only and its content carries no meaning, so it is
+    # drawn once per process and shared by every Engine and connection.
+    return memoryview(os.urandom(UPLOAD_POOL_BYTES + protocol.CHUNK_BYTES))
+
+
 class Engine:
     """One client-side test runner.  Not shareable across concurrent tests."""
 
@@ -318,11 +329,7 @@ class Engine:
         counters = [0] * n
         failed = [c is None for c in conns]
         stop = threading.Event()
-        # Uploads send slices ring[offset : offset + CHUNK_BYTES] with offset
-        # below UPLOAD_POOL_BYTES. Random bytes need not repeat, so the ring is
-        # just CHUNK_BYTES longer than its period and nothing is copied to wrap.
-        ring = (memoryview(os.urandom(UPLOAD_POOL_BYTES + protocol.CHUNK_BYTES))
-                if spec.direction == "upload" else None)
+        ring = _upload_ring() if spec.direction == "upload" else None
         duration_s = spec.duration
         interval_ms = spec.sample_interval
 

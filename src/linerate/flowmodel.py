@@ -5,15 +5,21 @@ flow transmits its congestion window, the link delivers at most one
 bandwidth-delay product worth of segments, and the window reacts to a
 deterministic loss schedule. The n flows of a path start identical and always
 get equal shares, so they stay in lockstep: one representative flow stands for
-all n and the path delivers n times what it does. Identical inputs always
-produce identical traces, which is what makes the throughput estimators
-testable at desk scale.
+all n and the path delivers n times what it does. A round that changes
+nothing but the count of segments sent (a window pinned at the bdp, no drop)
+is repeated exactly by every round after it until the next scheduled drop,
+so such steady stretches are appended in one go instead of stepped: the cost
+is the number of rounds that do not repeat, whatever n is. Identical inputs
+always produce identical traces, which is what makes the throughput
+estimators testable at desk scale.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, islice, repeat
 
 MSS_DEFAULT = 1500  # bytes per segment
 
@@ -136,12 +142,13 @@ def _drops_between(sent_before: float, sent_after: float, period: int | None) ->
     return math.floor(sent_after / period) - math.floor(sent_before / period)
 
 
-def _step(flow: tuple, initial_cwnd: float, bdp: float, period: int | None,
-          share: float) -> tuple[tuple, float]:
-    # The AIMD rules, on plain floats. ``flow`` is (cwnd, ssthresh, phase,
-    # sent, loss_rounds); returns the next flow and the segments it delivered
-    # this round. advance_round and the path loop both call this.
-    cwnd, ssthresh, phase, sent, loss_rounds = flow
+def _step(state: tuple, sent: float, initial_cwnd: float, bdp: float, period: int | None,
+          share: float) -> tuple[tuple, float, float]:
+    # The AIMD rules, on plain floats. ``state`` is (cwnd, ssthresh, phase,
+    # loss_rounds) and ``sent`` the segments transmitted so far; returns the
+    # next state, the next ``sent`` and the segments delivered this round.
+    # advance_round and the path loop both call this.
+    cwnd, ssthresh, phase, loss_rounds = state
     cwnd = min(cwnd, bdp)  # the link cannot carry more than one bdp
     send = cwnd * share
 
@@ -172,7 +179,22 @@ def _step(flow: tuple, initial_cwnd: float, bdp: float, period: int | None,
         if phase == SLOW_START and new_cwnd >= ssthresh:
             phase = CONGESTION_AVOIDANCE
 
-    return (max(new_cwnd, 1.0), ssthresh, phase, sent + send, loss_rounds), delivered
+    return (max(new_cwnd, 1.0), ssthresh, phase, loss_rounds), sent + send, delivered
+
+
+def _steady_sents(sent: float, send: float, period: int | None, limit: int) -> list[float]:
+    # ``sent`` now and after each of up to ``limit`` further rounds that send
+    # ``send``, up to the last round before the first that crosses a multiple
+    # of the loss period (the round in which _step drops a segment).
+    # accumulate makes the same float sums as ``sent + send`` round by round,
+    # and the drop test is _drops_between's floor(sent / period).
+    if period is None:
+        return list(accumulate(repeat(send, limit), initial=sent))
+    mark = math.floor(sent / period)
+    # The bound only sizes the lookahead: rounds past it are left to the loop.
+    lookahead = min(limit, int(((mark + 1) * period - sent) / send) + 2)
+    sents = list(accumulate(repeat(send, lookahead), initial=sent))
+    return sents[:bisect_right(sents, mark, lo=1, key=lambda s: math.floor(s / period))]
 
 
 def advance_round(state: FlowState, link: LinkModel, capacity_share: float = 1.0) -> FlowState:
@@ -187,8 +209,8 @@ def advance_round(state: FlowState, link: LinkModel, capacity_share: float = 1.0
     """
     if not 0 < capacity_share <= 1:
         raise ValueError(f"capacity_share must be in (0, 1], got {capacity_share}")
-    (cwnd, ssthresh, phase, sent, loss_rounds), delivered = _step(
-        (state.cwnd, state.ssthresh, state.phase, state.sent, state.loss_rounds),
+    (cwnd, ssthresh, phase, loss_rounds), sent, delivered = _step(
+        (state.cwnd, state.ssthresh, state.phase, state.loss_rounds), state.sent,
         state.initial_cwnd, link.bdp_segments, link.loss_period, capacity_share)
     return replace(
         state,
@@ -208,8 +230,14 @@ class RoundLedger:
     rtt: float
     boundaries: list[float] = field(default_factory=lambda: [0.0])
 
-    def add_round(self, delivered_bytes: float):
-        self.boundaries.append(self.boundaries[-1] + delivered_bytes)
+    def add_rounds(self, delivered_bytes: float, count: int):
+        """Append ``count`` rounds that each deliver ``delivered_bytes``.
+
+        accumulate makes the same float sums as appending
+        ``boundaries[-1] + delivered_bytes`` once per round.
+        """
+        run = accumulate(repeat(delivered_bytes, count), initial=self.boundaries[-1])
+        self.boundaries.extend(islice(run, 1, None))
 
     def bytes_at(self, t_ms: float) -> float:
         # Delivery is fluid within a round, so interpolate linearly between
@@ -247,6 +275,14 @@ def simulate_paths(
     split over its flows (share = min(1, bdp / sum of windows)), then every
     path is scaled down when the summed demand exceeds ``access_bdp``
     segments. A single link is one path behind an uncapped access link.
+
+    Steady stretches: when a round leaves every path's (cwnd, ssthresh, phase,
+    loss_rounds) unchanged, the rounds after it repeat its per-path and total
+    deltas exactly, up to the first round whose ``sent`` crosses the next
+    multiple of some path's loss period (on lossless paths, to the end). Those
+    rounds are appended to the ledgers without stepping, with the same float
+    sums, so the ledgers are bit-identical to stepping every round. The cost
+    is the number of rounds that do not repeat, which does not depend on n.
     Returns (per-path ledgers, aggregate ledger).
     """
     rtt = links[0].rtt
@@ -255,29 +291,59 @@ def simulate_paths(
     bdps = [link.bdp_segments for link in links]
     periods = [link.loss_period for link in links]
     mss = [link.mss for link in links]
-    flows = [(initial.cwnd, initial.ssthresh, initial.phase, initial.sent,
-              initial.loss_rounds)] * len(links)
+    states = [(initial.cwnd, initial.ssthresh, initial.phase, initial.loss_rounds)] * len(links)
+    sents = [initial.sent] * len(links)
+    delivered = [0.0] * len(links)
     ledgers = [RoundLedger(rtt=rtt) for _ in links]
     total_ledger = RoundLedger(rtt=rtt)
 
-    for _ in range(math.ceil(duration_ms / rtt)):
+    # Rounds append to the ledgers' lists directly: a method call per path
+    # and round would cost more than the steady-stretch check.
+    boundaries = [ledger.boundaries for ledger in ledgers]
+    total_bytes = total_ledger.boundaries
+    rounds = math.ceil(duration_ms / rtt)
+    while rounds:
+        rounds -= 1
         shares = []
         demand = 0.0
-        for flow, bdp in zip(flows, bdps):
-            window = n_connections * min(flow[0], bdp)
+        for state, bdp in zip(states, bdps):
+            window = n_connections * min(state[0], bdp)
             share = min(1.0, bdp / window)
             shares.append(share)
             demand += window * share
         access_scale = min(1.0, access_bdp / demand)
 
         round_total = 0.0
+        steady = True
         for i in range(len(links)):
-            flows[i], delivered = _step(flows[i], initial.initial_cwnd, bdps[i], periods[i],
-                                        shares[i] * access_scale)
-            delta = n_connections * delivered * mss[i]
-            ledgers[i].add_round(delta)
+            state = states[i]
+            states[i], sents[i], delivered[i] = _step(
+                state, sents[i], initial.initial_cwnd, bdps[i], periods[i],
+                shares[i] * access_scale)
+            steady = steady and states[i] == state
+            delta = n_connections * delivered[i] * mss[i]
+            path_bytes = boundaries[i]
+            path_bytes.append(path_bytes[-1] + delta)
             round_total += delta
-        total_ledger.add_round(round_total)
+        total_bytes.append(total_bytes[-1] + round_total)
+
+        if steady and rounds:
+            # Only ``sent`` changed, so the next rounds get the same shares
+            # and send the same, and add the same deltas until a path's
+            # ``sent`` crosses a multiple of its loss period. This round
+            # dropped nothing (a drop always changes loss_rounds), so what
+            # each path delivered is also what it sent.
+            skip = rounds
+            runs = []
+            for i in range(len(links)):
+                runs.append(_steady_sents(sents[i], delivered[i], periods[i], skip))
+                skip = len(runs[-1]) - 1
+            if skip:
+                rounds -= skip
+                for i, run in enumerate(runs):
+                    sents[i] = run[skip]
+                    ledgers[i].add_rounds(n_connections * delivered[i] * mss[i], skip)
+                total_ledger.add_rounds(round_total, skip)
     return ledgers, total_ledger
 
 

@@ -535,11 +535,20 @@ class TestMultiDestinationSimulation:
                 assert got == pytest.approx(want, rel=1e-9)
 
     def test_cost_per_destination_does_not_depend_on_connections(self, step_calls):
+        # The paths are lossless, so at any n every window doubles 10 -> 20 ->
+        # 40 -> 64 (ssthresh), then grows one segment per round up to the
+        # path's bdp (233.3 segments) and stays there. One more round shows
+        # that nothing changes; the rest of the test is appended, not stepped.
+        bdp = flowmodel.LinkModel(capacity=400e6, rtt=7.0).bdp_segments
+        settled = 3 + math.ceil(bdp - 64) + 1
+        assert settled == 174
+        counts = []
         for n in (1, 64):
             step_calls.clear()
             simulate_destination_transfers(1e9, [400e6] * 3, rtt_ms=7.0, duration_s=2.0,
                                            n_connections=n)
-            assert len(step_calls) == 3 * math.ceil(2000 / 7.0)
+            counts.append(len(step_calls))
+        assert counts == [3 * settled, 3 * settled]
 
 
 def quiet_factory():

@@ -384,6 +384,23 @@ class TestRunTest:
         else:
             assert server_total <= eng._own_bytes
 
+    def test_upload_ring_drawn_once_per_process(self, responder, monkeypatch):
+        draws = []
+        urandom = engine_mod.os.urandom
+
+        def counting(size):
+            if size >= engine_mod.UPLOAD_POOL_BYTES:  # not the 16-byte spec nonces
+                draws.append(size)
+            return urandom(size)
+
+        monkeypatch.setattr(engine_mod.os, "urandom", counting)
+        engine_mod._upload_ring.cache_clear()
+        for _ in range(2):  # a new Engine per test, as the CLI and coordinator make
+            record = run_loopback(responder, direction="upload", duration=1.0,
+                                  n_connections=1)
+            assert record.aggregate_trace.total_bytes > 0
+        assert draws == [engine_mod.UPLOAD_POOL_BYTES + protocol.CHUNK_BYTES]
+
     def test_engine_rejects_concurrent_runs(self, responder):
         eng = quiet_engine()
         assert eng._busy.acquire(blocking=False)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from linerate import flowmodel
 from linerate.flowmodel import (
     CONGESTION_AVOIDANCE,
+    MSS_DEFAULT,
     SLOW_START,
     TIMEOUT_RECOVERY,
     FlowState,
@@ -39,6 +40,49 @@ def oracle_round_bytes(link, n_connections, n_rounds, initial_cwnd=10.0, initial
         flows = [advance_round(f, link, capacity_share=share) for f in flows]
         cumulative.append(sum(f.delivered for f in flows) * link.mss)
     return cumulative
+
+
+def stepped_ledgers(links, n_connections, duration_ms, access_bdp=math.inf,
+                    initial=FlowState()):
+    """simulate_paths' round loop with no shortcut: every round goes through _step.
+
+    Returns the per-path and total round boundaries, summed in the same order
+    as simulate_paths sums them, so the two must agree bit for bit.
+    """
+    bdps = [link.bdp_segments for link in links]
+    periods = [link.loss_period for link in links]
+    states = [(initial.cwnd, initial.ssthresh, initial.phase, initial.loss_rounds)] * len(links)
+    sents = [initial.sent] * len(links)
+    paths = [[0.0] for _ in links]
+    total = [0.0]
+    for _ in range(math.ceil(duration_ms / links[0].rtt)):
+        shares = []
+        demand = 0.0
+        for state, bdp in zip(states, bdps):
+            window = n_connections * min(state[0], bdp)
+            share = min(1.0, bdp / window)
+            shares.append(share)
+            demand += window * share
+        access_scale = min(1.0, access_bdp / demand)
+        round_total = 0.0
+        for i, link in enumerate(links):
+            states[i], sents[i], delivered = flowmodel._step(
+                states[i], sents[i], initial.initial_cwnd, bdps[i], periods[i],
+                shares[i] * access_scale)
+            delta = n_connections * delivered * link.mss
+            paths[i].append(paths[i][-1] + delta)
+            round_total += delta
+        total.append(total[-1] + round_total)
+    return paths, total
+
+
+def capacity_for_bdp(bdp, rtt):
+    return bdp * MSS_DEFAULT * 8 / (rtt / 1000.0)
+
+
+def ledger_lists(result):
+    ledgers, total_ledger = result
+    return [ledger.boundaries for ledger in ledgers], total_ledger.boundaries
 
 
 class TestLinkModel:
@@ -273,6 +317,67 @@ class TestPathModel:
             step_calls.clear()
             simulate_transfer(link, n, 2)
             assert len(step_calls) == math.ceil(2000 / 7.0)
+
+    def test_lossless_cost_stops_at_the_fixed_point(self, step_calls):
+        link = LinkModel(capacity=400e6, rtt=7.0)
+        # The window doubles 10 -> 20 -> 40 -> 64 (ssthresh), then grows one
+        # segment per round up to the bdp (233.3 segments) and stays there.
+        # One more round shows that nothing changes; the rest is appended.
+        settled = 3 + math.ceil(link.bdp_segments - 64) + 1
+        counts = []
+        for n in (1, 64):
+            step_calls.clear()
+            simulate_transfer(link, n, 2)
+            counts.append(len(step_calls))
+        assert counts == [settled, settled]
+        assert settled < math.ceil(2000 / 7.0)
+
+    # Links are drawn by bdp (1-300 segments) at 1-10 ms RTT, so windows often
+    # reach the bdp and sit there between drops: the stretches the model skips.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bdp=st.floats(min_value=1.0, max_value=300.0),
+        rtt=st.floats(min_value=1.0, max_value=10.0),
+        loss=st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=0.05)),
+        n_connections=st.integers(min_value=1, max_value=64),
+        duration_ms=st.floats(min_value=1000.0, max_value=3000.0),
+    )
+    def test_single_link_bit_identical_to_stepping_every_round(
+            self, bdp, rtt, loss, n_connections, duration_ms):
+        links = [LinkModel(capacity=capacity_for_bdp(bdp, rtt), rtt=rtt, loss_rate=loss)]
+        assert ledger_lists(flowmodel.simulate_paths(links, n_connections, duration_ms)) == \
+            stepped_ledgers(links, n_connections, duration_ms)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        paths=st.lists(st.tuples(st.floats(min_value=1.0, max_value=300.0),
+                                 st.one_of(st.just(0.0), st.floats(min_value=1e-5, max_value=0.01))),
+                       min_size=1, max_size=4),
+        access_bdp=st.floats(min_value=1.0, max_value=1000.0),
+        rtt=st.floats(min_value=1.0, max_value=10.0),
+        n_connections=st.integers(min_value=1, max_value=16),
+        duration_ms=st.floats(min_value=1000.0, max_value=3000.0),
+    )
+    def test_paths_with_access_scaling_bit_identical_to_stepping_every_round(
+            self, paths, access_bdp, rtt, n_connections, duration_ms):
+        links = [LinkModel(capacity=capacity_for_bdp(bdp, rtt), rtt=rtt, loss_rate=loss)
+                 for bdp, loss in paths]
+        got = flowmodel.simulate_paths(links, n_connections, duration_ms, access_bdp=access_bdp)
+        assert ledger_lists(got) == stepped_ledgers(links, n_connections, duration_ms, access_bdp)
+
+    def test_send_landing_on_a_loss_multiple_is_a_drop_round(self, step_calls):
+        # One connection (share 1), a bdp of exactly 50 segments and integer
+        # windows: ``sent`` reaches exactly 1000, the loss period, at the end
+        # of round 20, which must drop a segment and halve the window.
+        links = [LinkModel(capacity=50 * 12000, rtt=1000.0, loss_rate=1e-3)]
+        assert links[0].bdp_segments == 50.0 and links[0].loss_period == 1000
+        initial = FlowState(cwnd=50.0, phase=CONGESTION_AVOIDANCE)
+        got = flowmodel.simulate_paths(links, 1, 120_000.0, initial=initial)
+        assert len(step_calls) < 120  # steady stretches were appended, not stepped
+        want = stepped_ledgers(links, 1, 120_000.0, initial=initial)
+        assert ledger_lists(got) == want
+        deltas = [b - a for a, b in zip(want[1], want[1][1:])]
+        assert deltas[18:21] == [50 * 1500, 49 * 1500, 25 * 1500]
 
     def test_unequal_rtts_rejected(self):
         with pytest.raises(ValueError):
