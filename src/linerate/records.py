@@ -5,6 +5,11 @@ and the fully expanded methodology ride along with the reported numbers, so
 anyone can recompute the report from the record alone and get the same bits.
 Records are canonical JSON, one per line; the store is append-only and a
 corrupted or foreign trailing line never hides the earlier records.
+
+A record stores every per-connection trace in full, even when they are one
+object repeated (as in simulated records).  ``MeasurementResult.to_json``
+encodes each distinct trace object once and repeats its text; the bytes are
+those of ``canonical_json(to_dict())``, which stays the reference form.
 """
 
 import json
@@ -12,6 +17,7 @@ import logging
 import math
 import os
 import statistics
+import tempfile
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -49,9 +55,10 @@ def canonical_json(obj) -> str:
 # -- converters for types that live in other modules --------------------------
 
 def trace_to_dict(trace: ThroughputTrace) -> dict:
+    # json writes the (t, bytes) tuples as arrays, so the samples need no copy.
     return {
         "sample_interval": trace.sample_interval,
-        "samples": [[t, b] for t, b in trace.samples],
+        "samples": trace.samples,
         "source": trace.source,
     }
 
@@ -73,11 +80,10 @@ def latency_from_dict(data: dict) -> LatencyStats:
                         received=data["received"])
 
 
-def raw_to_dict(raw: RawTestRecord) -> dict:
+def _raw_fields(raw: RawTestRecord) -> dict:
+    """Every field of ``raw_to_dict`` except the traces."""
     return {
         "spec": raw.spec.to_dict(),
-        "per_connection_traces": [trace_to_dict(t) for t in raw.per_connection_traces],
-        "aggregate_trace": trace_to_dict(raw.aggregate_trace),
         "latency": latency_to_dict(raw.latency),
         "cross_traffic_bps": raw.cross_traffic_bps,
         "flags": sorted(raw.flags),
@@ -86,6 +92,20 @@ def raw_to_dict(raw: RawTestRecord) -> dict:
         "server_load": list(raw.server_load) if raw.server_load is not None else None,
         "started_at_monotonic": raw.started_at_monotonic,
     }
+
+
+def raw_to_dict(raw: RawTestRecord) -> dict:
+    return {
+        **_raw_fields(raw),
+        "per_connection_traces": [trace_to_dict(t) for t in raw.per_connection_traces],
+        "aggregate_trace": trace_to_dict(raw.aggregate_trace),
+    }
+
+
+def _join_object(encoded: dict) -> str:
+    """Canonical JSON of an object whose values are already canonical JSON text."""
+    return "{" + ",".join(canonical_json(key) + ":" + text
+                          for key, text in sorted(encoded.items())) + "}"
 
 
 def raw_from_dict(data: dict) -> RawTestRecord:
@@ -129,13 +149,13 @@ class MeasurementResult:
             raise ValueError(f"origin must be one of {ORIGINS}, got {self.origin!r}")
         object.__setattr__(self, "flags", frozenset(self.flags))
 
-    def to_dict(self) -> dict:
+    def _fields(self) -> dict:
+        """Every field of ``to_dict`` except ``raw``."""
         return {
             "schema_version": self.schema_version,
             "timestamp": self.timestamp,
             "origin": self.origin,
             "spec": self.spec.to_dict(),
-            "raw": raw_to_dict(self.raw),
             "report": self.report.to_dict(),
             "server": self.server.to_dict() if self.server is not None else None,
             "flags": sorted(self.flags),
@@ -143,8 +163,32 @@ class MeasurementResult:
             "alternate_estimates": self.alternate_estimates,
         }
 
+    def to_dict(self) -> dict:
+        return {**self._fields(), "raw": raw_to_dict(self.raw)}
+
     def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+        """``canonical_json(self.to_dict())``, encoding each distinct trace object once.
+
+        An object's canonical JSON is its sorted ``"key":value`` pairs joined
+        by commas in braces, so the record is joined from the canonical JSON
+        of its fields.  The trace memo is keyed by ``id()`` and lives only
+        for this call; ``self`` keeps every trace alive, so no id is reused.
+        """
+        encoded_traces = {}
+
+        def trace_json(trace: ThroughputTrace) -> str:
+            text = encoded_traces.get(id(trace))
+            if text is None:
+                text = encoded_traces[id(trace)] = canonical_json(trace_to_dict(trace))
+            return text
+
+        raw = {key: canonical_json(value) for key, value in _raw_fields(self.raw).items()}
+        raw["per_connection_traces"] = (
+            "[" + ",".join(map(trace_json, self.raw.per_connection_traces)) + "]")
+        raw["aggregate_trace"] = trace_json(self.raw.aggregate_trace)
+        fields = {key: canonical_json(value) for key, value in self._fields().items()}
+        fields["raw"] = _join_object(raw)
+        return _join_object(fields)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeasurementResult":
@@ -387,13 +431,22 @@ def load_registry(path) -> Registry:
 
 
 def save_registry(path, registry: Registry):
-    """Rewrite the server file atomically (write-then-rename)."""
+    """Rewrite the server file atomically (write-then-rename).
+
+    Each save writes its own temp file beside the target, so processes that
+    save at once never share one; the last rename wins.
+    """
     path = str(path)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for server in registry:
-            fh.write(canonical_json(server.to_dict()) + "\n")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=parent or os.curdir,
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            for server in registry:
+                fh.write(canonical_json(server.to_dict()) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -1,15 +1,20 @@
 """Record serialization fidelity, the append-only store, and aggregation."""
 
+import dataclasses
+import hashlib
 import json
 import logging
 import math
+import multiprocessing
+import os
 import random
 import threading
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from linerate import records
+from linerate import cli, records
 from linerate.coordinator import ServerDescriptor
 from linerate import engine as engine_mod
 from linerate.engine import RawTestRecord
@@ -121,6 +126,93 @@ def clean_result(rng=None, origin="user", flags=frozenset(), direction="download
                        timestamp="2026-02-03T04:05:06+00:00")
 
 
+def simulated_result(n_connections, direction="download") -> MeasurementResult:
+    """A ``run --simulate`` record with a fixed nonce and timestamp."""
+    raw = cli.simulated_raw({"link": 200e6, "rtt": 20.0, "loss": 1e-4,
+                             "connections": n_connections, "duration": 2.0}, direction)
+    raw = dataclasses.replace(raw, spec=dataclasses.replace(raw.spec,
+                                                            nonce=bytes(range(16))))
+    return make_result(raw, EstimationMethod(), records.ORIGIN_USER,
+                       timestamp="2026-01-02T03:04:05+00:00")
+
+
+# Strings json must escape: a quote, a backslash, control and non-ASCII characters.
+ESCAPED_TEXT = st.one_of(
+    st.sampled_from(['say "hi"', "back\\slash", "naïve ☃ 東京", "tab\tnew\nline\x01"]),
+    st.text(max_size=12))
+
+
+@st.composite
+def drawn_traces(draw, interval):
+    steps = draw(st.lists(st.one_of(st.integers(0, 10**7), st.floats(0.0, 1e7)),
+                          min_size=1, max_size=6))
+    samples = [(0.0, 0)]
+    for k, step in enumerate(steps, start=1):
+        samples.append((k * interval, samples[-1][1] + step))
+    return ThroughputTrace(sample_interval=interval, samples=tuple(samples),
+                           source=draw(st.sampled_from([MEASURED, SIMULATED])))
+
+
+@st.composite
+def per_connection_traces(draw, sharing, interval):
+    n = draw(st.integers(1, 6))
+    if sharing == "same":
+        return (draw(drawn_traces(interval)),) * n
+    if sharing == "distinct":
+        return tuple(draw(drawn_traces(interval)) for _ in range(n))
+    # dataclasses.replace with no changes gives an equal but distinct object.
+    if sharing == "equal":
+        first = draw(drawn_traces(interval))
+        return (first,) + tuple(dataclasses.replace(first) for _ in range(n - 1))
+    pool = draw(st.lists(drawn_traces(interval), min_size=1, max_size=3))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()),
+                          min_size=n, max_size=n))
+    return tuple(pool[i] if same else dataclasses.replace(pool[i]) for i, same in picks)
+
+
+@st.composite
+def drawn_results(draw, sharing):
+    interval = draw(st.sampled_from([50.0, 100.0]))
+    per_conn = draw(per_connection_traces(sharing, interval))
+    aggregate = draw(st.one_of(st.just(per_conn[0]), drawn_traces(interval)))
+    n = len(per_conn)
+    server = draw(st.none() | st.builds(
+        ServerDescriptor, id=ESCAPED_TEXT.filter(bool), host=ESCAPED_TEXT,
+        port=st.integers(1, 65535), declared_location=ESCAPED_TEXT, network=ESCAPED_TEXT,
+        capacity_hint=st.none() | st.floats(1e6, 1e10),
+        health=st.lists(st.sampled_from(["ok", "unreachable"]), max_size=4)))
+    raw = RawTestRecord(
+        spec=engine_mod.TestSpec(target="h.example.net:7777",
+                                 direction=draw(st.sampled_from(["download", "upload"])),
+                                 duration=10.0, n_connections=n, sample_interval=interval,
+                                 target_id=draw(ESCAPED_TEXT), nonce=bytes(16)),
+        per_connection_traces=per_conn,
+        aggregate_trace=aggregate,
+        latency=LatencyStats(rtts=(12.5, 13.0), sent=3, received=2),
+        cross_traffic_bps=draw(st.none() | st.floats(0.0, 1e9)),
+        flags=draw(st.frozensets(st.sampled_from(["degenerate_trace", "simulated"]))),
+        server_summary=draw(st.none() | st.just(
+            tuple((i, 1000 * i, 500) for i in range(n)))),
+        server_load=draw(st.none() | st.tuples(st.integers(0, 8), st.just(8))),
+    )
+    return make_result(raw, EstimationMethod(), draw(st.sampled_from(records.ORIGINS)),
+                       server=server, timestamp=draw(ESCAPED_TEXT.filter(bool)))
+
+
+@pytest.fixture
+def trace_encodings(monkeypatch):
+    """A list that grows by one for every trace converted for encoding."""
+    calls = []
+    to_dict = records.trace_to_dict
+
+    def counting(trace):
+        calls.append(None)
+        return to_dict(trace)
+
+    monkeypatch.setattr(records, "trace_to_dict", counting)
+    return calls
+
+
 class TestCanonicalJson:
     def test_sorted_and_compact(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
@@ -184,6 +276,29 @@ class TestMeasurementResult:
             reparsed = MeasurementResult.from_json(result.to_json())
             assert recompute_report(reparsed) == reparsed.report
 
+    @pytest.mark.parametrize("sharing", ["same", "distinct", "equal", "mixed"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_to_json_is_canonical_json_of_to_dict(self, sharing, data):
+        result = data.draw(drawn_results(sharing))
+        assert result.to_json() == canonical_json(result.to_dict())
+
+    def test_nan_in_a_repeated_trace_rejected(self):
+        result = simulated_result(4)
+        bad = ThroughputTrace(sample_interval=100.0, samples=((0.0, 0.0), (100.0, math.nan)))
+        raw = dataclasses.replace(result.raw, per_connection_traces=(bad,) * 4)
+        with pytest.raises(ValueError):
+            dataclasses.replace(result, raw=raw).to_json()
+
+    @pytest.mark.parametrize("n_connections", [1, 16])
+    def test_encoding_cost_does_not_grow_with_connections(self, n_connections,
+                                                          trace_encodings):
+        # One repeated per-connection trace plus the aggregate.
+        result = simulated_result(n_connections)
+        trace_encodings.clear()
+        result.to_json()
+        assert len(trace_encodings) == 2
+
     def test_alternate_estimates_cover_every_method(self):
         result = clean_result()
         assert set(result.alternate_estimates) == set(METHOD_KINDS)
@@ -196,6 +311,25 @@ class TestMeasurementResult:
         assert m["n_connections"] == result.spec.n_connections
         assert m["sample_interval_ms"] == result.spec.sample_interval
         assert m["trace_source"] in (MEASURED, SIMULATED)
+
+
+class TestStoredBytes:
+    # Pinned so that encoding changes cannot alter stored records, on any
+    # supported Python version.
+    GOLDEN_SHA256 = {
+        ("download", 1): "c29b7a271f6123961fb2c60bc28052202ad608c9d230567e57c0fbcea5638058",
+        ("download", 4): "2480a523b545183f32a2b2e850d8e04763fc7eb8aa2eb573f0baf98f0f75992c",
+        ("download", 16): "ce1da84b7d5695c199b8c76612f0cdf1586fc0ad265908cb6da41704367bc716",
+        ("upload", 1): "7415a1db211097b724808179c107cc755844a5c4fc2549372d3172dd743717d2",
+        ("upload", 4): "eaded0516ecaba9cd7ab7f74236621bfe26a1b039970e00a11f67e33174fc9c6",
+        ("upload", 16): "221b76d8ce17a0de9bf1c4a08e482c86683d824cce63d4a4102462c416770789",
+    }
+
+    @pytest.mark.parametrize("direction,n_connections", sorted(GOLDEN_SHA256))
+    def test_simulated_record_bytes_are_pinned(self, direction, n_connections):
+        text = simulated_result(n_connections, direction).to_json()
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == self.GOLDEN_SHA256[direction, n_connections]
 
 
 class TestResultStore:
@@ -354,6 +488,17 @@ class TestAggregation:
         assert kinds == {"peak", "steady_state"}
 
 
+REGISTRY_SAVES = 200
+
+
+def save_registry_repeatedly(path, servers, start):
+    """Worker process: wait for the other writer, then save the registry many times."""
+    registry = records.Registry(servers)
+    start.wait(timeout=60)
+    for _ in range(REGISTRY_SAVES):
+        save_registry(path, registry)
+
+
 class TestRegistryPersistence:
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "servers.jsonl"
@@ -386,3 +531,27 @@ class TestRegistryPersistence:
         save_registry(path, records.Registry([ServerDescriptor(id="b", host="h", port=2)]))
         loaded = load_registry(path)
         assert [s.id for s in loaded] == ["b"]
+
+    def test_concurrent_saves_from_two_processes(self, tmp_path):
+        path = tmp_path / "servers.jsonl"
+        servers = [ServerDescriptor(id=f"s{i}", host=f"h{i}.example.net", port=7000 + i)
+                   for i in range(20)]
+        save_registry(path, records.Registry(servers))
+        ctx = multiprocessing.get_context("spawn")
+        start = ctx.Barrier(2)
+        workers = [ctx.Process(target=save_registry_repeatedly,
+                               args=(str(path), servers, start))
+                   for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        try:
+            # Every read between and during the saves sees one whole file.
+            while any(worker.is_alive() for worker in workers):
+                assert list(load_registry(path)) == servers
+        finally:
+            for worker in workers:
+                worker.join(timeout=60)
+                if worker.is_alive():
+                    worker.kill()
+        assert [worker.exitcode for worker in workers] == [0, 0]
+        assert os.listdir(tmp_path) == ["servers.jsonl"]
