@@ -25,7 +25,14 @@ from .coordinator import (
     ServerDescriptor,
     generate_schedule,
 )
-from .engine import Engine, RawTestRecord, TestRefusedError, TestSpec, UnreachableTargetError
+from .engine import (
+    DEFAULT_DURATION_S,
+    Engine,
+    RawTestRecord,
+    TestRefusedError,
+    TestSpec,
+    UnreachableTargetError,
+)
 from .metrics import METHOD_KINDS, STEADY_STATE, EstimationMethod, LatencyStats
 
 log = logging.getLogger(__name__)
@@ -202,8 +209,11 @@ def cmd_run(args) -> int:
 
 
 def run_scheduled(schedule: Schedule, days: int, runner, now_fn=None,
-                  sleep_fn=None, start_day=None) -> tuple[int, int]:
+                  sleep_fn=None, start_day=None,
+                  test_duration_s: float = DEFAULT_DURATION_S) -> tuple[int, int]:
     """Fire runner(when) at each scheduled time for the given number of days.
+
+    The times are generate_schedule's for tests of test_duration_s seconds.
 
     A firing whose time has already passed is logged and skipped, never
     back-filled: a made-up late measurement would say nothing about the time
@@ -215,7 +225,7 @@ def run_scheduled(schedule: Schedule, days: int, runner, now_fn=None,
     fired = missed = 0
     for offset in range(days):
         day = start_day + timedelta(days=offset)
-        for when in generate_schedule(schedule, day):
+        for when in generate_schedule(schedule, day, test_duration_s):
             now = now_fn()
             if when < now:
                 log.warning("missed firing at %s; skipped, not back-filled",
@@ -258,7 +268,8 @@ def cmd_schedule(args) -> int:
             headline = result.report.download_bps or result.report.upload_bps
             print(f"{when.isoformat()}  {_format_optional_rate(headline)}")
 
-    fired, missed = run_scheduled(schedule, args.days, fire)
+    fired, missed = run_scheduled(schedule, args.days, fire,
+                                  test_duration_s=args.duration)
     print(f"fired {fired} of {fired + missed} scheduled runs over {args.days} day(s)")
     return EXIT_OK
 

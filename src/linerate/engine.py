@@ -341,25 +341,7 @@ class Engine:
             # error meaningfully before the deadline counts as a lost connection.
             try:
                 sock.settimeout(0.2)
-                if spec.direction == "download":
-                    buf = bytearray(protocol.CHUNK_BYTES)
-                    while not stop.is_set() and time.monotonic() < deadline:
-                        try:
-                            got = sock.recv_into(buf)
-                        except TimeoutError:
-                            continue
-                        if not got:
-                            return
-                        counters[index] += got
-                else:
-                    offset = 0
-                    while not stop.is_set() and time.monotonic() < deadline:
-                        try:
-                            sent = sock.send(ring[offset : offset + protocol.CHUNK_BYTES])
-                        except TimeoutError:
-                            continue
-                        counters[index] += sent
-                        offset = (offset + sent) % UPLOAD_POOL_BYTES
+                protocol.pump(sock, ring, deadline, stop, counters, index)
             except OSError:
                 if time.monotonic() < deadline - interval_ms / 1000.0:
                     failed[index] = True

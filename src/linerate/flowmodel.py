@@ -176,8 +176,6 @@ def _step(state: tuple, sent: float, initial_cwnd: float, bdp: float, period: in
             new_cwnd = cwnd + 1.0
             phase = CONGESTION_AVOIDANCE
         new_cwnd = min(new_cwnd, bdp)
-        if phase == SLOW_START and new_cwnd >= ssthresh:
-            phase = CONGESTION_AVOIDANCE
 
     return (max(new_cwnd, 1.0), ssthresh, phase, loss_rounds), sent + send, delivered
 

@@ -9,10 +9,12 @@ Frame layout on the wire:
 
 Control connections speak frames for their whole lifetime.  Data connections
 send a single START_DATA frame to bind themselves to a session, then carry a
-raw byte stream with no further framing.
+raw byte stream with no further framing.  Both ends move that stream through
+``pump``: the engine and the responder send and receive with the same loop.
 """
 
 import struct
+import time
 
 PROTOCOL_VERSION = 1
 
@@ -135,6 +137,40 @@ def recv_frame(sock) -> tuple[int, bytes, bytes]:
 
 def send_frame(sock, kind: int, nonce: bytes, payload: bytes = b"") -> None:
     sock.sendall(encode_frame(kind, nonce, payload))
+
+
+def pump(sock, ring, deadline: float, stop, counts: list, index: int) -> None:
+    """Move the raw stream on one data connection until deadline, stop or EOF.
+
+    With a ``ring`` (a pool followed by its first CHUNK_BYTES), send slices
+    ``ring[offset : offset + CHUNK_BYTES]``, so the stream is the pool
+    repeated and no chunk is joined at the wrap.  With ``ring=None``, receive
+    into one reused buffer until the peer closes.  Each call's count is added
+    to ``counts[index]`` at once, because another thread may read it live.
+    ``stop`` is a ``threading.Event``.  A socket timeout only retries the
+    stop test; any other OSError propagates, and what moved before it stays
+    counted.
+    """
+    if ring is not None:
+        period = len(ring) - CHUNK_BYTES
+        offset = 0
+        while not stop.is_set() and time.monotonic() < deadline:
+            try:
+                sent = sock.send(ring[offset : offset + CHUNK_BYTES])
+            except TimeoutError:
+                continue
+            counts[index] += sent
+            offset = (offset + sent) % period
+        return
+    buf = bytearray(CHUNK_BYTES)
+    while not stop.is_set() and time.monotonic() < deadline:
+        try:
+            got = sock.recv_into(buf)
+        except TimeoutError:
+            continue
+        if not got:
+            return
+        counts[index] += got
 
 
 def pack_hello(direction: str, duration_ms: int, n_connections: int,

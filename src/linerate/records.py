@@ -21,6 +21,7 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import ClassVar
 
 from . import metrics
 from .coordinator import Registry, ServerDescriptor
@@ -142,7 +143,8 @@ class MeasurementResult:
     flags: frozenset
     methodology: dict
     alternate_estimates: dict  # method kind -> bits/s
-    schema_version: int = SCHEMA_VERSION
+    # Not a field: the writer can only write the version the reader accepts.
+    schema_version: ClassVar[int] = SCHEMA_VERSION
 
     def __post_init__(self):
         if self.origin not in ORIGINS:
@@ -198,7 +200,6 @@ class MeasurementResult:
                 f"record schema version {version!r} is not supported "
                 f"(this reader understands {SCHEMA_VERSION})")
         return cls(
-            schema_version=version,
             timestamp=data["timestamp"],
             origin=data["origin"],
             spec=TestSpec.from_dict(data["spec"]),
@@ -388,10 +389,6 @@ def aggregate_results(results, origin: str) -> AggregateReport:
     methodology = {
         "headline": sorted({r.methodology.get("headline", "") for r in group}),
         "methods": [json.loads(m) for m in methods],
-        "exclusion_flags": list(EXCLUSION_FLAGS),
-    } if group else {
-        "headline": [],
-        "methods": [],
         "exclusion_flags": list(EXCLUSION_FLAGS),
     }
     return AggregateReport(

@@ -90,7 +90,7 @@ class Responder:
         self._listener = None
         self._threads: list[threading.Thread] = []
         self._conns: set = set()
-        self._running = False
+        self._stop = threading.Event()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -101,7 +101,7 @@ class Responder:
         listener.listen(128)
         listener.settimeout(_POLL_S)  # a blocked accept() would outlive stop()
         self._listener = listener
-        self._running = True
+        self._stop.clear()
         accept = threading.Thread(target=self._accept_loop, daemon=True)
         self._threads.append(accept)  # before start: the accept loop rebinds the list
         accept.start()
@@ -109,7 +109,7 @@ class Responder:
         return self
 
     def stop(self):
-        self._running = False
+        self._stop.set()
         if self._listener is not None:
             self._listener.close()
         with self._lock:
@@ -141,7 +141,7 @@ class Responder:
     # -- connection handling -----------------------------------------------
 
     def _accept_loop(self):
-        while self._running:
+        while not self._stop.is_set():
             try:
                 conn, _peer = self._listener.accept()
             except TimeoutError:
@@ -164,7 +164,7 @@ class Responder:
                 try:
                     kind, nonce, payload = protocol.recv_frame(conn)
                 except TimeoutError:
-                    if not self._running:
+                    if self._stop.is_set():
                         break
                     continue
                 if kind == protocol.ECHO:
@@ -172,9 +172,10 @@ class Responder:
                 elif kind == protocol.LOAD_REPORT:
                     load = protocol.pack_load(self.active_tests(), self.max_tests)
                     protocol.send_frame(conn, protocol.LOAD_REPORT, nonce, load)
-                elif kind == protocol.HELLO:
-                    created = self._handle_hello(conn, nonce, payload)
-                    session = created or session
+                elif kind == protocol.HELLO and session is None:
+                    # One session per control connection: closing it ends
+                    # that session, so a second HELLO here is refused below.
+                    session = self._handle_hello(conn, nonce, payload)
                 elif kind == protocol.START_DATA:
                     self._serve_data(conn, nonce, payload)
                     return
@@ -298,49 +299,17 @@ class Responder:
             self._refuse_quietly(conn, nonce, protocol.REASON_BAD_PARAMS)
             return
 
+        counts = [0]
         started = time.monotonic()
-        if session.direction == "download":
-            moved = self._stream_to(conn, session)
-        else:
-            moved = self._drain_from(conn, session)
+        ring = session.pool() if session.direction == "download" else None
+        try:
+            protocol.pump(conn, ring, session.deadline, self._stop, counts, 0)
+        except OSError:
+            pass  # the peer went away; what moved before that still counts
         duration_ms = int((time.monotonic() - started) * 1000)
         with session.cond:
-            session.transfers.append((index, moved, duration_ms))
+            session.transfers.append((index, counts[0], duration_ms))
             session.cond.notify_all()
-
-    def _stream_to(self, conn, session) -> int:
-        """Serve pseudo-random bytes until the session deadline; return count."""
-        ring = session.pool()
-        sent = 0
-        offset = 0
-        conn.settimeout(1.0)
-        while self._running and time.monotonic() < session.deadline:
-            try:
-                n = conn.send(ring[offset : offset + protocol.CHUNK_BYTES])
-            except TimeoutError:
-                continue
-            except OSError:
-                break
-            sent += n
-            offset = (offset + n) % DATA_POOL_BYTES
-        return sent
-
-    def _drain_from(self, conn, session) -> int:
-        """Count uploaded bytes until peer close or deadline; return count."""
-        buf = bytearray(protocol.CHUNK_BYTES)
-        got = 0
-        conn.settimeout(_POLL_S)
-        while self._running and time.monotonic() < session.deadline:
-            try:
-                n = conn.recv_into(buf)
-            except TimeoutError:
-                continue
-            except OSError:
-                break
-            if not n:
-                break
-            got += n
-        return got
 
 
 def main(argv=None) -> int:

@@ -8,7 +8,7 @@ from datetime import date, datetime, timedelta
 import pytest
 
 from linerate import cli, protocol, records
-from linerate.coordinator import Schedule
+from linerate.coordinator import Schedule, generate_schedule
 from linerate.engine import Engine
 from linerate.records import MeasurementResult, ResultStore
 from linerate.responder import Responder
@@ -233,6 +233,31 @@ class TestScheduling:
                           start_day=date(2026, 4, 1))
         stored = store.load()
         assert len(stored) == 4
+        assert all(r.origin == "scheduled" for r in stored)
+
+    def test_schedule_command_fires_the_schedule_it_validated(self, paths, monkeypatch):
+        # Eight 600 s tests a day: spaced for 10 s tests they would crowd
+        # together and overrun the peak window.
+        day = date(2026, 4, 1)
+        clock = FakeClock(datetime(2026, 4, 1, 0, 0))
+        fired_at = []
+        real_run_scheduled = cli.run_scheduled
+
+        def run_on_fake_clock(schedule, days, runner, **kwargs):
+            def record(when):
+                fired_at.append(when)
+                runner(when)
+            return real_run_scheduled(schedule, days, record, now_fn=clock,
+                                      sleep_fn=clock.sleep, start_day=day, **kwargs)
+
+        monkeypatch.setattr(cli, "run_scheduled", run_on_fake_clock)
+        code = run_cli(paths, "schedule", "--tests-per-day", "8", "--duration", "600",
+                       "--seed", "5", "--simulate", "link=100mbps")
+        assert code == cli.EXIT_OK
+        assert fired_at == generate_schedule(Schedule(tests_per_day=8, seed=5), day,
+                                             test_duration_s=600)
+        stored = ResultStore(paths["store"]).load()
+        assert len(stored) == 8
         assert all(r.origin == "scheduled" for r in stored)
 
     def test_infeasible_schedule_refused_at_startup(self, paths):

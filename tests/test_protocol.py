@@ -1,9 +1,11 @@
 """Frame codec round-trips and malformed-input rejection."""
 
 import io
+import os
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -149,3 +151,55 @@ class TestPayloadCodecs:
             assert protocol.direction_name(protocol.direction_code(name)) == name
         with pytest.raises(protocol.ProtocolError):
             protocol.direction_code("sideways")
+
+
+class TestPump:
+    def test_sent_stream_is_the_ring_period_repeated(self):
+        # The period is whatever the ring holds beyond its trailing chunk.
+        pool = os.urandom(protocol.CHUNK_BYTES + 12_345)
+        ring = memoryview(pool + pool[: protocol.CHUNK_BYTES])
+        left, right = socket.socketpair()
+        sent, stop = [0, 0], threading.Event()
+        left.settimeout(0.05)
+        sender = threading.Thread(target=protocol.pump,
+                                  args=(left, ring, time.monotonic() + 30.0, stop, sent, 1))
+        try:
+            sender.start()
+            nbytes = 3 * len(pool) + 1
+            blob = bytearray()
+            right.settimeout(0.5)
+            give_up = time.monotonic() + 10.0
+            while len(blob) < nbytes and time.monotonic() < give_up:
+                try:
+                    blob += right.recv(nbytes - len(blob))
+                except TimeoutError:
+                    pass
+            stop.set()
+            sender.join(timeout=5.0)
+            assert not sender.is_alive()
+            assert blob == (pool * 4)[:nbytes]
+            assert sent[0] == 0 and sent[1] >= nbytes
+        finally:
+            stop.set()
+            left.close()
+            right.close()
+
+    def test_receive_counts_every_byte_until_eof(self):
+        left, right = socket.socketpair()
+        counts = [0]
+        try:
+            def write_then_close():
+                left.sendall(b"z" * 1_000_003)
+                left.shutdown(socket.SHUT_WR)
+
+            writer = threading.Thread(target=write_then_close)
+            writer.start()
+            right.settimeout(0.05)
+            started = time.monotonic()
+            protocol.pump(right, None, started + 20.0, threading.Event(), counts, 0)
+            assert time.monotonic() - started < 10.0  # returned at EOF, not the deadline
+            writer.join(timeout=5.0)
+            assert counts == [1_000_003]
+        finally:
+            left.close()
+            right.close()

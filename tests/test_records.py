@@ -263,6 +263,13 @@ class TestMeasurementResult:
         with pytest.raises(UnknownSchemaError):
             MeasurementResult.from_dict(data)
 
+    def test_writer_cannot_write_a_version_the_reader_refuses(self):
+        result = clean_result()
+        with pytest.raises(TypeError):
+            dataclasses.replace(result, schema_version=2)
+        assert result.schema_version == records.SCHEMA_VERSION
+        assert json.loads(result.to_json())["schema_version"] == records.SCHEMA_VERSION
+
     def test_missing_schema_version_rejected(self):
         data = json.loads(clean_result().to_json())
         del data["schema_version"]
@@ -458,6 +465,13 @@ class TestAggregation:
     def test_single_origin_yields_single_block(self):
         blocks = report_blocks([clean_result()])
         assert [b.origin for b in blocks] == ["user"]
+
+    def test_origin_without_results_aggregates_to_empty_block(self):
+        block = aggregate_results([clean_result(origin="user")], "scheduled")
+        assert (block.population, block.included, block.exclusions) == (0, 0, {})
+        assert all(summary is None for summary in block.metrics.values())
+        assert block.methodology == {"headline": [], "methods": [],
+                                     "exclusion_flags": list(records.EXCLUSION_FLAGS)}
 
     def test_empty_results_yield_no_blocks(self):
         assert report_blocks([]) == []

@@ -11,6 +11,7 @@ import zlib
 import pytest
 
 from linerate import protocol
+from linerate import responder as responder_mod
 from linerate.responder import DATA_POOL_BYTES, MAX_TEST_DURATION_MS, Responder, SessionState
 
 
@@ -119,6 +120,19 @@ class TestHandshake:
             finally:
                 first.close()
                 second.close()
+
+    def test_second_hello_on_one_connection_refused(self, responder):
+        with open_control(responder.address) as sock:
+            assert say_hello(sock, new_nonce())[0] == protocol.HELLO_ACK
+            kind, _n, payload = say_hello(sock, new_nonce())
+            assert kind == protocol.REFUSE
+            assert protocol.unpack_refuse(payload) == protocol.REASON_BAD_PARAMS
+            assert responder.active_tests() == 1
+        # Closing the connection ends its one session and holds no other slot.
+        deadline = time.monotonic() + 5.0
+        while responder.active_tests() > 0 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert responder.active_tests() == 0
 
     def test_slot_freed_when_control_connection_closes(self):
         with Responder("127.0.0.1", 0, max_tests=1) as server:
@@ -410,3 +424,10 @@ class TestThreads:
                 time.sleep(0.02)
             assert threading.active_count() == baseline
             assert len(server._threads) < 10
+
+
+class TestMain:
+    def test_listen_address_without_port_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exit_info:
+            responder_mod.main(["--listen", "nohost"])
+        assert exit_info.value.code == 2
