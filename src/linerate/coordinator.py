@@ -79,6 +79,8 @@ class ServerDescriptor:
     def __post_init__(self):
         if not self.id:
             raise ValueError("server id must be non-empty")
+        if not self.host:
+            raise ValueError("server host must be non-empty")
         if not 1 <= self.port <= 65535:
             raise ValueError(f"port out of range: {self.port}")
         object.__setattr__(self, "health", tuple(self.health))

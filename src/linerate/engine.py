@@ -12,6 +12,7 @@ methodology behind a result is always inspectable and replaceable.
 
 import functools
 import logging
+import math
 import os
 import random
 import socket
@@ -84,8 +85,8 @@ class TestSpec:
     def __post_init__(self):
         if self.direction not in ("download", "upload"):
             raise ValueError(f"direction must be download or upload, got {self.direction!r}")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         if self.n_connections < 1:
             raise ValueError("n_connections must be at least 1")
         if not 0 < self.sample_interval <= self.duration * 1000.0:
@@ -312,46 +313,39 @@ class Engine:
         return control, (load["active_tests"], load["max_tests"])
 
     def _transfer(self, spec, control, flags, latency, cross_bps, server_load):
-        host, port = spec.host_port
+        address = spec.host_port
         n = spec.n_connections
-        conns: list = [None] * n
-        for i in range(n):
-            try:
-                data = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
-                protocol.send_frame(data, protocol.START_DATA, spec.nonce,
-                                    protocol.pack_start_data(i))
-                conns[i] = data
-            except OSError:
-                conns[i] = None  # lost before start; survivors carry the test
-        if all(c is None for c in conns):
-            raise UnreachableTargetError("no data connection could be opened")
-
         counters = [0] * n
-        failed = [c is None for c in conns]
+        opened = [False] * n
+        failed = [False] * n
         stop = threading.Event()
         ring = _upload_ring() if spec.direction == "upload" else None
         duration_s = spec.duration
         interval_ms = spec.sample_interval
 
+        # The responder's window started at HELLO, so ours starts as the
+        # handshake returns; connection set-up falls inside both windows.
         t0 = time.monotonic()
         deadline = t0 + duration_s
 
-        def move_bytes(index, sock):
-            # EOF is the responder ending the transfer cleanly; only a socket
-            # error meaningfully before the deadline counts as a lost connection.
+        def move_bytes(index):
+            # A connect that fails loses the connection. After that, EOF is
+            # the responder ending the transfer cleanly; only a socket error
+            # meaningfully before the deadline counts as a lost connection.
             try:
-                sock.settimeout(0.2)
-                protocol.pump(sock, ring, deadline, stop, counters, index)
+                with socket.create_connection(address, timeout=CONNECT_TIMEOUT_S) as sock:
+                    opened[index] = True
+                    protocol.send_frame(sock, protocol.START_DATA, spec.nonce,
+                                        protocol.pack_start_data(index))
+                    sock.settimeout(0.2)
+                    protocol.pump(sock, ring, deadline, stop, counters, index)
             except OSError:
-                if time.monotonic() < deadline - interval_ms / 1000.0:
+                if not opened[index] or time.monotonic() < deadline - interval_ms / 1000.0:
                     failed[index] = True
 
-        workers = []
-        for i, sock in enumerate(conns):
-            if sock is None:
-                continue
-            worker = threading.Thread(target=move_bytes, args=(i, sock), daemon=True)
-            workers.append(worker)
+        workers = [threading.Thread(target=move_bytes, args=(i,), daemon=True)
+                   for i in range(n)]
+        for worker in workers:
             worker.start()
 
         # One sampler walks nominal tick times on the shared clock; each tick
@@ -360,6 +354,8 @@ class Engine:
         per_conn_samples = [[(0.0, 0)] for _ in range(n)]
         aggregate_samples = [(0.0, 0)]
         for k in range(1, ticks + 1):
+            if all(failed) and not any(opened):
+                break  # every connect failed: nothing is left to sample
             delay = (t0 + k * interval_ms / 1000.0) - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
@@ -372,9 +368,8 @@ class Engine:
 
         for worker in workers:
             worker.join(timeout=5.0)
-        for sock in conns:
-            if sock is not None:
-                sock.close()
+        if not any(opened):
+            raise UnreachableTargetError("no data connection could be opened")
         # One credit per transfer: cross traffic is measured before the
         # transfer starts, so no window ever needs a partial count.
         self._credit_own_bytes(sum(counters))

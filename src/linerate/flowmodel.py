@@ -286,6 +286,8 @@ def simulate_paths(
     rtt = links[0].rtt
     if any(link.rtt != rtt for link in links):
         raise ValueError("paths advance in lockstep and need equal RTTs")
+    if not 0 < duration_ms < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration_ms} ms")
     bdps = [link.bdp_segments for link in links]
     periods = [link.loss_period for link in links]
     mss = [link.mss for link in links]

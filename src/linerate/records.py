@@ -136,11 +136,9 @@ class MeasurementResult:
 
     timestamp: str  # ISO 8601, UTC
     origin: str
-    spec: TestSpec
     raw: RawTestRecord
     report: MetricReport
     server: ServerDescriptor | None
-    flags: frozenset
     methodology: dict
     alternate_estimates: dict  # method kind -> bits/s
     # Not a field: the writer can only write the version the reader accepts.
@@ -149,7 +147,17 @@ class MeasurementResult:
     def __post_init__(self):
         if self.origin not in ORIGINS:
             raise ValueError(f"origin must be one of {ORIGINS}, got {self.origin!r}")
-        object.__setattr__(self, "flags", frozenset(self.flags))
+
+    # Schema v1 stores the spec and flags twice, at the top level and in raw.
+    # In memory they are raw's alone, and from_dict refuses a line whose two
+    # copies differ.
+    @property
+    def spec(self) -> TestSpec:
+        return self.raw.spec
+
+    @property
+    def flags(self) -> frozenset:
+        return self.raw.flags
 
     def _fields(self) -> dict:
         """Every field of ``to_dict`` except ``raw``."""
@@ -199,15 +207,16 @@ class MeasurementResult:
             raise UnknownSchemaError(
                 f"record schema version {version!r} is not supported "
                 f"(this reader understands {SCHEMA_VERSION})")
+        raw = data["raw"]
+        if data["spec"] != raw["spec"] or data["flags"] != raw["flags"]:
+            raise ValueError("top-level spec and flags differ from the raw record's")
         return cls(
             timestamp=data["timestamp"],
             origin=data["origin"],
-            spec=TestSpec.from_dict(data["spec"]),
-            raw=raw_from_dict(data["raw"]),
+            raw=raw_from_dict(raw),
             report=MetricReport.from_dict(data["report"]),
             server=(ServerDescriptor.from_dict(data["server"])
                     if data["server"] is not None else None),
-            flags=frozenset(data["flags"]),
             methodology=data["methodology"],
             alternate_estimates=data["alternate_estimates"],
         )
@@ -242,11 +251,9 @@ def make_result(raw: RawTestRecord, method: EstimationMethod, origin: str,
     return MeasurementResult(
         timestamp=timestamp or utc_now_iso(),
         origin=origin,
-        spec=spec,
         raw=raw,
         report=report,
         server=server,
-        flags=raw.flags,
         methodology=build_methodology(spec, method, raw.aggregate_trace.source),
         alternate_estimates=metrics.all_estimates(raw.aggregate_trace, method),
     )

@@ -1,5 +1,7 @@
 """Human-friendly parsing and formatting for rates and durations."""
 
+import math
+
 _RATE_SUFFIXES = {
     "tbps": 1e12,
     "gbps": 1e9,
@@ -15,38 +17,31 @@ _TIME_SUFFIXES = {
 }
 
 
-def parse_rate(text) -> float:
-    """Parse a bit rate like '200mbps', '1.5gbps', or a plain bits/second number."""
+def _parse_scaled(text, suffixes: dict, what: str) -> float:
+    """A positive finite number, scaled by the first suffix of ``suffixes`` it ends with."""
     if isinstance(text, (int, float)):
         value = float(text)
     else:
         lowered = str(text).strip().lower().replace(" ", "")
-        for suffix, scale in _RATE_SUFFIXES.items():
+        scale = 1.0
+        for suffix, factor in suffixes.items():
             if lowered.endswith(suffix):
-                value = float(lowered[: -len(suffix)]) * scale
+                lowered, scale = lowered[: -len(suffix)], factor
                 break
-        else:
-            value = float(lowered)
-    if value <= 0:
-        raise ValueError(f"rate must be positive, got {text!r}")
+        value = float(lowered) * scale
+    if not 0 < value < math.inf:  # also false for NaN
+        raise ValueError(f"{what} must be positive, got {text!r}")
     return value
+
+
+def parse_rate(text) -> float:
+    """Parse a bit rate like '200mbps', '1.5gbps', or a plain bits/second number."""
+    return _parse_scaled(text, _RATE_SUFFIXES, "rate")
 
 
 def parse_time_ms(text) -> float:
     """Parse a duration like '20ms', '1.5s', '2m', or a plain millisecond number."""
-    if isinstance(text, (int, float)):
-        value = float(text)
-    else:
-        lowered = str(text).strip().lower().replace(" ", "")
-        for suffix, scale in _TIME_SUFFIXES.items():
-            if lowered.endswith(suffix):
-                value = float(lowered[: -len(suffix)]) * scale
-                break
-        else:
-            value = float(lowered)
-    if value <= 0:
-        raise ValueError(f"duration must be positive, got {text!r}")
-    return value
+    return _parse_scaled(text, _TIME_SUFFIXES, "duration")
 
 
 def format_rate(bps: float) -> str:

@@ -93,9 +93,16 @@ class TestSimulatedRun:
         "link=100mbps,warp=9",      # unknown key
         "link=100mbps,link=5mbps",  # duplicate key
         "link",                     # not key=value
+        "link=nanmbps",             # NaN rate
+        "link=100mbps,duration=inf",  # infinite time
     ])
     def test_bad_simulate_strings_are_config_errors(self, paths, bad):
         assert run_cli(paths, "run", "--simulate", bad) == cli.EXIT_CONFIG
+
+    def test_infinite_duration_is_config_error(self, paths):
+        assert run_cli(paths, "run", "--simulate", "link=100mbps",
+                       "--duration", "inf") == cli.EXIT_CONFIG
+        assert ResultStore(paths["store"]).load() == []
 
 
 class TestMeasuredRun:
@@ -334,6 +341,10 @@ class TestServersCommand:
         assert run_cli(paths, "servers", "add", "a-1",
                        "a.example.net:7777") == cli.EXIT_CONFIG
 
+    def test_empty_host_is_config_error(self, paths):
+        assert run_cli(paths, "servers", "add", "x", ":7777") == cli.EXIT_CONFIG
+        assert len(records.load_registry(paths["registry"])) == 0
+
     def test_remove_unknown_is_config_error(self, paths):
         assert run_cli(paths, "servers", "remove", "ghost") == cli.EXIT_CONFIG
 
@@ -351,6 +362,14 @@ class TestServersCommand:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("argv", [
+        ("--link", "100mbps", "--duration", "inf"),
+        ("--link", "nan"),
+        ("--access", "1gbps", "--destinations", "100mbps,200mbps", "--duration", "inf"),
+    ], ids=["link-duration-inf", "link-nan", "destinations-duration-inf"])
+    def test_non_finite_numbers_are_config_errors(self, paths, argv):
+        assert run_cli(paths, "simulate", *argv) == cli.EXIT_CONFIG
+
     def test_single_link_estimates(self, paths, capsys):
         assert run_cli(paths, "simulate", "--link", "200mbps",
                        "--format", "machine") == 0

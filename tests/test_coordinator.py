@@ -55,6 +55,10 @@ class TestServerDescriptor:
         with pytest.raises(ValueError):
             ServerDescriptor(id="", host="h", port=1)
 
+    def test_rejects_empty_host(self):
+        with pytest.raises(ValueError, match="host"):
+            ServerDescriptor(id="x", host="", port=7777)
+
     def test_rejects_bad_port(self):
         with pytest.raises(ValueError):
             ServerDescriptor(id="x", host="h", port=0)

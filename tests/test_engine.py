@@ -35,6 +35,26 @@ def run_loopback(responder, **spec_overrides) -> RawTestRecord:
     return quiet_engine().run_test(engine_mod.TestSpec(**defaults), cross_window_s=0.1)
 
 
+def hook_data_connects(monkeypatch, eng, before_connect):
+    """Run before_connect() ahead of each connect eng makes after its handshake."""
+    handshake_done = threading.Event()
+    handshake = eng._handshake
+    connect = socket.create_connection
+
+    def handshake_then_mark(spec):
+        result = handshake(spec)
+        handshake_done.set()
+        return result
+
+    def data_connect(*args, **kwargs):
+        if handshake_done.is_set():
+            before_connect()
+        return connect(*args, **kwargs)
+
+    monkeypatch.setattr(eng, "_handshake", handshake_then_mark)
+    monkeypatch.setattr(engine_mod.socket, "create_connection", data_connect)
+
+
 @pytest.fixture
 def responder():
     server = Responder("127.0.0.1", 0).start()
@@ -137,6 +157,44 @@ class ExactBytesServer(ResetMidTransferServer):
         conn.close()
 
 
+class NoDataServer:
+    """Answers the probe and the handshake, then stops listening. One thread."""
+
+    def __init__(self):
+        self._listener = socket.socket()
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen(1)
+        self.address = "%s:%d" % self._listener.getsockname()[:2]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        try:
+            probe, _ = self._listener.accept()
+            with probe:  # echo until the engine closes its probe connection
+                while True:
+                    kind, nonce, payload = protocol.recv_frame(probe)
+                    protocol.send_frame(probe, protocol.ECHO_REPLY, nonce, payload)
+        except (ConnectionError, OSError):
+            pass
+        control, _ = self._listener.accept()
+        # Closed before the ack, so no data connection can reach the backlog.
+        self._listener.close()
+        with control:
+            try:
+                _kind, nonce, _payload = protocol.recv_frame(control)
+                protocol.send_frame(control, protocol.HELLO_ACK, nonce,
+                                    protocol.pack_load(1, 8))
+                while protocol.recv_frame(control)[0] == protocol.DONE:
+                    protocol.send_frame(control, protocol.DONE, nonce,
+                                        protocol.pack_done_summary([]))
+            except (ConnectionError, OSError):
+                pass
+
+    def close(self):
+        self._listener.close()
+
+
 class TestSpecValidation:
     def test_defaults_meet_recommended_floor(self):
         spec = engine_mod.TestSpec(target="example.net:7777")
@@ -157,6 +215,10 @@ class TestSpecValidation:
             engine_mod.TestSpec(target="no-port-here")
         with pytest.raises(ValueError):
             engine_mod.TestSpec(target="example.net:7777", nonce=b"short")
+
+    def test_rejects_infinite_duration(self):
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            engine_mod.TestSpec(target="example.net:7777", duration=float("inf"))
 
     def test_serializes_round_trip(self):
         spec = engine_mod.TestSpec(target="198.51.100.7:7777", direction="upload",
@@ -325,6 +387,50 @@ class TestRunTest:
         spec = engine_mod.TestSpec(target=f"127.0.0.1:{free_port()}", duration=1.0)
         with pytest.raises(UnreachableTargetError):
             eng.run_test(spec, cross_window_s=0.05)
+
+    def test_no_data_connection_raises_before_the_test_ends(self):
+        server = NoDataServer()
+        spec = engine_mod.TestSpec(target=server.address, duration=10.0)
+        started = time.monotonic()
+        try:
+            with pytest.raises(UnreachableTargetError, match="no data connection"):
+                quiet_engine().run_test(spec, cross_window_s=0.05)
+        finally:
+            server.close()
+        # probe (~0.2 s) + cross window (0.05 s) + one sample interval
+        assert time.monotonic() - started < 2.0
+
+    @pytest.mark.parametrize("direction", ["download", "upload"])
+    def test_data_connection_setup_falls_inside_the_window(self, responder, direction,
+                                                            monkeypatch):
+        # Each data connect takes 50 ms, as on a path with a 50 ms RTT.
+        eng = quiet_engine()
+        hook_data_connects(monkeypatch, eng, lambda: time.sleep(0.05))
+        spec = engine_mod.TestSpec(target="%s:%d" % responder.address, direction=direction,
+                                   duration=2.0, n_connections=4, sample_interval=100.0)
+        record = eng.run_test(spec, cross_window_s=0.05)
+        assert engine_mod.FLAG_DEGENERATE not in record.flags
+        (_, before_last), (_, last) = record.aggregate_trace.samples[-2:]
+        assert last > before_last
+
+    def test_connect_failing_after_the_deadline_is_a_lost_connection(self, responder,
+                                                                     monkeypatch):
+        # One data connection opens; three fail to connect only after the test ended.
+        eng = quiet_engine()
+        data_connects = []
+
+        def fail_all_but_the_first():
+            data_connects.append(None)
+            if len(data_connects) > 1:
+                time.sleep(1.2)
+                raise ConnectionRefusedError("scripted late failure")
+
+        hook_data_connects(monkeypatch, eng, fail_all_but_the_first)
+        spec = engine_mod.TestSpec(target="%s:%d" % responder.address,
+                                   duration=1.0, n_connections=4)
+        record = eng.run_test(spec, cross_window_s=0.05)
+        assert engine_mod.FLAG_DEGENERATE in record.flags
+        assert record.aggregate_trace.total_bytes > 0
 
     def test_connection_loss_flags_degenerate_trace(self):
         server = ResetMidTransferServer()

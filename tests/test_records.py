@@ -177,7 +177,7 @@ def drawn_results(draw, sharing):
     aggregate = draw(st.one_of(st.just(per_conn[0]), drawn_traces(interval)))
     n = len(per_conn)
     server = draw(st.none() | st.builds(
-        ServerDescriptor, id=ESCAPED_TEXT.filter(bool), host=ESCAPED_TEXT,
+        ServerDescriptor, id=ESCAPED_TEXT.filter(bool), host=ESCAPED_TEXT.filter(bool),
         port=st.integers(1, 65535), declared_location=ESCAPED_TEXT, network=ESCAPED_TEXT,
         capacity_hint=st.none() | st.floats(1e6, 1e10),
         health=st.lists(st.sampled_from(["ok", "unreachable"]), max_size=4)))
@@ -241,10 +241,37 @@ class TestMeasurementResult:
         result = clean_result()
         with pytest.raises(ValueError):
             MeasurementResult(timestamp=result.timestamp, origin="nightly",
-                              spec=result.spec, raw=result.raw, report=result.report,
-                              server=None, flags=frozenset(),
+                              raw=result.raw, report=result.report, server=None,
                               methodology=result.methodology,
                               alternate_estimates=result.alternate_estimates)
+
+    def test_spec_and_flags_are_the_raw_records(self):
+        result = clean_result()
+        other = simulated_result(1, direction="upload").raw
+        swapped = dataclasses.replace(result, raw=other)
+        assert swapped.spec == other.spec
+        assert swapped.flags == other.flags
+        stored = json.loads(swapped.to_json())
+        assert stored["spec"] == stored["raw"]["spec"] == other.spec.to_dict()
+        assert stored["flags"] == stored["raw"]["flags"] == sorted(other.flags)
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: data["spec"].update(direction="upload"),
+        lambda data: data["spec"].update(n_connections=1),
+        lambda data: data["flags"].append("degenerate_trace"),
+        lambda data: data["raw"]["flags"].append("degenerate_trace"),
+    ], ids=["spec-direction", "spec-connections", "top-level-flag", "raw-flag"])
+    def test_line_whose_spec_or_flags_differ_from_raw_is_corrupt(self, tmp_path, edit):
+        good = clean_result()
+        data = json.loads(good.to_json())
+        edit(data)
+        with pytest.raises(ValueError):
+            MeasurementResult.from_dict(data)
+        store = ResultStore(tmp_path / "results.jsonl")
+        with open(store.path, "w") as fh:
+            fh.write(canonical_json(data) + "\n")
+        store.append(good)
+        assert store.load() == [good]
 
     def test_json_round_trip_preserves_equality(self):
         result = random_result(random.Random(3))
@@ -538,6 +565,17 @@ class TestRegistryPersistence:
         with caplog.at_level(logging.WARNING):
             loaded = load_registry(path)
         assert len(loaded) == 1
+
+    def test_line_with_empty_host_skipped(self, tmp_path, caplog):
+        path = tmp_path / "servers.jsonl"
+        save_registry(path, records.Registry([ServerDescriptor(id="a", host="h", port=1)]))
+        with open(path, "a") as fh:
+            fh.write(canonical_json({**ServerDescriptor(id="b", host="h", port=2).to_dict(),
+                                     "host": ""}) + "\n")
+        with caplog.at_level(logging.WARNING):
+            loaded = load_registry(path)
+        assert [s.id for s in loaded] == ["a"]
+        assert "corrupt server record" in caplog.text
 
     def test_save_overwrites_atomically(self, tmp_path):
         path = tmp_path / "servers.jsonl"

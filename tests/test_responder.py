@@ -431,3 +431,9 @@ class TestMain:
         with pytest.raises(SystemExit) as exit_info:
             responder_mod.main(["--listen", "nohost"])
         assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("hint", ["inf", "nangbps"])
+    def test_non_finite_capacity_hint_is_a_usage_error(self, hint):
+        with pytest.raises(SystemExit) as exit_info:
+            responder_mod.main(["--listen", "127.0.0.1:0", "--capacity-hint", hint])
+        assert exit_info.value.code == 2

@@ -1,0 +1,66 @@
+"""Rate and duration parsing: suffixes, plain numbers, and what is refused."""
+
+import math
+
+import pytest
+
+from linerate.units import format_rate, parse_rate, parse_time_ms
+
+
+class TestParseRate:
+    @pytest.mark.parametrize("text, bps", [
+        ("200mbps", 200e6),
+        ("1.5gbps", 1.5e9),
+        (" 2 Tbps ", 2e12),
+        ("64kbps", 64e3),
+        ("9600bps", 9600.0),
+        ("1e6", 1e6),
+        (5e6, 5e6),
+        (7, 7.0),
+    ])
+    def test_suffixes_and_plain_numbers(self, text, bps):
+        assert parse_rate(text) == bps
+
+    @pytest.mark.parametrize("text", ["0mbps", "-5mbps", 0, -1.0, "mbps", "fast"])
+    def test_non_positive_or_garbage_refused(self, text):
+        with pytest.raises(ValueError):
+            parse_rate(text)
+
+    @pytest.mark.parametrize("text", [
+        "nanmbps", "nan", "infgbps", "inf", "1e308gbps",
+        pytest.param(math.nan, id="float-nan"), pytest.param(math.inf, id="float-inf"),
+    ])
+    def test_non_finite_refused(self, text):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            parse_rate(text)
+
+
+class TestParseTimeMs:
+    @pytest.mark.parametrize("text, ms", [
+        ("20ms", 20.0),
+        ("1.5s", 1500.0),
+        ("2m", 120_000.0),
+        ("35", 35.0),
+        (12.5, 12.5),
+    ])
+    def test_suffixes_and_plain_numbers(self, text, ms):
+        assert parse_time_ms(text) == ms
+
+    @pytest.mark.parametrize("text", ["0ms", "-1s", 0, "soon"])
+    def test_non_positive_or_garbage_refused(self, text):
+        with pytest.raises(ValueError):
+            parse_time_ms(text)
+
+    @pytest.mark.parametrize("text", [
+        "inf", "infms", "nans", "1e400ms",
+        pytest.param(math.nan, id="float-nan"), pytest.param(math.inf, id="float-inf"),
+    ])
+    def test_non_finite_refused(self, text):
+        with pytest.raises(ValueError, match="duration must be positive"):
+            parse_time_ms(text)
+
+
+def test_format_rate():
+    assert format_rate(200e6) == "200.00 Mbps"
+    assert format_rate(1.5e9) == "1.50 Gbps"
+    assert format_rate(12) == "12 bps"
