@@ -17,7 +17,6 @@ from datetime import datetime, timedelta
 
 from . import metrics
 from .engine import (
-    CROSS_TRAFFIC_WINDOW_S,
     DEFAULT_DURATION_S,
     Engine,
     TestRefusedError,
@@ -397,13 +396,16 @@ def _aggregate_over_overlap(records, method) -> tuple[float, tuple[float, float]
 
 def run_multi_destination(specs, method: metrics.EstimationMethod | None = None,
                           engine_factory=Engine,
-                          max_destinations: int = MAX_DESTINATIONS_DEFAULT,
-                          cross_window_s: float = CROSS_TRAFFIC_WINDOW_S) -> MultiDestResult:
+                          max_destinations: int = MAX_DESTINATIONS_DEFAULT) -> MultiDestResult:
     """Run one test per destination concurrently and combine the results.
 
     Destinations that refuse or are unreachable are recorded as failures; the
     run proceeds over the survivors (flagged partial) and only fails outright
     when nothing survives.
+
+    Each record measures cross traffic over its own transfer, so a sibling
+    destination's bytes count as foreign in its rate and flags.  The
+    MultiDestResult does not read record flags.
     """
     specs = list(specs)
     if not 2 <= len(specs) <= max_destinations:
@@ -420,7 +422,7 @@ def run_multi_destination(specs, method: metrics.EstimationMethod | None = None,
     def run_one(key, spec):
         engine = engine_factory()
         try:
-            record = engine.run_test(spec, cross_window_s=cross_window_s)
+            record = engine.run_test(spec)
             with lock:
                 records[key] = record
         except (TestRefusedError, UnreachableTargetError) as exc:

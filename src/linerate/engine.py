@@ -2,8 +2,9 @@
 
 Runs a parallel-connection transfer against a responder, samples every
 connection's byte counter on one shared monotonic clock, probes latency on a
-fresh connection beforehand, and checks interface counters for competing
-traffic so a polluted measurement is flagged instead of silently reported.
+fresh connection beforehand, and checks interface counters over the transfer
+for competing traffic so a polluted measurement is flagged instead of
+silently reported.
 
 The engine only collects raw data.  Every derived number (throughput,
 jitter, steady-state detection) comes from the metrics module, so the
@@ -11,11 +12,13 @@ methodology behind a result is always inspectable and replaceable.
 """
 
 import functools
+import ipaddress
 import logging
 import math
 import os
 import random
 import socket
+import struct
 import threading
 import time
 import uuid
@@ -40,6 +43,14 @@ CROSS_TRAFFIC_WINDOW_S = 2.0
 CROSS_TRAFFIC_CAPACITY_FRACTION = 0.05
 CROSS_TRAFFIC_FLOOR_BPS = 5e6
 DEFAULT_COUNTER_PATH = "/proc/net/dev"
+
+# Linux struct tcp_info: bytes_acked and bytes_received (u64) at offset 120,
+# then segs_out and segs_in (u32).
+TCP_INFO_LEN = 256
+_TCP_INFO_COUNTS = struct.Struct("=QQII")
+_TCP_INFO_COUNTS_OFFSET = 120
+# Per-segment framing: Ethernet 14 B + IP header + TCP header with timestamps.
+WIRE_HEADER_BYTES = {socket.AF_INET: 14 + 20 + 32, socket.AF_INET6: 14 + 40 + 32}
 
 UPLOAD_POOL_BYTES = 4 * 1024 * 1024
 
@@ -163,6 +174,37 @@ def read_interface_byte_counters(path: str = DEFAULT_COUNTER_PATH):
     return total if parsed_any else None
 
 
+def tcp_wire_bytes(tcp_info: bytes, family: int) -> int:
+    """Bytes one connection put on its interface, both directions, from TCP_INFO.
+
+    Payload acked plus payload received, plus a full Ethernet + IP + TCP
+    timestamp header for every segment sent or received.  The model errs
+    toward subtracting too much: every segment is charged the largest header
+    it can carry, so a test that saturates its link is not flagged as cross
+    traffic just because of its own headers.
+    """
+    acked, received, segs_out, segs_in = _TCP_INFO_COUNTS.unpack_from(
+        tcp_info, _TCP_INFO_COUNTS_OFFSET)
+    return acked + received + (segs_out + segs_in) * WIRE_HEADER_BYTES[family]
+
+
+def _crosses_counted_interface(local: str, peer: str) -> bool:
+    """False for a loopback path: its bytes cross ``lo``, which the counters skip."""
+    return peer != local and not ipaddress.ip_address(peer).is_loopback
+
+
+def _read_wire_bytes(sock) -> int | None:
+    """tcp_wire_bytes of a connected socket; None when TCP_INFO is unreadable."""
+    option = getattr(socket, "TCP_INFO", None)
+    if option is None:
+        return None
+    try:
+        info = sock.getsockopt(socket.IPPROTO_TCP, option, TCP_INFO_LEN)
+        return tcp_wire_bytes(info, sock.family)
+    except (OSError, struct.error):  # refused, or a kernel struct too short
+        return None
+
+
 def cross_traffic_threshold_bps(capacity_hint_bps: float | None) -> float:
     if capacity_hint_bps:
         return max(CROSS_TRAFFIC_CAPACITY_FRACTION * capacity_hint_bps,
@@ -229,7 +271,10 @@ class Engine:
     # -- cross traffic --------------------------------------------------------
 
     def measure_cross_traffic(self, window: float = CROSS_TRAFFIC_WINDOW_S):
-        """Mean non-test traffic rate (bps) over the window; None when unknown."""
+        """Mean non-test traffic rate (bps) over an idle window; None when unknown.
+
+        A standalone check: run_test measures over its own transfer instead.
+        """
         start_total = self._counter_provider()
         if start_total is None:
             return None
@@ -252,33 +297,28 @@ class Engine:
 
     # -- test run -------------------------------------------------------------
 
-    def run_test(self, spec: TestSpec, capacity_hint_bps: float | None = None,
-                 cross_window_s: float = CROSS_TRAFFIC_WINDOW_S) -> RawTestRecord:
+    def run_test(self, spec: TestSpec,
+                 capacity_hint_bps: float | None = None) -> RawTestRecord:
         if not self._busy.acquire(blocking=False):
             raise RuntimeError("engine already running a test; use one engine per test")
         try:
-            return self._run_test_locked(spec, capacity_hint_bps, cross_window_s)
+            return self._run_test_locked(spec, capacity_hint_bps)
         finally:
             self._busy.release()
 
-    def _run_test_locked(self, spec, capacity_hint_bps, cross_window_s):
+    def _run_test_locked(self, spec, capacity_hint_bps):
         flags = set()
         if spec.n_connections < RECOMMENDED_MIN_CONNECTIONS:
             flags.add(FLAG_FEW_CONNECTIONS)
 
         latency = self.probe_latency(spec.host_port, count=PROBE_COUNT_DEFAULT)
 
-        cross_bps = self.measure_cross_traffic(window=cross_window_s)
-        if cross_bps is None:
-            flags.add(FLAG_CROSS_UNKNOWN)
-        elif cross_bps > cross_traffic_threshold_bps(capacity_hint_bps):
-            flags.add(FLAG_CROSS_TRAFFIC)
-
         control, server_load = self._handshake(spec)
         if server_load is not None:
             flags.add(FLAG_SERVER_LOAD)
         try:
-            record = self._transfer(spec, control, flags, latency, cross_bps, server_load)
+            record = self._transfer(spec, control, flags, latency, capacity_hint_bps,
+                                    server_load)
         finally:
             control.close()
         return record
@@ -312,12 +352,13 @@ class Engine:
         load = protocol.unpack_load(payload)
         return control, (load["active_tests"], load["max_tests"])
 
-    def _transfer(self, spec, control, flags, latency, cross_bps, server_load):
+    def _transfer(self, spec, control, flags, latency, capacity_hint_bps, server_load):
         address = spec.host_port
         n = spec.n_connections
         counters = [0] * n
         opened = [False] * n
         failed = [False] * n
+        wire = [0] * n  # own bytes on counted interfaces; None when unreadable
         stop = threading.Event()
         ring = _upload_ring() if spec.direction == "upload" else None
         duration_s = spec.duration
@@ -325,6 +366,8 @@ class Engine:
 
         # The responder's window started at HELLO, so ours starts as the
         # handshake returns; connection set-up falls inside both windows.
+        # Cross traffic is counted over the same window.
+        counted_at_t0 = self._counter_provider()
         t0 = time.monotonic()
         deadline = t0 + duration_s
 
@@ -335,10 +378,16 @@ class Engine:
             try:
                 with socket.create_connection(address, timeout=CONNECT_TIMEOUT_S) as sock:
                     opened[index] = True
-                    protocol.send_frame(sock, protocol.START_DATA, spec.nonce,
-                                        protocol.pack_start_data(index))
-                    sock.settimeout(0.2)
-                    protocol.pump(sock, ring, deadline, stop, counters, index)
+                    counted = _crosses_counted_interface(sock.getsockname()[0],
+                                                         sock.getpeername()[0])
+                    try:
+                        protocol.send_frame(sock, protocol.START_DATA, spec.nonce,
+                                            protocol.pack_start_data(index))
+                        sock.settimeout(0.2)
+                        protocol.pump(sock, ring, deadline, stop, counters, index)
+                    finally:
+                        if counted:
+                            wire[index] = _read_wire_bytes(sock)
             except OSError:
                 if not opened[index] or time.monotonic() < deadline - interval_ms / 1000.0:
                     failed[index] = True
@@ -368,11 +417,22 @@ class Engine:
 
         for worker in workers:
             worker.join(timeout=5.0)
+        counted_at_end = self._counter_provider()
+        elapsed = time.monotonic() - t0
         if not any(opened):
             raise UnreachableTargetError("no data connection could be opened")
-        # One credit per transfer: cross traffic is measured before the
-        # transfer starts, so no window ever needs a partial count.
+        # One credit per transfer, for measure_cross_traffic windows only:
+        # this test's own window subtracts its wire bytes instead.
         self._credit_own_bytes(sum(counters))
+
+        if counted_at_t0 is None or counted_at_end is None or None in wire:
+            cross_bps = None
+            flags.add(FLAG_CROSS_UNKNOWN)
+        else:
+            foreign = max(0, counted_at_end - counted_at_t0 - sum(wire))
+            cross_bps = 8.0 * foreign / elapsed
+            if cross_bps > cross_traffic_threshold_bps(capacity_hint_bps):
+                flags.add(FLAG_CROSS_TRAFFIC)
 
         server_summary = self._collect_summary(control, spec)
 

@@ -48,13 +48,13 @@ class LinkModel:
     mss: int = MSS_DEFAULT
 
     def __post_init__(self):
-        if self.capacity <= 0:
+        if not 0 < self.capacity < math.inf:
             raise ValueError(f"capacity must be > 0, got {self.capacity}")
-        if self.rtt <= 0:
+        if not 0 < self.rtt < math.inf:
             raise ValueError(f"rtt must be > 0, got {self.rtt}")
         if not 0 <= self.loss_rate < 1:
             raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
-        if self.mss <= 0:
+        if not 0 < self.mss < math.inf:
             raise ValueError(f"mss must be > 0, got {self.mss}")
 
     @property

@@ -254,6 +254,11 @@ class Responder:
         if session is None:
             self._refuse_quietly(conn, nonce, refuse_reason)
             return None
+        # The pool takes tens of ms to draw. Built before the ack, it is ready
+        # when the client's window opens; the session's window opens after it.
+        if session.direction == "download":
+            session.pool()
+        session.deadline = time.monotonic() + session.duration_ms / 1000.0
         load = protocol.pack_load(active, self.max_tests)
         protocol.send_frame(conn, protocol.HELLO_ACK, nonce, load)
         log.info("session %s admitted: %s, %d connections, %d ms",

@@ -118,7 +118,7 @@ class TestAcceptance:
                 spec = engine_mod.TestSpec(target="%s:%d" % server.address,
                                            duration=5.0, n_connections=4)
                 engine = Engine(counter_provider=lambda: 0)
-                return engine.run_test(spec, cross_window_s=0.1)
+                return engine.run_test(spec)
 
             first, second = once(), once()
         finally:

@@ -3,6 +3,7 @@
 import json
 import logging
 import socket
+import time
 from datetime import date, datetime, timedelta
 
 import pytest
@@ -115,6 +116,15 @@ class TestMeasuredRun:
         assert stored[0].report.download_bps > 0
         assert len(stored[0].raw.per_connection_traces) == 2
         assert "stored" in capsys.readouterr().out
+
+    def test_measured_run_costs_its_duration(self, paths, responder):
+        # Probes and teardown fit in the second beyond the 1 s transfer: no
+        # idle window waits before the test starts.
+        started = time.monotonic()
+        code = run_cli(paths, "run", "--server", "%s:%d" % responder.address,
+                       "--duration", "1.0", "--connections", "2")
+        assert code == 0
+        assert time.monotonic() - started < 2.0
 
     def test_selection_pipeline_updates_health(self, paths, responder):
         host, port = responder.address

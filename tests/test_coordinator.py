@@ -571,8 +571,7 @@ class TestRunMultiDestination:
         servers = [Responder("127.0.0.1", 0).start() for _ in range(2)]
         try:
             specs = [dest_spec(servers[0], "east"), dest_spec(servers[1], "west")]
-            result = run_multi_destination(specs, engine_factory=quiet_factory,
-                                           cross_window_s=0.1)
+            result = run_multi_destination(specs, engine_factory=quiet_factory)
         finally:
             for s in servers:
                 s.stop()
@@ -597,8 +596,7 @@ class TestRunMultiDestination:
                                 protocol.pack_hello("download", 30_000, 1))
             protocol.recv_frame(parked)
             specs = [dest_spec(ok_server, "good"), dest_spec(full, "busy")]
-            result = run_multi_destination(specs, engine_factory=quiet_factory,
-                                           cross_window_s=0.1)
+            result = run_multi_destination(specs, engine_factory=quiet_factory)
         finally:
             parked.close()
             ok_server.stop()
@@ -618,8 +616,7 @@ class TestRunMultiDestination:
         specs = [engine_mod.TestSpec(target=f"127.0.0.1:{p}", duration=1.0,
                                      target_id=f"dead-{p}") for p in ports]
         with pytest.raises(MultiDestFailedError) as err:
-            run_multi_destination(specs, engine_factory=quiet_factory,
-                                  cross_window_s=0.1)
+            run_multi_destination(specs, engine_factory=quiet_factory)
         assert set(err.value.failures) == {f"dead-{p}" for p in ports}
 
     def test_destination_count_bounds(self):

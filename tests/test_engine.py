@@ -1,6 +1,7 @@
 """Engine behavior: probes, loopback test runs, cross-traffic accounting."""
 
 import socket
+import struct
 import threading
 import time
 
@@ -32,7 +33,7 @@ def quiet_engine() -> Engine:
 def run_loopback(responder, **spec_overrides) -> RawTestRecord:
     defaults = dict(target="%s:%d" % responder.address, duration=2.0)
     defaults.update(spec_overrides)
-    return quiet_engine().run_test(engine_mod.TestSpec(**defaults), cross_window_s=0.1)
+    return quiet_engine().run_test(engine_mod.TestSpec(**defaults))
 
 
 def hook_data_connects(monkeypatch, eng, before_connect):
@@ -311,6 +312,25 @@ class TestCrossTraffic:
         assert cross_traffic_threshold_bps(1e9) == 50e6
         assert cross_traffic_threshold_bps(1e6) == 5e6  # floor wins on slow links
 
+    def test_wire_bytes_from_a_tcp_info_struct(self):
+        # Every byte outside the four counters is 0xff, so a wrong offset shows.
+        info = bytearray(b"\xff" * engine_mod.TCP_INFO_LEN)
+        struct.pack_into("=QQII", info, 120, 5_000_000, 70_000, 3_000, 400)
+        payload = 5_000_000 + 70_000
+        assert engine_mod.tcp_wire_bytes(bytes(info), socket.AF_INET) == payload + 3_400 * 66
+        assert engine_mod.tcp_wire_bytes(bytes(info), socket.AF_INET6) == payload + 3_400 * 86
+
+    @pytest.mark.parametrize("local, peer, counted", [
+        ("127.0.0.1", "127.0.0.1", False),
+        ("127.0.0.1", "127.0.0.53", False),
+        ("::1", "::1", False),
+        ("192.0.2.10", "192.0.2.10", False),  # own address: routed over lo
+        ("192.0.2.10", "198.51.100.7", True),
+        ("2001:db8::1", "2001:db8::2", True),
+    ])
+    def test_only_non_loopback_paths_are_counted(self, local, peer, counted):
+        assert engine_mod._crosses_counted_interface(local, peer) is counted
+
 
 class TestRunTest:
     def test_download_aggregate_dominates_each_connection(self, responder):
@@ -337,7 +357,7 @@ class TestRunTest:
         started = time.monotonic()
         run_loopback(responder, n_connections=2, duration=1.0)
         elapsed = time.monotonic() - started
-        # probe (~0.2 s) + cross window (0.1 s) + transfer (1.0 s) + teardown
+        # probe (~0.2 s) + transfer (1.0 s) + teardown
         assert elapsed < 3.5
 
     def test_upload_moves_bytes_and_server_agrees(self, responder):
@@ -386,7 +406,7 @@ class TestRunTest:
         eng = quiet_engine()
         spec = engine_mod.TestSpec(target=f"127.0.0.1:{free_port()}", duration=1.0)
         with pytest.raises(UnreachableTargetError):
-            eng.run_test(spec, cross_window_s=0.05)
+            eng.run_test(spec)
 
     def test_no_data_connection_raises_before_the_test_ends(self):
         server = NoDataServer()
@@ -394,10 +414,10 @@ class TestRunTest:
         started = time.monotonic()
         try:
             with pytest.raises(UnreachableTargetError, match="no data connection"):
-                quiet_engine().run_test(spec, cross_window_s=0.05)
+                quiet_engine().run_test(spec)
         finally:
             server.close()
-        # probe (~0.2 s) + cross window (0.05 s) + one sample interval
+        # probe (~0.2 s) + one sample interval
         assert time.monotonic() - started < 2.0
 
     @pytest.mark.parametrize("direction", ["download", "upload"])
@@ -408,7 +428,7 @@ class TestRunTest:
         hook_data_connects(monkeypatch, eng, lambda: time.sleep(0.05))
         spec = engine_mod.TestSpec(target="%s:%d" % responder.address, direction=direction,
                                    duration=2.0, n_connections=4, sample_interval=100.0)
-        record = eng.run_test(spec, cross_window_s=0.05)
+        record = eng.run_test(spec)
         assert engine_mod.FLAG_DEGENERATE not in record.flags
         (_, before_last), (_, last) = record.aggregate_trace.samples[-2:]
         assert last > before_last
@@ -428,7 +448,7 @@ class TestRunTest:
         hook_data_connects(monkeypatch, eng, fail_all_but_the_first)
         spec = engine_mod.TestSpec(target="%s:%d" % responder.address,
                                    duration=1.0, n_connections=4)
-        record = eng.run_test(spec, cross_window_s=0.05)
+        record = eng.run_test(spec)
         assert engine_mod.FLAG_DEGENERATE in record.flags
         assert record.aggregate_trace.total_bytes > 0
 
@@ -437,7 +457,6 @@ class TestRunTest:
         try:
             record = quiet_engine().run_test(
                 engine_mod.TestSpec(target=server.address, duration=1.5, n_connections=2),
-                cross_window_s=0.05,
             )
         finally:
             server.close()
@@ -446,7 +465,7 @@ class TestRunTest:
     def test_unknown_counter_source_flags_and_proceeds(self, responder):
         eng = Engine(counter_provider=lambda: None)
         spec = engine_mod.TestSpec(target="%s:%d" % responder.address, duration=1.0, n_connections=2)
-        record = eng.run_test(spec, cross_window_s=0.05)
+        record = eng.run_test(spec)
         assert record.cross_traffic_bps is None
         assert engine_mod.FLAG_CROSS_UNKNOWN in record.flags
         assert engine_mod.FLAG_CROSS_TRAFFIC not in record.flags
@@ -454,9 +473,78 @@ class TestRunTest:
     def test_heavy_background_rate_flags_cross_traffic(self, responder):
         eng = Engine(counter_provider=lambda: int(80e6 / 8 * time.monotonic()))
         spec = engine_mod.TestSpec(target="%s:%d" % responder.address, duration=1.0, n_connections=2)
-        record = eng.run_test(spec, cross_window_s=0.2)
+        record = eng.run_test(spec)
         assert engine_mod.FLAG_CROSS_TRAFFIC in record.flags
         assert record.cross_traffic_bps > 5e6
+
+    def test_foreign_bytes_during_the_transfer_flag_cross_traffic(self, responder,
+                                                                  monkeypatch):
+        # The counter stays flat until 0.3 s after the handshake, then jumps by
+        # 10 MB (80 Mbit/s over the 1 s test): traffic that starts mid-test.
+        acked_at = []
+
+        def counters():
+            return 10_000_000 if acked_at and time.monotonic() > acked_at[0] + 0.3 else 0
+
+        eng = Engine(counter_provider=counters)
+        handshake = eng._handshake
+
+        def handshake_then_mark(spec):
+            result = handshake(spec)
+            acked_at.append(time.monotonic())
+            return result
+
+        monkeypatch.setattr(eng, "_handshake", handshake_then_mark)
+        spec = engine_mod.TestSpec(target="%s:%d" % responder.address, duration=1.0,
+                                   n_connections=2)
+        record = eng.run_test(spec)
+        assert engine_mod.FLAG_CROSS_TRAFFIC in record.flags
+        assert record.cross_traffic_bps > 5e6
+
+    @pytest.mark.parametrize("direction, foreign", [("download", 0), ("upload", 0),
+                                                    ("download", 10_000_000)])
+    def test_own_wire_bytes_are_subtracted_on_a_counted_path(self, responder, monkeypatch,
+                                                             direction, foreign):
+        # Treat the loopback path as a counted interface; the counter then
+        # advances by exactly the wire bytes the workers computed, plus foreign.
+        computed = []
+        wire_bytes = engine_mod.tcp_wire_bytes
+
+        def recording(info, family):
+            computed.append(wire_bytes(info, family))
+            return computed[-1]
+
+        monkeypatch.setattr(engine_mod, "_crosses_counted_interface", lambda local, peer: True)
+        monkeypatch.setattr(engine_mod, "tcp_wire_bytes", recording)
+        eng = Engine(counter_provider=lambda: sum(computed) + (foreign if computed else 0))
+        spec = engine_mod.TestSpec(target="%s:%d" % responder.address, direction=direction,
+                                   duration=0.5, n_connections=2)
+        record = eng.run_test(spec)
+        assert len(computed) == 2
+        # Upload bytes still in the send buffer are counted but not yet acked.
+        assert sum(computed) > record.aggregate_trace.total_bytes / 2 > 0
+        assert engine_mod.FLAG_CROSS_UNKNOWN not in record.flags
+        if foreign:
+            assert engine_mod.FLAG_CROSS_TRAFFIC in record.flags
+            assert record.cross_traffic_bps > 5e6
+        else:
+            assert engine_mod.FLAG_CROSS_TRAFFIC not in record.flags
+            assert record.cross_traffic_bps == 0.0
+
+    def test_unreadable_tcp_info_on_a_counted_path_is_unknown(self, responder, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_crosses_counted_interface", lambda local, peer: True)
+        monkeypatch.delattr(socket, "TCP_INFO", raising=False)
+        spec = engine_mod.TestSpec(target="%s:%d" % responder.address, duration=0.5,
+                                   n_connections=2)
+        record = quiet_engine().run_test(spec)
+        assert record.cross_traffic_bps is None
+        assert engine_mod.FLAG_CROSS_UNKNOWN in record.flags
+        assert record.aggregate_trace.total_bytes > 0
+
+    def test_first_download_sample_is_not_empty(self, responder):
+        # The responder's data pool is drawn before it acks, not after t0.
+        record = run_loopback(responder, n_connections=4, duration=0.5, sample_interval=20.0)
+        assert record.aggregate_trace.samples[1][1] > 0
 
     def test_own_bytes_are_exactly_the_bytes_moved(self):
         server = ExactBytesServer()
@@ -464,7 +552,6 @@ class TestRunTest:
         try:
             record = eng.run_test(
                 engine_mod.TestSpec(target=server.address, duration=1.0, n_connections=3),
-                cross_window_s=0.05,
             )
         finally:
             server.close()
@@ -480,7 +567,7 @@ class TestRunTest:
         monkeypatch.setattr(eng, "_credit_own_bytes", lambda n: (credits.append(n), credit(n)))
         spec = engine_mod.TestSpec(target="%s:%d" % responder.address, direction=direction,
                                    duration=1.0, n_connections=2)
-        record = eng.run_test(spec, cross_window_s=0.05)
+        record = eng.run_test(spec)
         assert len(credits) == 1
         assert eng._own_bytes == credits[0] >= record.aggregate_trace.total_bytes > 0
         # The receiving end can only have counted what the sending end moved.

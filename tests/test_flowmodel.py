@@ -100,6 +100,14 @@ class TestLinkModel:
         with pytest.raises(ValueError):
             LinkModel(capacity=1e6, rtt=20, mss=0)
 
+    @pytest.mark.parametrize("field", ["capacity", "rtt", "mss"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        params = dict(capacity=1e8, rtt=20.0, mss=MSS_DEFAULT)
+        params[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be > 0"):
+            LinkModel(**params)
+
     def test_loss_period(self):
         assert LinkModel(capacity=1e6, rtt=20, loss_rate=0.01).loss_period == 100
         assert LinkModel(capacity=1e6, rtt=20).loss_period is None
