@@ -12,6 +12,7 @@ so no single path bottleneck caps the measured rate.
 import math
 import random
 import threading
+import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 
@@ -345,6 +346,7 @@ class MultiDestResult:
     overlap_window: tuple[float, float]  # ms relative to the earliest start
     flags: frozenset = frozenset()
     failures: tuple = ()  # ((destination id, reason), ...)
+    cross_traffic_bps: float | None = None  # over the whole run; None when unknown
 
     def __post_init__(self):
         object.__setattr__(self, "per_destination", tuple(self.per_destination))
@@ -403,9 +405,10 @@ def run_multi_destination(specs, method: metrics.EstimationMethod | None = None,
     run proceeds over the survivors (flagged partial) and only fails outright
     when nothing survives.
 
-    Each record measures cross traffic over its own transfer, so a sibling
-    destination's bytes count as foreign in its rate and flags.  The
-    MultiDestResult does not read record flags.
+    Cross traffic is judged once, over the whole run: the counters are read
+    before the first engine starts and after the last one ends, and every
+    engine's own wire bytes are subtracted.  A record's own cross-traffic
+    figure counts its siblings as foreign, so the records are not returned.
     """
     specs = list(specs)
     if not 2 <= len(specs) <= max_destinations:
@@ -418,9 +421,9 @@ def run_multi_destination(specs, method: metrics.EstimationMethod | None = None,
     records = {}
     failures = {}
     lock = threading.Lock()
+    engines = [engine_factory() for _ in specs]
 
-    def run_one(key, spec):
-        engine = engine_factory()
+    def run_one(engine, key, spec):
         try:
             record = engine.run_test(spec)
             with lock:
@@ -429,8 +432,10 @@ def run_multi_destination(specs, method: metrics.EstimationMethod | None = None,
             with lock:
                 failures[key] = str(exc)
 
-    threads = [threading.Thread(target=run_one, args=(key, spec), daemon=True)
-               for key, spec in zip(keys, specs)]
+    threads = [threading.Thread(target=run_one, args=args, daemon=True)
+               for args in zip(engines, keys, specs)]
+    counted_at_start = engines[0].read_counters()
+    started = time.monotonic()
     for t in threads:
         t.start()
     for t in threads:
@@ -438,6 +443,9 @@ def run_multi_destination(specs, method: metrics.EstimationMethod | None = None,
 
     if not records:
         raise MultiDestFailedError(failures)
+    wire = [engine.wire_bytes for engine in engines]
+    cross_bps, flags = engines[0].measure_cross_traffic(
+        counted_at_start, started, None if None in wire else sum(wire))
     method = method or metrics.EstimationMethod()
 
     per_destination = []
@@ -448,13 +456,15 @@ def run_multi_destination(specs, method: metrics.EstimationMethod | None = None,
                                           record.latency, method)
             per_destination.append((key, report))
     aggregate_bps, overlap = _aggregate_over_overlap(list(records.values()), method)
-    flags = {FLAG_PARTIAL} if failures else set()
+    if failures:
+        flags.add(FLAG_PARTIAL)
     return MultiDestResult(
         per_destination=tuple(per_destination),
         aggregate_bps=aggregate_bps,
         overlap_window=overlap,
         flags=frozenset(flags),
         failures=tuple(sorted(failures.items())),
+        cross_traffic_bps=cross_bps,
     )
 
 

@@ -39,7 +39,6 @@ PROBE_COUNT_MIN = 5
 PROBE_TIMEOUT_S = 2.0
 CONNECT_TIMEOUT_S = 10.0
 
-CROSS_TRAFFIC_WINDOW_S = 2.0
 CROSS_TRAFFIC_CAPACITY_FRACTION = 0.05
 CROSS_TRAFFIC_FLOOR_BPS = 5e6
 DEFAULT_COUNTER_PATH = "/proc/net/dev"
@@ -57,6 +56,8 @@ UPLOAD_POOL_BYTES = 4 * 1024 * 1024
 FLAG_CROSS_TRAFFIC = "cross_traffic_detected"
 FLAG_CROSS_UNKNOWN = "cross_traffic_unknown"
 FLAG_DEGENERATE = "degenerate_trace"
+# No longer set: raw.server_load carries the load. Kept because older stored
+# records carry the flag and the benchmark's flag check names it.
 FLAG_SERVER_LOAD = "server_load_reported"
 FLAG_FEW_CONNECTIONS = "below_recommended_connections"
 
@@ -98,8 +99,11 @@ class TestSpec:
             raise ValueError(f"direction must be download or upload, got {self.direction!r}")
         if not 0 < self.duration < math.inf:
             raise ValueError("duration must be positive and finite")
-        if self.n_connections < 1:
-            raise ValueError("n_connections must be at least 1")
+        # The HELLO carries the duration in ms as a u32 and the count as a u16.
+        if int(self.duration * 1000) > 0xFFFFFFFF:
+            raise ValueError("duration must be at most 4294967.295 s")
+        if not 1 <= self.n_connections <= 0xFFFF:
+            raise ValueError("n_connections must be between 1 and 65535")
         if not 0 < self.sample_interval <= self.duration * 1000.0:
             raise ValueError("sample_interval must be positive and fit inside duration")
         if len(self.nonce) != protocol.NONCE_LEN:
@@ -228,9 +232,9 @@ class Engine:
     def __init__(self, counter_provider=None, counter_path: str = DEFAULT_COUNTER_PATH):
         if counter_provider is None:
             counter_provider = lambda: read_interface_byte_counters(counter_path)
-        self._counter_provider = counter_provider
-        self._own_bytes = 0  # bytes this engine moved, all sessions so far
-        self._own_lock = threading.Lock()
+        self.read_counters = counter_provider
+        # The last test's bytes on counted interfaces; None when unreadable.
+        self.wire_bytes = 0
         self._busy = threading.Lock()
 
     # -- latency ------------------------------------------------------------
@@ -270,30 +274,22 @@ class Engine:
 
     # -- cross traffic --------------------------------------------------------
 
-    def measure_cross_traffic(self, window: float = CROSS_TRAFFIC_WINDOW_S):
-        """Mean non-test traffic rate (bps) over an idle window; None when unknown.
+    def measure_cross_traffic(self, counted_at_start, started, own_wire_bytes,
+                              capacity_hint_bps=None):
+        """(foreign bps, flags) on the counted interfaces since ``started``.
 
-        A standalone check: run_test measures over its own transfer instead.
+        The counters' advance since ``counted_at_start`` less ``own_wire_bytes``,
+        the test's own bytes on counted interfaces, is foreign.  A missing
+        reading or unknown own bytes gives ``(None, {FLAG_CROSS_UNKNOWN})``.
         """
-        start_total = self._counter_provider()
-        if start_total is None:
-            return None
-        with self._own_lock:
-            own_start = self._own_bytes
-        started = time.monotonic()
-        time.sleep(window)
-        end_total = self._counter_provider()
-        if end_total is None:
-            return None
+        counted_at_end = self.read_counters()
         elapsed = time.monotonic() - started
-        with self._own_lock:
-            own_delta = self._own_bytes - own_start
-        foreign = max(0, (end_total - start_total) - own_delta)
-        return 8.0 * foreign / elapsed
-
-    def _credit_own_bytes(self, n: int):
-        with self._own_lock:
-            self._own_bytes += n
+        if counted_at_start is None or counted_at_end is None or own_wire_bytes is None:
+            return None, {FLAG_CROSS_UNKNOWN}
+        bps = 8.0 * max(0, counted_at_end - counted_at_start - own_wire_bytes) / elapsed
+        if bps > cross_traffic_threshold_bps(capacity_hint_bps):
+            return bps, {FLAG_CROSS_TRAFFIC}
+        return bps, set()
 
     # -- test run -------------------------------------------------------------
 
@@ -307,6 +303,7 @@ class Engine:
             self._busy.release()
 
     def _run_test_locked(self, spec, capacity_hint_bps):
+        self.wire_bytes = 0
         flags = set()
         if spec.n_connections < RECOMMENDED_MIN_CONNECTIONS:
             flags.add(FLAG_FEW_CONNECTIONS)
@@ -314,8 +311,6 @@ class Engine:
         latency = self.probe_latency(spec.host_port, count=PROBE_COUNT_DEFAULT)
 
         control, server_load = self._handshake(spec)
-        if server_load is not None:
-            flags.add(FLAG_SERVER_LOAD)
         try:
             record = self._transfer(spec, control, flags, latency, capacity_hint_bps,
                                     server_load)
@@ -367,7 +362,7 @@ class Engine:
         # The responder's window started at HELLO, so ours starts as the
         # handshake returns; connection set-up falls inside both windows.
         # Cross traffic is counted over the same window.
-        counted_at_t0 = self._counter_provider()
+        counted_at_t0 = self.read_counters()
         t0 = time.monotonic()
         deadline = t0 + duration_s
 
@@ -417,22 +412,12 @@ class Engine:
 
         for worker in workers:
             worker.join(timeout=5.0)
-        counted_at_end = self._counter_provider()
-        elapsed = time.monotonic() - t0
+        self.wire_bytes = None if None in wire else sum(wire)
+        cross_bps, cross_flags = self.measure_cross_traffic(counted_at_t0, t0, self.wire_bytes,
+                                                            capacity_hint_bps)
+        flags |= cross_flags
         if not any(opened):
             raise UnreachableTargetError("no data connection could be opened")
-        # One credit per transfer, for measure_cross_traffic windows only:
-        # this test's own window subtracts its wire bytes instead.
-        self._credit_own_bytes(sum(counters))
-
-        if counted_at_t0 is None or counted_at_end is None or None in wire:
-            cross_bps = None
-            flags.add(FLAG_CROSS_UNKNOWN)
-        else:
-            foreign = max(0, counted_at_end - counted_at_t0 - sum(wire))
-            cross_bps = 8.0 * foreign / elapsed
-            if cross_bps > cross_traffic_threshold_bps(capacity_hint_bps):
-                flags.add(FLAG_CROSS_TRAFFIC)
 
         server_summary = self._collect_summary(control, spec)
 

@@ -202,6 +202,8 @@ class MeasurementResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeasurementResult":
+        if not isinstance(data, dict):
+            raise ValueError(f"a record is a JSON object, not {type(data).__name__}")
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
             raise UnknownSchemaError(

@@ -148,6 +148,13 @@ class TestMeasuredRun:
         assert code == cli.EXIT_UNREACHABLE
         assert ResultStore(paths["store"]).load() == []
 
+    @pytest.mark.parametrize("argv", [("--duration", "5000000"), ("--connections", "70000")],
+                             ids=["duration", "connections"])
+    def test_spec_the_hello_cannot_carry_is_config_error(self, paths, argv):
+        # Refused before any connection: the port is closed, so a run would exit 5.
+        code = run_cli(paths, "run", "--server", f"127.0.0.1:{dead_port()}", *argv)
+        assert code == cli.EXIT_CONFIG
+
     def test_refused_exit_code(self, paths):
         full = Responder("127.0.0.1", 0, max_tests=1).start()
         parked = socket.create_connection(full.address)

@@ -633,3 +633,51 @@ class TestRunMultiDestination:
                  for _ in range(2)]
         with pytest.raises(ValueError):
             run_multi_destination(specs)
+
+
+def run_pair(engine_factory):
+    servers = [Responder("127.0.0.1", 0).start() for _ in range(2)]
+    try:
+        specs = [dest_spec(servers[0], "east", duration=1.0),
+                 dest_spec(servers[1], "west", duration=1.0)]
+        return run_multi_destination(specs, engine_factory=engine_factory)
+    finally:
+        for s in servers:
+            s.stop()
+
+
+def run_counted_pair(monkeypatch, foreign):
+    """Two loopback destinations on a path patched to "counted"; the counters
+    advance by every wire byte the engines compute, plus ``foreign`` bytes."""
+    computed = []
+    wire_bytes = engine_mod.tcp_wire_bytes
+
+    def recording(info, family):
+        computed.append(wire_bytes(info, family))
+        return computed[-1]
+
+    monkeypatch.setattr(engine_mod, "_crosses_counted_interface", lambda local, peer: True)
+    monkeypatch.setattr(engine_mod, "tcp_wire_bytes", recording)
+    counters = lambda: sum(computed) + (foreign if computed else 0)
+    result = run_pair(lambda: Engine(counter_provider=counters))
+    assert len(computed) == 4
+    return result
+
+
+class TestMultiDestinationCrossTraffic:
+    def test_siblings_bytes_are_not_foreign(self, monkeypatch):
+        result = run_counted_pair(monkeypatch, foreign=0)
+        assert result.cross_traffic_bps == 0.0
+        assert not result.flags & {engine_mod.FLAG_CROSS_TRAFFIC, engine_mod.FLAG_CROSS_UNKNOWN}
+
+    def test_foreign_bytes_over_the_run_flag_cross_traffic(self, monkeypatch):
+        result = run_counted_pair(monkeypatch, foreign=10_000_000)
+        assert engine_mod.FLAG_CROSS_TRAFFIC in result.flags
+        assert result.cross_traffic_bps > 5e6
+
+    def test_unreadable_wire_bytes_are_unknown(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_crosses_counted_interface", lambda local, peer: True)
+        monkeypatch.delattr(socket, "TCP_INFO", raising=False)
+        result = run_pair(quiet_factory)
+        assert result.cross_traffic_bps is None
+        assert engine_mod.FLAG_CROSS_UNKNOWN in result.flags

@@ -4,6 +4,7 @@ import socket
 import struct
 import threading
 import time
+import types
 
 import pytest
 
@@ -221,6 +222,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="duration must be positive and finite"):
             engine_mod.TestSpec(target="example.net:7777", duration=float("inf"))
 
+    def test_rejects_what_the_hello_cannot_carry(self):
+        with pytest.raises(ValueError, match="duration"):
+            engine_mod.TestSpec(target="example.net:7777", duration=5_000_000)
+        with pytest.raises(ValueError, match="n_connections"):
+            engine_mod.TestSpec(target="example.net:7777", n_connections=70_000)
+        largest = engine_mod.TestSpec(target="example.net:7777", duration=0xFFFFFFFF / 1000,
+                                      n_connections=0xFFFF)
+        protocol.pack_hello(largest.direction, int(largest.duration * 1000),
+                            largest.n_connections)
+
     def test_serializes_round_trip(self):
         spec = engine_mod.TestSpec(target="198.51.100.7:7777", direction="upload",
                         duration=7.5, n_connections=6, target_id="srv-1")
@@ -262,27 +273,36 @@ class TestProbeLatency:
 
 class TestCrossTraffic:
     def test_scripted_rate_measured_within_tolerance(self):
-        # Counter advancing at exactly 50 Mbps, keyed to the same clock the
-        # engine uses, so sleep jitter cancels out of the rate.
-        provider = lambda: int(50e6 / 8 * time.monotonic())
-        bps = Engine(counter_provider=provider).measure_cross_traffic(window=0.25)
-        assert bps == pytest.approx(50e6, rel=0.2)
+        # Counter advancing at exactly 50 Mbps on the engine's clock, over a
+        # window that opened 0.25 s ago.
+        counted = lambda at: int(50e6 / 8 * at)
+        eng = Engine(counter_provider=lambda: counted(time.monotonic()))
+        started = time.monotonic() - 0.25
+        bps, flags = eng.measure_cross_traffic(counted(started), started, 0)
+        assert bps == pytest.approx(50e6, rel=0.01)
+        assert flags == {engine_mod.FLAG_CROSS_TRAFFIC}
 
-    def test_own_session_bytes_are_subtracted(self):
-        eng = Engine(counter_provider=lambda: int(100e6 / 8 * time.monotonic()))
-        window = 0.25
-        own_bytes = int(100e6 / 8 * window * 0.5)  # half the counter's advance
-
-        def credit_during_window():
-            time.sleep(window / 3)
-            eng._credit_own_bytes(own_bytes)
-
-        threading.Thread(target=credit_during_window, daemon=True).start()
-        bps = eng.measure_cross_traffic(window=window)
-        assert bps == pytest.approx(50e6, rel=0.25)
+    def test_own_session_bytes_are_subtracted(self, monkeypatch):
+        # 8 MB counted over 2 s, 5 MB of it the test's own: 3 MB foreign.
+        monkeypatch.setattr(engine_mod, "time", types.SimpleNamespace(monotonic=lambda: 12.0))
+        eng = Engine(counter_provider=lambda: 9_000_000)
+        assert eng.measure_cross_traffic(1_000_000, 10.0, 5_000_000) == (
+            12e6, {engine_mod.FLAG_CROSS_TRAFFIC})
+        # The same rate stays under the threshold of a 1 Gbit/s link.
+        assert eng.measure_cross_traffic(1_000_000, 10.0, 5_000_000, 1e9) == (12e6, set())
+        # More own bytes than the counters advanced is no foreign traffic.
+        assert eng.measure_cross_traffic(1_000_000, 10.0, 9_000_000) == (0.0, set())
 
     def test_unavailable_provider_returns_none(self):
-        assert Engine(counter_provider=lambda: None).measure_cross_traffic(0.05) is None
+        unknown = (None, {engine_mod.FLAG_CROSS_UNKNOWN})
+        started = time.monotonic() - 1.0
+        assert Engine(counter_provider=lambda: None).measure_cross_traffic(
+            0, started, 0) == unknown
+        assert quiet_engine().measure_cross_traffic(None, started, 0) == unknown
+
+    def test_unknown_own_wire_bytes_are_unknown(self):
+        assert quiet_engine().measure_cross_traffic(0, time.monotonic() - 1.0, None) == (
+            None, {engine_mod.FLAG_CROSS_UNKNOWN})
 
     def test_missing_counter_file_reads_none(self, tmp_path):
         assert read_interface_byte_counters(str(tmp_path / "nope")) is None
@@ -299,13 +319,6 @@ class TestCrossTraffic:
         )
         # Loopback is excluded; eth0 and eth1 rx+tx sum remains.
         assert read_interface_byte_counters(str(counters)) == 1000 + 2000 + 300 + 700
-
-    def test_idle_host_measures_quiet(self):
-        if read_interface_byte_counters() is None:
-            pytest.skip("host interface counters not readable")
-        bps = Engine().measure_cross_traffic(window=1.0)
-        assert bps is not None
-        assert bps < 1e6
 
     def test_threshold_rule(self):
         assert cross_traffic_threshold_bps(None) == 5e6
@@ -373,8 +386,8 @@ class TestRunTest:
 
     def test_server_load_reported(self, responder):
         record = run_loopback(responder, n_connections=1)
-        assert engine_mod.FLAG_SERVER_LOAD in record.flags
         assert record.server_load == (1, responder.max_tests)
+        assert engine_mod.FLAG_SERVER_LOAD not in record.flags
 
     def test_below_recommended_connections_flagged(self, responder):
         record = run_loopback(responder, n_connections=1)
@@ -548,34 +561,20 @@ class TestRunTest:
 
     def test_own_bytes_are_exactly_the_bytes_moved(self):
         server = ExactBytesServer()
-        eng = quiet_engine()
         try:
-            record = eng.run_test(
+            record = quiet_engine().run_test(
                 engine_mod.TestSpec(target=server.address, duration=1.0, n_connections=3),
             )
         finally:
             server.close()
         finals = [trace.samples[-1][1] for trace in record.per_connection_traces]
         assert finals == [ExactBytesServer.DATA_BYTES] * 3
-        assert eng._own_bytes == sum(finals) == record.aggregate_trace.total_bytes
+        assert sum(finals) == record.aggregate_trace.total_bytes
 
-    @pytest.mark.parametrize("direction", ["download", "upload"])
-    def test_own_bytes_credited_once_per_transfer(self, responder, direction, monkeypatch):
-        eng = quiet_engine()
-        credits = []
-        credit = eng._credit_own_bytes
-        monkeypatch.setattr(eng, "_credit_own_bytes", lambda n: (credits.append(n), credit(n)))
-        spec = engine_mod.TestSpec(target="%s:%d" % responder.address, direction=direction,
-                                   duration=1.0, n_connections=2)
-        record = eng.run_test(spec)
-        assert len(credits) == 1
-        assert eng._own_bytes == credits[0] >= record.aggregate_trace.total_bytes > 0
-        # The receiving end can only have counted what the sending end moved.
+    def test_download_client_counts_no_more_than_the_server_sent(self, responder):
+        record = run_loopback(responder, duration=1.0, n_connections=2)
         server_total = sum(entry[1] for entry in record.server_summary)
-        if direction == "download":
-            assert eng._own_bytes <= server_total
-        else:
-            assert server_total <= eng._own_bytes
+        assert 0 < record.aggregate_trace.total_bytes <= server_total
 
     def test_upload_ring_drawn_once_per_process(self, responder, monkeypatch):
         draws = []

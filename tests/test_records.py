@@ -390,14 +390,16 @@ class TestResultStore:
         assert any("skipped" in r.message for r in caplog.records)
 
     def test_corrupt_middle_line_does_not_hide_later_records(self, tmp_path):
-        store = ResultStore(tmp_path / "results.jsonl")
         rng = random.Random(7)
         first, second = random_result(rng), random_result(rng)
-        store.append(first)
-        with open(store.path, "a") as fh:
-            fh.write("not json at all\n")
-        store.append(second)
-        assert store.load() == [first, second]
+        # Not JSON, then valid JSON lines that are not objects.
+        for n, line in enumerate(["not json at all", "[1]", "null", "42", '"x"']):
+            store = ResultStore(tmp_path / f"results-{n}.jsonl")
+            store.append(first)
+            with open(store.path, "a") as fh:
+                fh.write(line + "\n")
+            store.append(second)
+            assert store.load() == [first, second], line
 
     def test_newer_schema_record_rejected_not_fatal(self, tmp_path, caplog):
         store = ResultStore(tmp_path / "results.jsonl")
