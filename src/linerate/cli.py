@@ -32,6 +32,7 @@ from .engine import (
     TestRefusedError,
     TestSpec,
     UnreachableTargetError,
+    connection_flags,
 )
 from .metrics import METHOD_KINDS, STEADY_STATE, EstimationMethod, LatencyStats
 
@@ -106,9 +107,6 @@ def simulated_raw(settings: dict, direction: str,
     spec = TestSpec(target=SIMULATED_TARGET, direction=direction,
                     duration=settings["duration"], n_connections=n,
                     sample_interval=sample_interval, target_id=SIMULATED_FLAG)
-    flags = {SIMULATED_FLAG}
-    if n < 4:
-        flags.add("below_recommended_connections")
     return RawTestRecord(
         spec=spec,
         per_connection_traces=per_connection,
@@ -116,7 +114,7 @@ def simulated_raw(settings: dict, direction: str,
         latency=LatencyStats(rtts=(settings["rtt"],) * SIMULATED_PROBES,
                              sent=SIMULATED_PROBES, received=SIMULATED_PROBES),
         cross_traffic_bps=0.0,
-        flags=flags,
+        flags={SIMULATED_FLAG} | connection_flags(n),
     )
 
 
@@ -168,41 +166,40 @@ def _resolve_target(args):
     return chosen.target, chosen.id, chosen
 
 
-def _run_measured(args, origin: str) -> records.MeasurementResult:
-    target, target_id, server = _resolve_target(args)
-    spec = TestSpec(target=target, direction=args.direction, duration=args.duration,
-                    n_connections=args.connections, sample_interval=args.interval,
-                    target_id=target_id)
-    engine = Engine()
-    hint = server.capacity_hint if server else None
-    try:
-        raw = engine.run_test(spec, capacity_hint_bps=hint)
-    except UnreachableTargetError:
-        if server:
-            _record_outcome(args.registry, server.id, coordinator.OUTCOME_UNREACHABLE)
-        raise
-    if server:
-        _record_outcome(args.registry, server.id, coordinator.OUTCOME_OK)
-    method = EstimationMethod(kind=args.method)
-    return records.make_result(raw, method, origin, server=server)
-
-
-def _simulate_settings(args) -> dict:
+def _simulate_settings(args) -> dict | None:
+    """The fluid-model settings of ``--simulate``; None for a run over the network."""
+    if not args.simulate:
+        return None
     settings = parse_simulate_spec(args.simulate)
     settings.setdefault("connections", args.connections)
     settings.setdefault("duration", args.duration)
     return settings
 
 
+def _run_one(args, settings: dict | None, origin: str) -> records.MeasurementResult:
+    """One test's result: from the fluid model when ``settings`` is given, else measured."""
+    method = EstimationMethod(kind=args.method)
+    if settings is not None:
+        return records.make_result(simulated_raw(settings, args.direction), method, origin)
+    target, target_id, server = _resolve_target(args)
+    spec = TestSpec(target=target, direction=args.direction, duration=args.duration,
+                    n_connections=args.connections, sample_interval=args.interval,
+                    target_id=target_id)
+    hint = server.capacity_hint if server else None
+    try:
+        raw = Engine().run_test(spec, capacity_hint_bps=hint)
+    except UnreachableTargetError:
+        if server:
+            _record_outcome(args.registry, server.id, coordinator.OUTCOME_UNREACHABLE)
+        raise
+    if server:
+        _record_outcome(args.registry, server.id, coordinator.OUTCOME_OK)
+    return records.make_result(raw, method, origin, server=server)
+
+
 def cmd_run(args) -> int:
     store = records.ResultStore(args.store)
-    if args.simulate:
-        settings = _simulate_settings(args)
-        raw = simulated_raw(settings, args.direction)
-        method = EstimationMethod(kind=args.method)
-        result = records.make_result(raw, method, records.ORIGIN_USER)
-    else:
-        result = _run_measured(args, records.ORIGIN_USER)
+    result = _run_one(args, _simulate_settings(args), records.ORIGIN_USER)
     store.append(result)
     emit_result(result, args.format, store.path)
     return EXIT_OK
@@ -248,16 +245,11 @@ def cmd_schedule(args) -> int:
     generate_schedule(schedule, datetime.now().date(), test_duration_s=args.duration)
 
     store = records.ResultStore(args.store)
-    method = EstimationMethod(kind=args.method)
-    settings = _simulate_settings(args) if args.simulate else None
+    settings = _simulate_settings(args)
 
     def fire(when):
         try:
-            if settings is not None:
-                raw = simulated_raw(settings, args.direction)
-                result = records.make_result(raw, method, records.ORIGIN_SCHEDULED)
-            else:
-                result = _run_measured(args, records.ORIGIN_SCHEDULED)
+            result = _run_one(args, settings, records.ORIGIN_SCHEDULED)
         except (NoServersError, TestRefusedError, UnreachableTargetError) as exc:
             log.warning("scheduled run at %s failed: %s", when.isoformat(), exc)
             return
@@ -322,9 +314,9 @@ def cmd_servers(args) -> int:
         return EXIT_OK
 
     if args.servers_cmd == "add":
-        host, _, port = args.target.rpartition(":")
+        host, port = units.parse_address(args.target)
         capacity = units.parse_rate(args.capacity) if args.capacity else None
-        registry.add(ServerDescriptor(id=args.id, host=host, port=int(port),
+        registry.add(ServerDescriptor(id=args.id, host=host, port=port,
                                       declared_location=args.location,
                                       network=args.network, capacity_hint=capacity))
         records.save_registry(args.registry, registry)
@@ -375,6 +367,8 @@ def cmd_servers(args) -> int:
 def cmd_simulate(args) -> int:
     method = EstimationMethod()
     if args.destinations:
+        if not args.access:
+            raise ValueError("--destinations needs --access")
         caps = [units.parse_rate(c) for c in args.destinations.split(",")]
         access = units.parse_rate(args.access)
         per, agg = coordinator.simulate_destination_transfers(
@@ -399,6 +393,8 @@ def cmd_simulate(args) -> int:
                   f" (access {units.format_rate(access)})")
         return EXIT_OK
 
+    if not args.link:
+        raise ValueError("simulate needs --link or --destinations")
     link = flowmodel.LinkModel(capacity=units.parse_rate(args.link),
                                rtt=units.parse_time_ms(args.rtt),
                                loss_rate=args.loss)
@@ -495,12 +491,6 @@ def main(argv=None) -> int:
                         format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     for attr in ("store", "registry"):
         setattr(args, attr, os.path.expanduser(getattr(args, attr)))
-    if args.command == "simulate" and not (args.link or args.destinations):
-        print("error: simulate needs --link or --destinations", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.command == "simulate" and args.destinations and not args.access:
-        print("error: --destinations needs --access", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.func(args)
     except (InfeasibleScheduleError, ValueError) as exc:

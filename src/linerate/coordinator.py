@@ -13,8 +13,10 @@ import math
 import random
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
+from operator import itemgetter
 
 from . import metrics
 from .engine import (
@@ -360,10 +362,11 @@ def _interp_bytes(samples, t_ms: float) -> float:
         return samples[0][1]
     if t_ms >= samples[-1][0]:
         return samples[-1][1]
-    for (t0, b0), (t1, b1) in zip(samples, samples[1:]):
-        if t0 <= t_ms <= t1:
-            return b0 + (b1 - b0) * (t_ms - t0) / (t1 - t0)
-    return samples[-1][1]
+    # The first sample at or after t_ms ends the segment, so an exact sample
+    # time falls in the segment that ends there.
+    i = bisect_left(samples, t_ms, key=itemgetter(0))
+    (t0, b0), (t1, b1) = samples[i - 1], samples[i]
+    return b0 + (b1 - b0) * (t_ms - t0) / (t1 - t0)
 
 
 def _aggregate_over_overlap(records, method) -> tuple[float, tuple[float, float]]:

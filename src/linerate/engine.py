@@ -16,7 +16,6 @@ import ipaddress
 import logging
 import math
 import os
-import random
 import socket
 import struct
 import threading
@@ -24,7 +23,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 
-from . import protocol
+from . import protocol, units
 from .flowmodel import MEASURED, ThroughputTrace
 from .metrics import LatencyStats
 
@@ -74,11 +73,11 @@ class TestRefusedError(Exception):
         self.reason = reason
 
 
-def _parse_target(target: str) -> tuple[str, int]:
-    host, _, port_text = target.rpartition(":")
-    if not host:
-        raise ValueError(f"target must be host:port, got {target!r}")
-    return host, int(port_text)
+def connection_flags(n_connections: int) -> set[str]:
+    """The flags a test earns by its connection count alone."""
+    if n_connections < RECOMMENDED_MIN_CONNECTIONS:
+        return {FLAG_FEW_CONNECTIONS}
+    return set()
 
 
 @dataclass(frozen=True)
@@ -108,11 +107,11 @@ class TestSpec:
             raise ValueError("sample_interval must be positive and fit inside duration")
         if len(self.nonce) != protocol.NONCE_LEN:
             raise ValueError(f"nonce must be {protocol.NONCE_LEN} bytes")
-        _parse_target(self.target)
+        units.parse_address(self.target)
 
     @property
     def host_port(self) -> tuple[str, int]:
-        return _parse_target(self.target)
+        return units.parse_address(self.target)
 
     def to_dict(self) -> dict:
         return {
@@ -229,10 +228,8 @@ def _upload_ring() -> memoryview:
 class Engine:
     """One client-side test runner.  Not shareable across concurrent tests."""
 
-    def __init__(self, counter_provider=None, counter_path: str = DEFAULT_COUNTER_PATH):
-        if counter_provider is None:
-            counter_provider = lambda: read_interface_byte_counters(counter_path)
-        self.read_counters = counter_provider
+    def __init__(self, counter_provider=None):
+        self.read_counters = counter_provider or read_interface_byte_counters
         # The last test's bytes on counted interfaces; None when unreadable.
         self.wire_bytes = 0
         self._busy = threading.Lock()
@@ -244,7 +241,7 @@ class Engine:
         """Echo-based RTT probe on a fresh connection; lost replies count as loss."""
         if count < PROBE_COUNT_MIN:
             raise ValueError(f"need at least {PROBE_COUNT_MIN} probes, got {count}")
-        host, port = _parse_target(target) if isinstance(target, str) else target
+        host, port = units.parse_address(target) if isinstance(target, str) else target
         try:
             sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
         except OSError as exc:
@@ -304,9 +301,7 @@ class Engine:
 
     def _run_test_locked(self, spec, capacity_hint_bps):
         self.wire_bytes = 0
-        flags = set()
-        if spec.n_connections < RECOMMENDED_MIN_CONNECTIONS:
-            flags.add(FLAG_FEW_CONNECTIONS)
+        flags = connection_flags(spec.n_connections)
 
         latency = self.probe_latency(spec.host_port, count=PROBE_COUNT_DEFAULT)
 

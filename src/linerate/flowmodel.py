@@ -37,6 +37,9 @@ TIMEOUT_LOSS_ROUNDS = 3
 SIMULATED = "simulated"
 MEASURED = "measured"
 
+# Relative excess over a rate cap that check_rate_cap forgives as float rounding.
+RATE_CAP_SLACK = 1e-6
+
 
 @dataclass(frozen=True)
 class LinkModel:
@@ -118,11 +121,11 @@ class ThroughputTrace:
             if b1 < b0:
                 raise ValueError(f"cumulative bytes must be non-decreasing ({b0} -> {b1})")
 
-    def check_rate_cap(self, cap_bps: float, slack: float = 1e-6):
-        """Raise if any inter-sample rate exceeds the physical cap."""
+    def check_rate_cap(self, cap_bps: float):
+        """Raise if any inter-sample rate exceeds the physical cap by more than rounding."""
         for (t0, b0), (t1, b1) in zip(self.samples, self.samples[1:]):
             rate = 8.0 * (b1 - b0) / ((t1 - t0) / 1000.0)
-            if rate > cap_bps * (1 + slack):
+            if rate > cap_bps * (1 + RATE_CAP_SLACK):
                 raise ValueError(f"trace rate {rate:.0f} bps exceeds cap {cap_bps:.0f} bps")
 
     @property

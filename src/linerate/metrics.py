@@ -9,7 +9,7 @@ function over traces and probe statistics.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .flowmodel import ThroughputTrace
 

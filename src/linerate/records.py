@@ -25,7 +25,7 @@ from typing import ClassVar
 
 from . import metrics
 from .coordinator import Registry, ServerDescriptor
-from .engine import RawTestRecord, TestSpec
+from .engine import FLAG_CROSS_TRAFFIC, FLAG_DEGENERATE, RawTestRecord, TestSpec
 from .flowmodel import ThroughputTrace
 from .metrics import EstimationMethod, LatencyStats, MetricReport
 
@@ -38,7 +38,7 @@ ORIGIN_USER = "user"
 ORIGINS = (ORIGIN_SCHEDULED, ORIGIN_USER)
 
 # Results carrying any of these flags are left out of throughput summaries.
-EXCLUSION_FLAGS = ("cross_traffic_detected", "degenerate_trace")
+EXCLUSION_FLAGS = (FLAG_CROSS_TRAFFIC, FLAG_DEGENERATE)
 
 THROUGHPUT_METRICS = ("download_bps", "upload_bps")
 QUALITY_METRICS = ("latency_ms", "jitter_ms", "loss_rate")
@@ -294,23 +294,30 @@ class ResultStore:
                 fh.write(line + "\n")
 
     def load(self) -> list[MeasurementResult]:
-        results = []
+        return _read_json_lines(self.path, MeasurementResult.from_json, "record")
+
+
+def _read_json_lines(path, parse, what: str) -> list:
+    """``parse(line)`` of every non-blank line; a missing file is empty.
+
+    A line ``parse`` refuses is logged as a corrupt ``what`` and skipped.
+    """
+    parsed = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        return parsed
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
         try:
-            with open(self.path, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except FileNotFoundError:
-            return results
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                results.append(MeasurementResult.from_json(line))
-            except UnknownSchemaError as exc:
-                log.warning("%s:%d rejected: %s", self.path, lineno, exc)
-            except (ValueError, KeyError, TypeError) as exc:
-                log.warning("%s:%d skipped (corrupt record): %s",
-                            self.path, lineno, exc)
-        return results
+            parsed.append(parse(line))
+        except UnknownSchemaError as exc:
+            log.warning("%s:%d rejected: %s", path, lineno, exc)
+        except (ValueError, KeyError, TypeError) as exc:
+            log.warning("%s:%d skipped (corrupt %s): %s", path, lineno, what, exc)
+    return parsed
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -421,18 +428,12 @@ def report_blocks(results) -> list[AggregateReport]:
 def load_registry(path) -> Registry:
     """Registry from its newline-delimited server file; missing file is empty."""
     registry = Registry()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except FileNotFoundError:
-        return registry
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            registry.add(ServerDescriptor.from_dict(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
-            log.warning("%s:%d skipped (corrupt server record): %s", path, lineno, exc)
+
+    def add(line):
+        # Adding inside the parse skips a line whose id repeats an earlier one.
+        registry.add(ServerDescriptor.from_dict(json.loads(line)))
+
+    _read_json_lines(path, add, "server record")
     return registry
 
 

@@ -337,15 +337,12 @@ def main(argv=None) -> int:
         format="%(asctime)s %(levelname)s %(message)s",
     )
     try:
-        host, _, port_text = args.listen.rpartition(":")
-        port = int(port_text)
-        if not host:
-            raise ValueError("missing address")
+        host, port = units.parse_address(args.listen)
         hint = units.parse_rate(args.capacity_hint) if args.capacity_hint else None
+        responder = Responder(host, port, max_tests=args.max_tests, capacity_hint_bps=hint)
     except ValueError as exc:
-        parser.error(str(exc))
+        parser.error(str(exc))  # before anything binds: start() opens the listener
 
-    responder = Responder(host, port, max_tests=args.max_tests, capacity_hint_bps=hint)
     responder.start()
     print(f"listening on {responder.address[0]}:{responder.address[1]} "
           f"(max {responder.max_tests} concurrent tests)")

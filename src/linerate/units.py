@@ -1,4 +1,4 @@
-"""Human-friendly parsing and formatting for rates and durations."""
+"""Human-friendly parsing and formatting for rates, durations and addresses."""
 
 import math
 
@@ -42,6 +42,14 @@ def parse_rate(text) -> float:
 def parse_time_ms(text) -> float:
     """Parse a duration like '20ms', '1.5s', '2m', or a plain millisecond number."""
     return _parse_scaled(text, _TIME_SUFFIXES, "duration")
+
+
+def parse_address(text: str) -> tuple[str, int]:
+    """Split 'host:port' at its last colon; the port is a decimal from 0 to 65535."""
+    host, _, port_text = text.rpartition(":")
+    if host and port_text.isascii() and port_text.isdigit() and int(port_text) <= 65535:
+        return host, int(port_text)
+    raise ValueError(f"address must be host:port with a port from 0 to 65535, got {text!r}")
 
 
 def format_rate(bps: float) -> str:

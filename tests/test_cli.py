@@ -155,6 +155,13 @@ class TestMeasuredRun:
         code = run_cli(paths, "run", "--server", f"127.0.0.1:{dead_port()}", *argv)
         assert code == cli.EXIT_CONFIG
 
+    def test_port_out_of_range_is_config_error(self, paths, capsys):
+        # Refused before any connection is tried, so nothing is stored.
+        code = run_cli(paths, "run", "--server", "127.0.0.1:99999", "--duration", "1")
+        assert code == cli.EXIT_CONFIG
+        assert "host:port" in capsys.readouterr().err
+        assert ResultStore(paths["store"]).load() == []
+
     def test_refused_exit_code(self, paths):
         full = Responder("127.0.0.1", 0, max_tests=1).start()
         parked = socket.create_connection(full.address)
@@ -360,6 +367,12 @@ class TestServersCommand:
 
     def test_empty_host_is_config_error(self, paths):
         assert run_cli(paths, "servers", "add", "x", ":7777") == cli.EXIT_CONFIG
+        assert len(records.load_registry(paths["registry"])) == 0
+
+    @pytest.mark.parametrize("target", ["127.0.0.1", "h:99999", "h:port"])
+    def test_bad_address_is_config_error(self, paths, capsys, target):
+        assert run_cli(paths, "servers", "add", "x", target) == cli.EXIT_CONFIG
+        assert "host:port" in capsys.readouterr().err
         assert len(records.load_registry(paths["registry"])) == 0
 
     def test_remove_unknown_is_config_error(self, paths):

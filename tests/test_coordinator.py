@@ -555,6 +555,34 @@ class TestMultiDestinationSimulation:
         assert counts == [3 * settled, 3 * settled]
 
 
+def scanned_bytes(samples, t_ms):
+    """The linear scan that co._interp_bytes replaced, kept as its reference."""
+    if t_ms <= samples[0][0]:
+        return samples[0][1]
+    if t_ms >= samples[-1][0]:
+        return samples[-1][1]
+    for (t0, b0), (t1, b1) in zip(samples, samples[1:]):
+        if t0 <= t_ms <= t1:
+            return b0 + (b1 - b0) * (t_ms - t0) / (t1 - t0)
+    return samples[-1][1]
+
+
+class TestInterpolation:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_linear_scan(self, data):
+        gaps = data.draw(st.lists(st.floats(min_value=1e-3, max_value=1e3), max_size=30))
+        added = data.draw(st.lists(st.floats(min_value=0.0, max_value=1e9),
+                                   min_size=len(gaps), max_size=len(gaps)))
+        times = list(itertools.accumulate(gaps, initial=data.draw(st.floats(-1e3, 1e3))))
+        samples = tuple(zip(times, itertools.accumulate(added, initial=0.0)))
+        inside = [(t0 + t1) / 2 for t0, t1 in zip(times, times[1:])]
+        outside = [times[0] - 1.0, times[-1] + 1.0]
+        drawn = data.draw(st.lists(st.floats(times[0] - 10.0, times[-1] + 10.0), max_size=20))
+        for t in times + inside + outside + drawn:
+            assert co._interp_bytes(samples, t) == scanned_bytes(samples, t)
+
+
 def quiet_factory():
     return Engine(counter_provider=lambda: 0)
 

@@ -218,6 +218,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             engine_mod.TestSpec(target="example.net:7777", nonce=b"short")
 
+    @pytest.mark.parametrize("target", ["127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:-1"])
+    def test_rejects_port_out_of_range(self, target):
+        with pytest.raises(ValueError, match="host:port"):
+            engine_mod.TestSpec(target=target)
+
     def test_rejects_infinite_duration(self):
         with pytest.raises(ValueError, match="duration must be positive and finite"):
             engine_mod.TestSpec(target="example.net:7777", duration=float("inf"))

@@ -432,6 +432,18 @@ class TestMain:
             responder_mod.main(["--listen", "nohost"])
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--listen", "127.0.0.1:0", "--max-tests", "0"],
+        ["--listen", "127.0.0.1:0", "--max-tests", "-3"],
+        ["--listen", "127.0.0.1:99999"],
+    ], ids=["max-tests-0", "max-tests-negative", "port-out-of-range"])
+    def test_bad_value_is_a_usage_error_before_binding(self, monkeypatch, argv):
+        monkeypatch.setattr(responder_mod.Responder, "start",
+                            lambda self: pytest.fail("a bad value reached the listener"))
+        with pytest.raises(SystemExit) as exit_info:
+            responder_mod.main(argv)
+        assert exit_info.value.code == 2
+
     @pytest.mark.parametrize("hint", ["inf", "nangbps"])
     def test_non_finite_capacity_hint_is_a_usage_error(self, hint):
         with pytest.raises(SystemExit) as exit_info:

@@ -1,10 +1,10 @@
-"""Rate and duration parsing: suffixes, plain numbers, and what is refused."""
+"""Rate, duration and address parsing: suffixes, plain numbers, and what is refused."""
 
 import math
 
 import pytest
 
-from linerate.units import format_rate, parse_rate, parse_time_ms
+from linerate.units import format_rate, parse_address, parse_rate, parse_time_ms
 
 
 class TestParseRate:
@@ -58,6 +58,26 @@ class TestParseTimeMs:
     def test_non_finite_refused(self, text):
         with pytest.raises(ValueError, match="duration must be positive"):
             parse_time_ms(text)
+
+
+class TestParseAddress:
+    @pytest.mark.parametrize("text, address", [
+        ("simulated:0", ("simulated", 0)),
+        ("h:65535", ("h", 65535)),
+        ("::1:7777", ("::1", 7777)),
+        ("127.0.0.1:7777", ("127.0.0.1", 7777)),
+    ])
+    def test_host_and_port_in_range(self, text, address):
+        assert parse_address(text) == address
+
+    @pytest.mark.parametrize("text", [
+        "127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:-1", "127.0.0.1:abc",
+        "127.0.0.1:", ":7777", "127.0.0.1", "127.0.0.1:+7", "127.0.0.1: 7",
+        "127.0.0.1:7_777",
+    ])
+    def test_bad_host_or_port_refused(self, text):
+        with pytest.raises(ValueError, match="host:port"):
+            parse_address(text)
 
 
 def test_format_rate():
