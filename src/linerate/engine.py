@@ -50,8 +50,6 @@ _TCP_INFO_COUNTS_OFFSET = 120
 # Per-segment framing: Ethernet 14 B + IP header + TCP header with timestamps.
 WIRE_HEADER_BYTES = {socket.AF_INET: 14 + 20 + 32, socket.AF_INET6: 14 + 40 + 32}
 
-UPLOAD_POOL_BYTES = 4 * 1024 * 1024
-
 FLAG_CROSS_TRAFFIC = "cross_traffic_detected"
 FLAG_CROSS_UNKNOWN = "cross_traffic_unknown"
 FLAG_DEGENERATE = "degenerate_trace"
@@ -217,12 +215,19 @@ def cross_traffic_threshold_bps(capacity_hint_bps: float | None) -> float:
 
 @functools.cache
 def _upload_ring() -> memoryview:
-    # Uploads send slices ring[offset : offset + CHUNK_BYTES] with offset
-    # below UPLOAD_POOL_BYTES. Random bytes need not repeat, so the ring is
-    # just CHUNK_BYTES longer than its period and nothing is copied to wrap.
     # The ring is read-only and its content carries no meaning, so it is
     # drawn once per process and shared by every Engine and connection.
-    return memoryview(os.urandom(UPLOAD_POOL_BYTES + protocol.CHUNK_BYTES))
+    return protocol.ring(os.urandom(protocol.POOL_BYTES))
+
+
+def _connect(host, port) -> socket.socket:
+    """A TCP_NODELAY connection to host:port, or UnreachableTargetError."""
+    try:
+        sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
+    except OSError as exc:
+        raise UnreachableTargetError(f"cannot connect to {host}:{port}: {exc}") from exc
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
 class Engine:
@@ -242,13 +247,9 @@ class Engine:
         if count < PROBE_COUNT_MIN:
             raise ValueError(f"need at least {PROBE_COUNT_MIN} probes, got {count}")
         host, port = units.parse_address(target) if isinstance(target, str) else target
-        try:
-            sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
-        except OSError as exc:
-            raise UnreachableTargetError(f"cannot connect to {host}:{port}: {exc}") from exc
+        sock = _connect(host, port)
         rtts = []
         try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(PROBE_TIMEOUT_S)
             for i in range(count):
                 payload = b"probe-%04d" % i
@@ -314,33 +315,28 @@ class Engine:
         return record
 
     def _handshake(self, spec):
-        host, port = spec.host_port
+        """The admitted test's control socket and its load; closed on any failure."""
+        control = _connect(*spec.host_port)
         try:
-            control = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
-        except OSError as exc:
-            raise UnreachableTargetError(f"cannot connect to {host}:{port}: {exc}") from exc
-        try:
-            control.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             control.settimeout(CONNECT_TIMEOUT_S)
             hello = protocol.pack_hello(spec.direction, int(spec.duration * 1000),
                                         spec.n_connections)
             protocol.send_frame(control, protocol.HELLO, spec.nonce, hello)
             kind, nonce, payload = protocol.recv_frame(control)
-        except (OSError, ConnectionError) as exc:
+            if kind == protocol.REFUSE:
+                raise TestRefusedError(protocol.REASON_NAMES[protocol.unpack_refuse(payload)])
+            if kind != protocol.HELLO_ACK or nonce != spec.nonce:
+                # The ack must bind our nonce to exactly one server-side session.
+                raise protocol.ProtocolError("hello not acked for this test")
+            load = protocol.unpack_load(payload)
+            return control, (load["active_tests"], load["max_tests"])
+        except BaseException as exc:
             control.close()
-            raise UnreachableTargetError(f"handshake failed: {exc}") from exc
-        except protocol.ProtocolError:
-            control.close()
-            raise TestRefusedError("bad_params")
-        if kind == protocol.REFUSE:
-            control.close()
-            raise TestRefusedError(protocol.REASON_NAMES[protocol.unpack_refuse(payload)])
-        if kind != protocol.HELLO_ACK or nonce != spec.nonce:
-            # The ack must bind our nonce to exactly one server-side session.
-            control.close()
-            raise TestRefusedError("bad_params")
-        load = protocol.unpack_load(payload)
-        return control, (load["active_tests"], load["max_tests"])
+            if isinstance(exc, protocol.ProtocolError):  # a malformed or foreign answer
+                raise TestRefusedError("bad_params") from exc
+            if isinstance(exc, OSError):
+                raise UnreachableTargetError(f"handshake failed: {exc}") from exc
+            raise
 
     def _transfer(self, spec, control, flags, latency, capacity_hint_bps, server_load):
         address = spec.host_port

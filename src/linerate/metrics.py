@@ -8,6 +8,7 @@ function over traces and probe statistics.
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 from dataclasses import dataclass
 
@@ -246,15 +247,7 @@ def all_estimates(trace: ThroughputTrace, method: EstimationMethod) -> dict[str,
     configured tools stay comparable.
     """
     return {
-        kind: estimate_throughput(
-            trace,
-            EstimationMethod(
-                kind=kind,
-                trim_low_fraction=method.trim_low_fraction,
-                trim_high_fraction=method.trim_high_fraction,
-                steady_start=method.steady_start,
-            ),
-        )
+        kind: estimate_throughput(trace, dataclasses.replace(method, kind=kind))
         for kind in METHOD_KINDS
     }
 

@@ -24,6 +24,8 @@ MAX_FRAME_BODY = 1 << 20  # control frames are tiny; anything near this is garba
 # Largest piece of the raw stream one send() or recv_into() call moves, on
 # both ends of a data connection.
 CHUNK_BYTES = 256 * 1024
+# Period of the byte pattern a sender repeats on a data connection.
+POOL_BYTES = 4 * 1024 * 1024
 
 # Message kinds.
 HELLO = 1
@@ -33,7 +35,6 @@ ECHO = 4
 ECHO_REPLY = 5
 START_DATA = 6
 DONE = 7
-LOAD_REPORT = 8
 
 KIND_NAMES = {
     HELLO: "hello",
@@ -43,7 +44,6 @@ KIND_NAMES = {
     ECHO_REPLY: "echo_reply",
     START_DATA: "start_data",
     DONE: "done",
-    LOAD_REPORT: "load_report",
 }
 
 # Refusal reason codes carried in a REFUSE payload.
@@ -139,14 +139,23 @@ def send_frame(sock, kind: int, nonce: bytes, payload: bytes = b"") -> None:
     sock.sendall(encode_frame(kind, nonce, payload))
 
 
+def ring(pool: bytes) -> memoryview:
+    """``pool`` followed by its first CHUNK_BYTES: the buffer ``pump`` sends from.
+
+    For every offset below ``len(pool)``, ``ring[offset : offset +
+    CHUNK_BYTES]`` is the next chunk of the pool repeated cyclically, so a
+    sender slices it without copying and never joins a chunk at the wrap.
+    """
+    return memoryview(pool + pool[:CHUNK_BYTES])
+
+
 def pump(sock, ring, deadline: float, stop, counts: list, index: int) -> None:
     """Move the raw stream on one data connection until deadline, stop or EOF.
 
-    With a ``ring`` (a pool followed by its first CHUNK_BYTES), send slices
-    ``ring[offset : offset + CHUNK_BYTES]``, so the stream is the pool
-    repeated and no chunk is joined at the wrap.  With ``ring=None``, receive
-    into one reused buffer until the peer closes.  Each call's count is added
-    to ``counts[index]`` at once, because another thread may read it live.
+    With a ``ring`` (see ``ring``), send its slices, so the stream is the
+    pool repeated.  With ``ring=None``, receive into one reused buffer until
+    the peer closes.  Each call's count is added to ``counts[index]`` at
+    once, because another thread may read it live.
     ``stop`` is a ``threading.Event``.  A socket timeout only retries the
     stop test; any other OSError propagates, and what moved before it stays
     counted.

@@ -29,11 +29,12 @@ DEFAULT_MAX_TESTS = 8
 # per 1 Gbps so concurrent tests cannot outrun the server's own link.
 PER_TEST_PEAK_BPS = 1_000_000_000
 SESSION_GRACE_S = 5.0
-DATA_POOL_BYTES = 4 * 1024 * 1024
 MAX_CONNECTIONS_PER_TEST = 64
 # Longest test a HELLO may ask for: an admitted session holds a slot and may
 # stream for its whole duration.
 MAX_TEST_DURATION_MS = 3_600_000
+# Timeout of every send and recv on a connection. A send to a client that
+# stops reading fails after it, and that ends the connection.
 _POLL_S = 0.5
 
 
@@ -56,18 +57,14 @@ class SessionState:
     _ring: memoryview | None = field(default=None, repr=False)
 
     def pool(self) -> memoryview:
-        """The session's pool followed by its first CHUNK_BYTES, built once.
+        """The session's ``protocol.ring``, built once.
 
-        For every offset below DATA_POOL_BYTES, ``ring[offset : offset +
-        CHUNK_BYTES]`` is the next chunk of the pool repeated cyclically, so a
-        sender slices it without copying and never joins a chunk at the wrap.
         Seeded from the nonce: deterministic per session, uncompressible.
         """
         with self.cond:
             if self._ring is None:
                 seed = int.from_bytes(self.nonce, "big")
-                pool = random.Random(seed).randbytes(DATA_POOL_BYTES)
-                self._ring = memoryview(pool + pool[: protocol.CHUNK_BYTES])
+                self._ring = protocol.ring(random.Random(seed).randbytes(protocol.POOL_BYTES))
             return self._ring
 
 
@@ -88,8 +85,8 @@ class Responder:
         self._lock = threading.Lock()
         self._sessions: dict[bytes, SessionState] = {}
         self._listener = None
-        self._threads: list[threading.Thread] = []
-        self._conns: set = set()
+        self._accept_thread = None
+        self._conns: dict[socket.socket, threading.Thread] = {}  # each open one's server
         self._stop = threading.Event()
 
     # -- lifecycle ---------------------------------------------------------
@@ -99,28 +96,29 @@ class Responder:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self._host, self._port))
         listener.listen(128)
-        listener.settimeout(_POLL_S)  # a blocked accept() would outlive stop()
         self._listener = listener
         self._stop.clear()
-        accept = threading.Thread(target=self._accept_loop, daemon=True)
-        self._threads.append(accept)  # before start: the accept loop rebinds the list
-        accept.start()
+        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._accept_thread.start()
         log.info("responder listening on %s:%d, max_tests=%d", *self.address, self.max_tests)
         return self
 
     def stop(self):
-        self._stop.set()
-        if self._listener is not None:
-            self._listener.close()
+        # shutdown(), not close(), wakes a thread blocked in accept, recv or
+        # send on the socket at once.
         with self._lock:
-            conns = list(self._conns)
-        for conn in conns:
+            self._stop.set()
+            conns = dict(self._conns)
+        if self._listener is None:
+            return  # never started
+        for sock in [self._listener, *conns]:
             try:
-                conn.close()
-            except OSError:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed
                 pass
-        for thread in list(self._threads):
+        for thread in [self._accept_thread, *conns.values()]:
             thread.join(timeout=5.0)
+        self._listener.close()
 
     def __enter__(self):
         return self.start()
@@ -141,19 +139,18 @@ class Responder:
     # -- connection handling -----------------------------------------------
 
     def _accept_loop(self):
-        while not self._stop.is_set():
+        while True:
             try:
                 conn, _peer = self._listener.accept()
-            except TimeoutError:
-                continue
             except OSError:
-                break
-            with self._lock:
-                self._conns.add(conn)
+                return  # stop() shut the listener down
             thread = threading.Thread(target=self._handle_connection, args=(conn,), daemon=True)
-            # Drop finished connection threads so the list tracks live ones.
-            self._threads = [t for t in self._threads if t.is_alive()] + [thread]
-            thread.start()
+            with self._lock:  # started under the lock: stop() joins only started threads
+                if self._stop.is_set():
+                    conn.close()  # accepted while stop() runs: closed, not served
+                    return
+                self._conns[conn] = thread
+                thread.start()
 
     def _handle_connection(self, conn):
         session = None
@@ -164,14 +161,9 @@ class Responder:
                 try:
                     kind, nonce, payload = protocol.recv_frame(conn)
                 except TimeoutError:
-                    if self._stop.is_set():
-                        break
                     continue
                 if kind == protocol.ECHO:
                     protocol.send_frame(conn, protocol.ECHO_REPLY, nonce, payload)
-                elif kind == protocol.LOAD_REPORT:
-                    load = protocol.pack_load(self.active_tests(), self.max_tests)
-                    protocol.send_frame(conn, protocol.LOAD_REPORT, nonce, load)
                 elif kind == protocol.HELLO and session is None:
                     # One session per control connection: closing it ends
                     # that session, so a second HELLO here is refused below.
@@ -199,7 +191,7 @@ class Responder:
             pass
         finally:
             with self._lock:
-                self._conns.discard(conn)
+                del self._conns[conn]
             try:
                 conn.close()
             except OSError:

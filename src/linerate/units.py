@@ -45,9 +45,16 @@ def parse_time_ms(text) -> float:
 
 
 def parse_address(text: str) -> tuple[str, int]:
-    """Split 'host:port' at its last colon; the port is a decimal from 0 to 65535."""
+    """Split 'host:port' at its last colon; the port is a decimal from 0 to 65535.
+
+    A bracketed host, as in '[::1]:7777', loses its brackets; any other
+    bracket in the host is refused.
+    """
     host, _, port_text = text.rpartition(":")
-    if host and port_text.isascii() and port_text.isdigit() and int(port_text) <= 65535:
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+    if (host and "[" not in host and "]" not in host and port_text.isascii()
+            and port_text.isdigit() and int(port_text) <= 65535):
         return host, int(port_text)
     raise ValueError(f"address must be host:port with a port from 0 to 65535, got {text!r}")
 

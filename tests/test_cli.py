@@ -13,6 +13,7 @@ from linerate.coordinator import Schedule, generate_schedule
 from linerate.engine import Engine
 from linerate.records import MeasurementResult, ResultStore
 from linerate.responder import Responder
+from test_engine import MALFORMED_ANSWERS, BadAnswerServer
 
 
 @pytest.fixture
@@ -174,6 +175,15 @@ class TestMeasuredRun:
         finally:
             parked.close()
             full.stop()
+        assert code == cli.EXIT_REFUSED
+
+    @MALFORMED_ANSWERS
+    def test_malformed_answer_is_refused_exit_code(self, paths, kind, payload):
+        server = BadAnswerServer(kind, payload)
+        try:
+            code = run_cli(paths, "run", "--server", server.address, "--duration", "1.0")
+        finally:
+            server.close()
         assert code == cli.EXIT_REFUSED
 
     def test_all_candidates_dead_reports_reasons(self, paths, capsys):

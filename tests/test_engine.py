@@ -146,6 +146,7 @@ class ResetMidTransferServer:
         conn.close()
 
     def close(self):
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
         self._listener.close()
 
 
@@ -195,6 +196,57 @@ class NoDataServer:
 
     def close(self):
         self._listener.close()
+
+
+class BadAnswerServer:
+    """Echoes probes and answers a HELLO with one given frame. One thread.
+
+    ``control_closed`` is set when the connection that got the answer reads EOF.
+    """
+
+    def __init__(self, kind, payload):
+        self._answer = (kind, payload)
+        self.control_closed = threading.Event()
+        self._listener = socket.socket()
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen(4)
+        self.address = "%s:%d" % self._listener.getsockname()[:2]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            answered = False
+            with conn:
+                conn.settimeout(10.0)
+                try:
+                    while True:
+                        kind, nonce, payload = protocol.recv_frame(conn)
+                        if kind == protocol.ECHO:
+                            protocol.send_frame(conn, protocol.ECHO_REPLY, nonce, payload)
+                        elif kind == protocol.HELLO:
+                            protocol.send_frame(conn, self._answer[0], nonce, self._answer[1])
+                            answered = True
+                except ConnectionError:
+                    if answered:
+                        self.control_closed.set()
+                except OSError:
+                    pass
+
+    def close(self):
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        self._listener.close()
+
+
+# A HELLO_ACK whose load payload is 3 bytes, and a REFUSE with no such reason.
+MALFORMED_ANSWERS = pytest.mark.parametrize("kind, payload", [
+    (protocol.HELLO_ACK, b"\x00\x01\x02"),
+    (protocol.REFUSE, bytes([9])),
+], ids=["short-ack", "unknown-reason"])
 
 
 class TestSpecValidation:
@@ -420,6 +472,18 @@ class TestRunTest:
             finally:
                 holder.close()
 
+    @MALFORMED_ANSWERS
+    def test_malformed_answer_is_a_refusal_and_closes_the_control(self, kind, payload):
+        server = BadAnswerServer(kind, payload)
+        try:
+            spec = engine_mod.TestSpec(target=server.address, duration=1.0)
+            with pytest.raises(engine_mod.TestRefusedError) as excinfo:
+                quiet_engine().run_test(spec)
+            assert excinfo.value.reason == "bad_params"
+            assert server.control_closed.wait(timeout=5.0)
+        finally:
+            server.close()
+
     def test_unreachable_target_raises(self):
         eng = quiet_engine()
         spec = engine_mod.TestSpec(target=f"127.0.0.1:{free_port()}", duration=1.0)
@@ -586,7 +650,7 @@ class TestRunTest:
         urandom = engine_mod.os.urandom
 
         def counting(size):
-            if size >= engine_mod.UPLOAD_POOL_BYTES:  # not the 16-byte spec nonces
+            if size >= protocol.POOL_BYTES:  # not the 16-byte spec nonces
                 draws.append(size)
             return urandom(size)
 
@@ -596,7 +660,7 @@ class TestRunTest:
             record = run_loopback(responder, direction="upload", duration=1.0,
                                   n_connections=1)
             assert record.aggregate_trace.total_bytes > 0
-        assert draws == [engine_mod.UPLOAD_POOL_BYTES + protocol.CHUNK_BYTES]
+        assert draws == [protocol.POOL_BYTES]
 
     def test_engine_rejects_concurrent_runs(self, responder):
         eng = quiet_engine()

@@ -12,7 +12,8 @@ import pytest
 
 from linerate import protocol
 from linerate import responder as responder_mod
-from linerate.responder import DATA_POOL_BYTES, MAX_TEST_DURATION_MS, Responder, SessionState
+from linerate.protocol import POOL_BYTES as DATA_POOL_BYTES
+from linerate.responder import MAX_TEST_DURATION_MS, Responder, SessionState
 
 
 def new_nonce() -> bytes:
@@ -423,7 +424,44 @@ class TestThreads:
             while threading.active_count() > baseline and time.monotonic() < deadline:
                 time.sleep(0.02)
             assert threading.active_count() == baseline
-            assert len(server._threads) < 10
+            assert len(server._conns) < 10
+
+
+class TestUnknownKind:
+    def test_kind_8_is_refused_like_any_unknown_kind(self, responder):
+        # Hand-built: encode_frame refuses a kind the protocol does not name.
+        frame = protocol.LENGTH_PREFIX.pack(1 + protocol.NONCE_LEN) + bytes([8]) + new_nonce()
+        with open_control(responder.address) as sock:
+            sock.sendall(frame)
+            kind, _nonce, payload = protocol.recv_frame(sock)
+            assert kind == protocol.REFUSE
+            assert protocol.unpack_refuse(payload) == protocol.REASON_BAD_PARAMS
+
+
+class TestStop:
+    def test_stop_wakes_idle_and_streaming_connections_at_once(self):
+        before = set(threading.enumerate())
+        server = Responder("127.0.0.1", 0).start()
+        nonce = new_nonce()
+        with open_control(server.address) as idle, open_control(server.address) as control:
+            echo_round_trip(idle)
+            assert say_hello(control, nonce, duration_ms=30_000)[0] == protocol.HELLO_ACK
+            with open_data(server.address, nonce) as data:
+                assert data.recv(65536)  # the download is streaming
+                started = time.monotonic()
+                server.stop()
+                took = time.monotonic() - started
+                # No wait loop: every thread the responder started has ended.
+                assert set(threading.enumerate()) - before == set()
+            idle.settimeout(2.0)
+            assert idle.recv(1) == b""
+        assert took < 0.3
+
+    def test_stop_before_start_and_twice_is_harmless(self):
+        Responder("127.0.0.1", 0).stop()
+        server = Responder("127.0.0.1", 0).start()
+        server.stop()
+        server.stop()
 
 
 class TestMain:

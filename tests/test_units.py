@@ -66,6 +66,8 @@ class TestParseAddress:
         ("h:65535", ("h", 65535)),
         ("::1:7777", ("::1", 7777)),
         ("127.0.0.1:7777", ("127.0.0.1", 7777)),
+        ("[::1]:7777", ("::1", 7777)),
+        ("[fe80::1%eth0]:80", ("fe80::1%eth0", 80)),
     ])
     def test_host_and_port_in_range(self, text, address):
         assert parse_address(text) == address
@@ -73,7 +75,8 @@ class TestParseAddress:
     @pytest.mark.parametrize("text", [
         "127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:-1", "127.0.0.1:abc",
         "127.0.0.1:", ":7777", "127.0.0.1", "127.0.0.1:+7", "127.0.0.1: 7",
-        "127.0.0.1:7_777",
+        "127.0.0.1:7_777", "[::1:7777", "::1]:7777", "[::1]]:7777", "[[::1]:7777",
+        "[]:7777", "[::1]x:7777", "[::1]",
     ])
     def test_bad_host_or_port_refused(self, text):
         with pytest.raises(ValueError, match="host:port"):
