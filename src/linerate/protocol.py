@@ -11,8 +11,15 @@ Control connections speak frames for their whole lifetime.  Data connections
 send a single START_DATA frame to bind themselves to a session, then carry a
 raw byte stream with no further framing.  Both ends move that stream through
 ``pump``: the engine and the responder send and receive with the same loop.
+Where the platform has ``os.splice`` and ``os.memfd_create`` (Linux), ``pump``
+keeps the payload in the kernel: a sender copies its ring once into an
+in-memory file and sends from it with ``os.sendfile``, and a receiver splices
+the socket into a pipe and on into /dev/null.  Elsewhere it sends ring slices
+and receives into a buffer.  The choice is made once, at import.
 """
 
+import os
+import select
 import struct
 import time
 
@@ -21,8 +28,8 @@ PROTOCOL_VERSION = 1
 NONCE_LEN = 16
 LENGTH_PREFIX = struct.Struct("!I")
 MAX_FRAME_BODY = 1 << 20  # control frames are tiny; anything near this is garbage
-# Largest piece of the raw stream one send() or recv_into() call moves, on
-# both ends of a data connection.
+# Largest piece of the raw stream one call of ``pump`` moves, on both ends of
+# a data connection.
 CHUNK_BYTES = 256 * 1024
 # Period of the byte pattern a sender repeats on a data connection.
 POOL_BYTES = 4 * 1024 * 1024
@@ -144,22 +151,38 @@ def ring(pool: bytes) -> memoryview:
 
     For every offset below ``len(pool)``, ``ring[offset : offset +
     CHUNK_BYTES]`` is the next chunk of the pool repeated cyclically, so a
-    sender slices it without copying and never joins a chunk at the wrap.
+    sender reads each chunk from one offset and never joins two at the wrap.
     """
     return memoryview(pool + pool[:CHUNK_BYTES])
+
+
+# Made once, from the platform: where either call is missing, ``pump``'s
+# send/recv_into loops are the only ones that can run.
+_IN_KERNEL = hasattr(os, "splice") and hasattr(os, "memfd_create")
 
 
 def pump(sock, ring, deadline: float, stop, counts: list, index: int) -> None:
     """Move the raw stream on one data connection until deadline, stop or EOF.
 
-    With a ``ring`` (see ``ring``), send its slices, so the stream is the
-    pool repeated.  With ``ring=None``, receive into one reused buffer until
-    the peer closes.  Each call's count is added to ``counts[index]`` at
-    once, because another thread may read it live.
+    With a ``ring`` (see ``ring``), send from it, wrapping at its period, so
+    the stream is the pool repeated.  With ``ring=None``, receive and discard
+    until the peer closes.  Where ``os.splice`` and ``os.memfd_create`` exist,
+    no payload byte enters Python: the sender copies the ring into a memfd
+    once per call and sends from it with ``os.sendfile``, and the receiver
+    splices each chunk from the socket into a pipe and from the pipe into
+    /dev/null.  Elsewhere the sender ``send``s ring slices and the receiver
+    ``recv_into``s one reused buffer.  Each call's count is added to
+    ``counts[index]`` at once, because another thread may read it live.
     ``stop`` is a ``threading.Event``.  A socket timeout only retries the
     stop test; any other OSError propagates, and what moved before it stays
     counted.
     """
+    if _IN_KERNEL:
+        if ring is not None:
+            _sendfile_ring(sock, ring, deadline, stop, counts, index)
+        else:
+            _splice_to_null(sock, deadline, stop, counts, index)
+        return
     if ring is not None:
         period = len(ring) - CHUNK_BYTES
         offset = 0
@@ -180,6 +203,56 @@ def pump(sock, ring, deadline: float, stop, counts: list, index: int) -> None:
         if not got:
             return
         counts[index] += got
+
+
+# A socket with a timeout is non-blocking underneath, so os.sendfile and
+# os.splice raise BlockingIOError at once where send and recv_into would wait.
+# Both kernel loops then wait up to that timeout, as those calls do, before
+# testing stop and the deadline again.
+
+def _sendfile_ring(sock, ring, deadline, stop, counts, index):
+    writable = select.poll()
+    writable.register(sock, select.POLLOUT)
+    source = os.memfd_create("linerate-ring", os.MFD_CLOEXEC)
+    try:
+        rest = ring
+        while rest:
+            rest = rest[os.write(source, rest) :]
+        period = len(ring) - CHUNK_BYTES
+        offset = 0
+        while not stop.is_set() and time.monotonic() < deadline:
+            try:
+                sent = os.sendfile(sock.fileno(), source, offset, CHUNK_BYTES)
+            except BlockingIOError:
+                writable.poll(sock.gettimeout() * 1000.0)
+                continue
+            counts[index] += sent
+            offset = (offset + sent) % period
+    finally:
+        os.close(source)
+
+
+def _splice_to_null(sock, deadline, stop, counts, index):
+    readable = select.poll()
+    readable.register(sock, select.POLLIN)
+    pipe_out, pipe_in = os.pipe2(os.O_CLOEXEC)
+    try:
+        with open(os.devnull, "wb", buffering=0) as sink:
+            while not stop.is_set() and time.monotonic() < deadline:
+                try:
+                    got = os.splice(sock.fileno(), pipe_in, CHUNK_BYTES)
+                except BlockingIOError:
+                    readable.poll(sock.gettimeout() * 1000.0)
+                    continue
+                if not got:
+                    return
+                left = got
+                while left:  # empty the pipe, so the next splice has room
+                    left -= os.splice(pipe_out, sink.fileno(), left)
+                counts[index] += got
+    finally:
+        os.close(pipe_out)
+        os.close(pipe_in)
 
 
 def pack_hello(direction: str, duration_ms: int, n_connections: int,

@@ -93,9 +93,13 @@ class Responder:
 
     def start(self):
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(128)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self._host, self._port))
+            listener.listen(128)
+        except OSError:
+            listener.close()
+            raise
         self._listener = listener
         self._stop.clear()
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
@@ -335,7 +339,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))  # before anything binds: start() opens the listener
 
-    responder.start()
+    try:
+        responder.start()
+    except OSError as exc:  # unresolvable, wrong address family or in use
+        parser.error(f"cannot listen on {args.listen}: {exc}")
     print(f"listening on {responder.address[0]}:{responder.address[1]} "
           f"(max {responder.max_tests} concurrent tests)")
     try:

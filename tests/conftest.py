@@ -1,6 +1,8 @@
+import os
+
 import pytest
 
-from linerate import flowmodel
+from linerate import flowmodel, protocol
 
 
 @pytest.fixture
@@ -15,3 +17,31 @@ def step_calls(monkeypatch):
 
     monkeypatch.setattr(flowmodel, "_step", counting)
     return calls
+
+
+@pytest.fixture(params=["kernel", "portable"])
+def pump_path(request, monkeypatch):
+    """Runs the test once on each of ``protocol.pump``'s ways of moving bytes.
+
+    ``kernel`` is skipped where the platform lacks ``os.splice`` or
+    ``os.memfd_create``; ``portable`` forces the ``send``/``recv_into`` loops.
+    """
+    if request.param == "kernel" and not protocol._IN_KERNEL:
+        pytest.skip("no os.splice or os.memfd_create on this platform")
+    monkeypatch.setattr(protocol, "_IN_KERNEL", request.param == "kernel")
+
+
+@pytest.fixture
+def open_fds():
+    """A function giving the number of descriptors this process has open.
+
+    Where /proc/self/fd is absent it always gives 0, so a leak check is
+    skipped there.
+    """
+    def count() -> int:
+        try:
+            return len(os.listdir("/proc/self/fd"))
+        except FileNotFoundError:
+            return 0
+
+    return count

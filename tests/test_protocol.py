@@ -153,6 +153,35 @@ class TestPayloadCodecs:
             protocol.direction_code("sideways")
 
 
+def tcp_pair() -> tuple[socket.socket, socket.socket]:
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        near = socket.create_connection(listener.getsockname())
+        far, _ = listener.accept()
+    return near, far
+
+
+def reset(sock):
+    """Close sock so that its peer sees a TCP reset, not an orderly EOF."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def pump_in_thread(sock, ring, deadline, stop, counts):
+    """Start pump on a thread; the list it returns gets what pump raised."""
+    raised = []
+
+    def run():
+        try:
+            protocol.pump(sock, ring, deadline, stop, counts, 0)
+        except OSError as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, raised
+
+
+@pytest.mark.usefixtures("pump_path")
 class TestPump:
     def test_sent_stream_is_the_ring_period_repeated(self):
         # The period is whatever the ring holds beyond its trailing chunk.
@@ -203,3 +232,87 @@ class TestPump:
         finally:
             left.close()
             right.close()
+
+    def test_sender_whose_peer_never_reads_returns_soon_after_stop(self, open_fds):
+        before = open_fds()
+        left, right = socket.socketpair()
+        ring = protocol.ring(os.urandom(protocol.CHUNK_BYTES + 12_345))
+        counts, stop = [0], threading.Event()
+        try:
+            left.settimeout(0.2)
+            sender, raised = pump_in_thread(left, ring, time.monotonic() + 30.0, stop, counts)
+            time.sleep(0.5)  # long enough to fill both socket buffers
+            stop.set()
+            stopped = time.monotonic()
+            sender.join(timeout=5.0)
+            assert not sender.is_alive()
+            assert time.monotonic() - stopped < 1.0
+            assert raised == [] and counts[0] > 0
+        finally:
+            stop.set()
+            left.close()
+            right.close()
+        assert open_fds() <= before
+
+    def test_receiver_of_a_silent_peer_returns_within_one_timeout_of_the_deadline(
+            self, open_fds):
+        before = open_fds()
+        left, right = socket.socketpair()
+        counts = [0]
+        try:
+            right.settimeout(0.2)
+            deadline = time.monotonic() + 0.5
+            cpu = time.thread_time()
+            protocol.pump(right, None, deadline, threading.Event(), counts, 0)
+            late = time.monotonic() - deadline
+            assert 0.0 <= late < 0.2 + 0.15  # one timeout, plus scheduling slack
+            assert time.thread_time() - cpu < 0.25  # it waited, it did not spin
+            assert counts == [0]
+        finally:
+            left.close()
+            right.close()
+        assert open_fds() <= before
+
+    def test_sender_reset_by_its_peer_raises_and_keeps_its_count(self, open_fds):
+        before = open_fds()
+        near, far = tcp_pair()
+        ring = protocol.ring(os.urandom(protocol.CHUNK_BYTES + 12_345))
+        counts, stop = [0], threading.Event()
+        try:
+            near.settimeout(0.05)
+            sender, raised = pump_in_thread(near, ring, time.monotonic() + 30.0, stop, counts)
+            far.settimeout(5.0)
+            received = len(protocol.recv_exact(far, 100_000))
+            reset(far)
+            sender.join(timeout=5.0)
+            assert not sender.is_alive()
+            assert len(raised) == 1 and isinstance(raised[0], OSError)
+            assert counts[0] >= received
+        finally:
+            stop.set()
+            near.close()
+            far.close()
+        assert open_fds() <= before
+
+    def test_receiver_reset_by_its_peer_raises_and_keeps_its_count(self, open_fds):
+        before = open_fds()
+        near, far = tcp_pair()
+        counts, stop = [0], threading.Event()
+        try:
+            near.settimeout(0.05)
+            receiver, raised = pump_in_thread(near, None, time.monotonic() + 30.0, stop,
+                                              counts)
+            far.sendall(b"z" * 100_000)
+            give_up = time.monotonic() + 10.0
+            while counts[0] < 100_000 and time.monotonic() < give_up:
+                time.sleep(0.01)
+            reset(far)
+            receiver.join(timeout=5.0)
+            assert not receiver.is_alive()
+            assert len(raised) == 1 and isinstance(raised[0], OSError)
+            assert counts == [100_000]
+        finally:
+            stop.set()
+            near.close()
+            far.close()
+        assert open_fds() <= before

@@ -337,6 +337,7 @@ class TestServeData:
         compressed = zlib.compress(block, 9)
         assert len(compressed) > 0.99 * len(block)
 
+    @pytest.mark.usefixtures("pump_path")
     def test_download_stream_is_the_session_pool_repeated(self, responder):
         # Past the end of the pool and one chunk beyond: every send slices the
         # session's ring, so a wrong offset at the wrap would corrupt the stream.
@@ -487,3 +488,19 @@ class TestMain:
         with pytest.raises(SystemExit) as exit_info:
             responder_mod.main(["--listen", "127.0.0.1:0", "--capacity-hint", hint])
         assert exit_info.value.code == 2
+
+    def test_unbindable_address_is_a_usage_error(self, open_fds):
+        # The listener is AF_INET, so an IPv6 host cannot be bound.
+        before = open_fds()
+        with pytest.raises(SystemExit) as exit_info:
+            responder_mod.main(["--listen", "[::1]:17790"])
+        assert exit_info.value.code == 2
+        assert open_fds() <= before  # the listener socket was closed
+
+    def test_port_in_use_is_a_usage_error(self, open_fds):
+        with socket.create_server(("127.0.0.1", 0)) as holder:
+            before = open_fds()
+            with pytest.raises(SystemExit) as exit_info:
+                responder_mod.main(["--listen", "127.0.0.1:%d" % holder.getsockname()[1]])
+            assert exit_info.value.code == 2
+            assert open_fds() <= before
