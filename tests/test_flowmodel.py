@@ -35,7 +35,11 @@ def oracle_round_bytes(link, n_connections, n_rounds, initial_cwnd=10.0, initial
     for _ in range(n_rounds):
         # Every flow is advanced on its own, so the model's claim that n
         # lockstep flows act as one representative flow is tested, not assumed.
-        total = sum(min(f.cwnd, bdp) for f in flows)
+        # fsum rounds the windows' sum once, as the model's n * window does:
+        # a float running sum of n equal windows can be a few ulps off, and
+        # that moves a flow's ``sent`` across a loss-period multiple a round
+        # early or late.
+        total = math.fsum(min(f.cwnd, bdp) for f in flows)
         share = min(1.0, bdp / total)
         flows = [advance_round(f, link, capacity_share=share) for f in flows]
         cumulative.append(sum(f.delivered for f in flows) * link.mss)
