@@ -5,13 +5,15 @@ flow transmits its congestion window, the link delivers at most one
 bandwidth-delay product worth of segments, and the window reacts to a
 deterministic loss schedule. The n flows of a path start identical and always
 get equal shares, so they stay in lockstep: one representative flow stands for
-all n and the path delivers n times what it does. A round that changes
-nothing but the count of segments sent (a window pinned at the bdp, no drop)
-is repeated exactly by every round after it until the next scheduled drop,
-so such steady stretches are appended in one go instead of stepped: the cost
-is the number of rounds that do not repeat, whatever n is. Identical inputs
-always produce identical traces, which is what makes the throughput
-estimators testable at desk scale.
+all n and the path delivers n times what it does. Two kinds of round are
+computed in runs instead of stepped, up to the next scheduled drop: a steady
+stretch, in which a round changes nothing but the count of segments sent (a
+window pinned at the bdp) and so repeats exactly, and a congestion-avoidance
+ramp, in which each window grows by one segment a round. What is left to
+step is drop rounds, the round after each, and slow start, so the cost
+scales with those, not with the rounds or with n. Identical inputs always
+produce identical traces, which is what makes the throughput estimators
+testable at desk scale.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, islice, repeat
+from operator import add, mul, truediv
 
 MSS_DEFAULT = 1500  # bytes per segment
 
@@ -150,7 +153,10 @@ def _step(state: tuple, sent: float, initial_cwnd: float, bdp: float, period: in
     # The AIMD rules, on plain floats. ``state`` is (cwnd, ssthresh, phase,
     # loss_rounds) and ``sent`` the segments transmitted so far; returns the
     # next state, the next ``sent`` and the segments delivered this round.
-    # advance_round and the path loop both call this.
+    # This is the only place where drops, halving, timeouts and slow start
+    # happen: simulate_paths steps a round here unless the round is a repeat
+    # of a steady stretch (_steady_sents) or part of a drop-free
+    # congestion-avoidance ramp (_ramp).
     cwnd, ssthresh, phase, loss_rounds = state
     cwnd = min(cwnd, bdp)  # the link cannot carry more than one bdp
     send = cwnd * share
@@ -183,19 +189,99 @@ def _step(state: tuple, sent: float, initial_cwnd: float, bdp: float, period: in
     return (max(new_cwnd, 1.0), ssthresh, phase, loss_rounds), sent + send, delivered
 
 
+def _lookahead(sent: float, send: float, period: int | None, limit: int) -> int:
+    # Rounds worth building ahead of ``sent`` at about ``send`` per round:
+    # up to ``limit``, and on a lossy path just past the round expected to
+    # cross the next multiple of the loss period. The bound only sizes the
+    # lookahead; rounds past it are left to the loop.
+    if period is None:
+        return limit
+    return min(limit, int(((math.floor(sent / period) + 1) * period - sent) / send) + 2)
+
+
+def _drop_free_rounds(sents: list[float], period: int | None) -> int:
+    # Of the rounds that take ``sents[0]`` to ``sents[1]``, ``sents[2]``, ...,
+    # how many come before the first that crosses a multiple of the loss
+    # period (the round in which _step drops a segment). The test is
+    # _drops_between's floor(sent / period).
+    if period is None:
+        return len(sents) - 1
+    mark = math.floor(sents[0] / period)
+    return bisect_right(sents, mark, lo=1, key=lambda s: math.floor(s / period)) - 1
+
+
 def _steady_sents(sent: float, send: float, period: int | None, limit: int) -> list[float]:
     # ``sent`` now and after each of up to ``limit`` further rounds that send
-    # ``send``, up to the last round before the first that crosses a multiple
-    # of the loss period (the round in which _step drops a segment).
-    # accumulate makes the same float sums as ``sent + send`` round by round,
-    # and the drop test is _drops_between's floor(sent / period).
-    if period is None:
-        return list(accumulate(repeat(send, limit), initial=sent))
-    mark = math.floor(sent / period)
-    # The bound only sizes the lookahead: rounds past it are left to the loop.
-    lookahead = min(limit, int(((mark + 1) * period - sent) / send) + 2)
-    sents = list(accumulate(repeat(send, lookahead), initial=sent))
-    return sents[:bisect_right(sents, mark, lo=1, key=lambda s: math.floor(s / period))]
+    # ``send``, up to the last round before the first drop round.
+    # accumulate makes the same float sums as ``sent + send`` round by round.
+    sents = list(accumulate(repeat(send, _lookahead(sent, send, period, limit)), initial=sent))
+    return sents[:_drop_free_rounds(sents, period) + 1]
+
+
+def _ramp(states: list[tuple], sents: list[float], sends: list[float], bdps: list[float],
+          periods: list, mss: list[int], n_connections: int, access_bdp: float,
+          limit: int) -> tuple[int, list[tuple], list[float], list[list[float]], list[float]]:
+    """Up to ``limit`` drop-free rounds of paths that grow by one segment per round.
+
+    Every path is either in congestion avoidance with no loss round pending
+    or at a fixed point of _step (a window pinned at its bdp, even in slow
+    start). Until some path drops a segment, whatever its share, _step
+    delivers what such a path sends, keeps its phase and ssthresh, and sets
+    ``cwnd = min(min(cwnd, bdp) + 1.0, bdp)`` (floored at 1), which leaves a
+    pinned window where it is. So the windows a path sends are
+    ``min(accumulate(repeat(1.0), initial=min(cwnd, bdp)), bdp)``: the same
+    chain of ``+ 1.0`` as stepping, frozen at the bdp once reached. Every
+    other quantity of a round is then a C-level map over these windows, with
+    the operands of simulate_paths' loop in its order, so each float is the
+    one the loop makes:
+
+    - window ``n * cwnd``, share ``min(1.0, bdp / window)``;
+    - demand ``0.0 + window0 * share0 + window1 * share1 ...``, access scale
+      ``min(1.0, access_bdp / demand)``;
+    - send ``cwnd * (share * scale)``, ``sent`` the running sum of sends;
+    - delta ``(n * send) * mss``, round total ``0.0 + delta0 + delta1 ...``.
+
+    The run stops before the first round in which some path's ``sent``
+    crosses a multiple of its loss period (_step's drop), and once every
+    window has reached its bdp (pinned rounds are the steady rule's). The
+    lookahead is bounded by those stops, estimated from ``sends`` (each
+    path's last send); a run they cut short is resumed by the loop, so they
+    size the work and never change the result.
+
+    Returns (rounds, states, sents, per-path deltas, round totals) after the
+    run, or zero rounds.
+    """
+    limit = min(limit, max(math.ceil(bdp - min(state[0], bdp))
+                           for state, bdp in zip(states, bdps)))
+    for sent, send, period in zip(sents, sends, periods):
+        limit = _lookahead(sent, send, period, limit)
+    cwnds, shares = [], []
+    demand = repeat(0.0)
+    for state, bdp in zip(states, bdps):
+        path_cwnds = list(map(min, accumulate(repeat(1.0, limit), initial=min(state[0], bdp)),
+                              repeat(bdp)))
+        windows = list(map(mul, repeat(n_connections, limit), path_cwnds))
+        path_shares = list(map(min, repeat(1.0), map(truediv, repeat(bdp), windows)))
+        demand = map(add, demand, map(mul, windows, path_shares))
+        cwnds.append(path_cwnds)
+        shares.append(path_shares)
+    scales = list(map(min, repeat(1.0), map(truediv, repeat(access_bdp), demand)))
+    runs = []
+    rounds = limit
+    for path_cwnds, path_shares, sent, period in zip(cwnds, shares, sents, periods):
+        path_sends = list(map(mul, path_cwnds, map(mul, path_shares, scales)))
+        runs.append((path_sends, list(accumulate(path_sends, initial=sent))))
+        rounds = min(rounds, _drop_free_rounds(runs[-1][1], period))
+    if not rounds:
+        return 0, states, sents, [], []
+    deltas = [list(map(mul, map(mul, repeat(n_connections, rounds), path_sends), repeat(m)))
+              for (path_sends, _), m in zip(runs, mss)]
+    totals = repeat(0.0)
+    for path_deltas in deltas:
+        totals = map(add, totals, path_deltas)
+    states = [(max(path_cwnds[rounds], 1.0),) + state[1:]
+              for path_cwnds, state in zip(cwnds, states)]
+    return rounds, states, [run[rounds] for _, run in runs], deltas, list(totals)
 
 
 def advance_round(state: FlowState, link: LinkModel, capacity_share: float = 1.0) -> FlowState:
@@ -224,6 +310,12 @@ def advance_round(state: FlowState, link: LinkModel, capacity_share: float = 1.0
     )
 
 
+def _append_sums(boundaries: list[float], deltas):
+    # Append ``boundaries[-1] + delta`` for each delta in turn: accumulate
+    # makes the same float sums as appending one round at a time.
+    boundaries.extend(islice(accumulate(deltas, initial=boundaries[-1]), 1, None))
+
+
 @dataclass
 class RoundLedger:
     """Cumulative delivered bytes at each round boundary, for resampling."""
@@ -237,8 +329,7 @@ class RoundLedger:
         accumulate makes the same float sums as appending
         ``boundaries[-1] + delivered_bytes`` once per round.
         """
-        run = accumulate(repeat(delivered_bytes, count), initial=self.boundaries[-1])
-        self.boundaries.extend(islice(run, 1, None))
+        _append_sums(self.boundaries, repeat(delivered_bytes, count))
 
     def bytes_at(self, t_ms: float) -> float:
         # Delivery is fluid within a round, so interpolate linearly between
@@ -282,8 +373,18 @@ def simulate_paths(
     deltas exactly, up to the first round whose ``sent`` crosses the next
     multiple of some path's loss period (on lossless paths, to the end). Those
     rounds are appended to the ledgers without stepping, with the same float
-    sums, so the ledgers are bit-identical to stepping every round. The cost
-    is the number of rounds that do not repeat, which does not depend on n.
+    sums.
+
+    Ramps: when a round leaves every path either unchanged or in congestion
+    avoidance with no loss round pending, the windows grow by one segment a
+    round (capped at the bdp) until the first drop, and _ramp computes those
+    rounds for every path at once, again with the loop's float operations in
+    its order.
+
+    So the ledgers are bit-identical to stepping every round. The rounds
+    still stepped are the drop rounds, the round after each, slow start, and
+    one round to see each fixed point: the cost scales with those, not with
+    the number of rounds, and n enters only through each flow's share.
     Returns (per-path ledgers, aggregate ledger).
     """
     rtt = links[0].rtt
@@ -317,13 +418,15 @@ def simulate_paths(
         access_scale = min(1.0, access_bdp / demand)
 
         round_total = 0.0
-        steady = True
+        steady = ramp = True
         for i in range(len(links)):
             state = states[i]
             states[i], sents[i], delivered[i] = _step(
                 state, sents[i], initial.initial_cwnd, bdps[i], periods[i],
                 shares[i] * access_scale)
-            steady = steady and states[i] == state
+            unchanged = states[i] == state
+            steady = steady and unchanged
+            ramp = ramp and (unchanged or states[i][2:] == (CONGESTION_AVOIDANCE, 0))
             delta = n_connections * delivered[i] * mss[i]
             path_bytes = boundaries[i]
             path_bytes.append(path_bytes[-1] + delta)
@@ -347,6 +450,15 @@ def simulate_paths(
                     sents[i] = run[skip]
                     ledgers[i].add_rounds(n_connections * delivered[i] * mss[i], skip)
                 total_ledger.add_rounds(round_total, skip)
+        elif ramp and rounds:
+            # No path dropped a segment this round (a drop leaves a loss
+            # round pending or a timeout), so each delivered what it sent.
+            ramped, states, sents, deltas, totals = _ramp(
+                states, sents, delivered, bdps, periods, mss, n_connections, access_bdp, rounds)
+            rounds -= ramped
+            for path_bytes, path_deltas in zip(boundaries, deltas):
+                _append_sums(path_bytes, path_deltas)
+            _append_sums(total_bytes, totals)
     return ledgers, total_ledger
 
 

@@ -208,7 +208,12 @@ def _weighted_mean(rates: list[tuple[float, float]], start_t: float) -> float:
 
 def estimate_throughput(trace: ThroughputTrace, method: EstimationMethod) -> float:
     """Apply one named estimation method to a trace, returning bits/second."""
-    rates = interval_rates(trace)
+    return _estimate(trace, interval_rates(trace), method)
+
+
+def _estimate(trace: ThroughputTrace, rates: list[tuple[float, float]],
+              method: EstimationMethod) -> float:
+    # estimate_throughput with the trace's interval rates already computed.
     values = [r for _, r in rates]
 
     if method.kind == FULL_AVERAGE:
@@ -246,8 +251,9 @@ def all_estimates(trace: ThroughputTrace, method: EstimationMethod) -> dict[str,
     Results carry all of these alongside the headline number so differently
     configured tools stay comparable.
     """
+    rates = interval_rates(trace)
     return {
-        kind: estimate_throughput(trace, dataclasses.replace(method, kind=kind))
+        kind: _estimate(trace, rates, dataclasses.replace(method, kind=kind))
         for kind in METHOD_KINDS
     }
 

@@ -109,11 +109,28 @@ def _join_object(encoded: dict) -> str:
                           for key, text in sorted(encoded.items())) + "}"
 
 
+def _traces_from_dicts(dicts: list[dict]) -> tuple[ThroughputTrace, ...]:
+    # A trace equal to an earlier one of the same record decodes to that
+    # earlier object: a simulated record's n per-connection traces are one
+    # trace written n times, so it is built and validated once, and
+    # to_json's memo encodes it once again. Equal is ==, under which a JSON 5
+    # equals 5.0; the traces of one written record never mix the two
+    # (measured counts are ints, simulated bytes floats).
+    decoded = []
+    traces = []
+    for data in dicts:
+        trace = next((known for seen, known in decoded if seen == data), None)
+        if trace is None:
+            trace = trace_from_dict(data)
+            decoded.append((data, trace))
+        traces.append(trace)
+    return tuple(traces)
+
+
 def raw_from_dict(data: dict) -> RawTestRecord:
     return RawTestRecord(
         spec=TestSpec.from_dict(data["spec"]),
-        per_connection_traces=tuple(trace_from_dict(t)
-                                    for t in data["per_connection_traces"]),
+        per_connection_traces=_traces_from_dicts(data["per_connection_traces"]),
         aggregate_trace=trace_from_dict(data["aggregate_trace"]),
         latency=latency_from_dict(data["latency"]),
         cross_traffic_bps=data["cross_traffic_bps"],

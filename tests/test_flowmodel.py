@@ -324,18 +324,30 @@ class TestPathModel:
             assert got == pytest.approx(expected, rel=1e-9)
 
     def test_cost_does_not_depend_on_connections(self, step_calls):
-        link = LinkModel(capacity=1e9, rtt=7.0, loss_rate=1e-4)
+        # The bdp (58,333 segments) exceeds 64 windows of any size reached
+        # here, so at every n each flow gets share 1 and sends its whole
+        # window. The window doubles 10 -> 20 -> 40 -> 64 (3 stepped rounds),
+        # then grows one segment per round and halves at each drop: a
+        # sawtooth between about 80 and 160 segments. Its 286 rounds send
+        # about 34,000 segments and so cross 3 multiples of the 10,000-segment
+        # loss period. Each crossing steps 2 rounds: the drop and the round
+        # after it, which starts with a loss round pending. The ramps between
+        # them are computed, not stepped. (On a link that limits the flows,
+        # n changes each flow's share, so its drops, and so the cost.)
+        link = LinkModel(capacity=1e11, rtt=7.0, loss_rate=1e-4)
+        stepped = 3 + 3 * 2
         for n in (1, 64):
             step_calls.clear()
             simulate_transfer(link, n, 2)
-            assert len(step_calls) == math.ceil(2000 / 7.0)
+            assert len(step_calls) == stepped
 
     def test_lossless_cost_stops_at_the_fixed_point(self, step_calls):
         link = LinkModel(capacity=400e6, rtt=7.0)
-        # The window doubles 10 -> 20 -> 40 -> 64 (ssthresh), then grows one
-        # segment per round up to the bdp (233.3 segments) and stays there.
-        # One more round shows that nothing changes; the rest is appended.
-        settled = 3 + math.ceil(link.bdp_segments - 64) + 1
+        # The window doubles 10 -> 20 -> 40 -> 64 (ssthresh) in 3 stepped
+        # rounds, then grows one segment per round up to the bdp (233.3
+        # segments), a ramp that is computed, not stepped. One more round
+        # shows that nothing changes; the rest is appended.
+        settled = 3 + 1
         counts = []
         for n in (1, 64):
             step_calls.clear()
@@ -390,6 +402,89 @@ class TestPathModel:
         assert ledger_lists(got) == want
         deltas = [b - a for a, b in zip(want[1], want[1][1:])]
         assert deltas[18:21] == [50 * 1500, 49 * 1500, 25 * 1500]
+
+    # Bench-scale and edge cases of the congestion-avoidance ramps, outside
+    # the Hypothesis ranges above (bdp at most 300 segments, runs of at most
+    # 3 s). Each pins its cost in _step calls, read before the stepped
+    # reference runs (it calls _step too).
+
+    @pytest.mark.parametrize("loss, most_steps", [
+        # Lossless: 3 doubling rounds, one ramp up to the bdp (1666.7
+        # segments), one round to see the fixed point; the rest is appended.
+        (0.0, 3 + 1),
+        # 3 doubling rounds, then 2 stepped rounds per drop: the drop and the
+        # round after it, which starts with a loss round pending. The link
+        # carries at most a bdp per round, so each of the 16 flows sends at
+        # most 104.2 segments a round, 520,833 over the 5000 rounds: at most
+        # 52 crossings of the 10,000-segment loss period.
+        (1e-4, 3 + 2 * 52),
+    ])
+    def test_ten_gigabit_link_bit_identical_to_stepping_every_round(
+            self, step_calls, loss, most_steps):
+        links = [LinkModel(capacity=10e9, rtt=2.0, loss_rate=loss)]
+        got = ledger_lists(flowmodel.simulate_paths(links, 16, 10_000.0))
+        assert len(step_calls) <= most_steps
+        assert got == stepped_ledgers(links, 16, 10_000.0)
+
+    def test_ramp_ending_on_a_loss_multiple_stops_before_the_drop_round(self, step_calls):
+        # One connection (share 1), a bdp of 200 segments and integer windows
+        # 50, 51, 52, ...: after 25 rounds ``sent`` is 25 * 50 + 300 = 1550,
+        # exactly the loss period, so the 25th round is a drop round and the
+        # ramp before it must end one round short of it.
+        links = [LinkModel(capacity=200 * 12000, rtt=1000.0, loss_rate=1 / 1550)]
+        assert links[0].bdp_segments == 200.0 and links[0].loss_period == 1550
+        initial = FlowState(cwnd=50.0, ssthresh=50.0, phase=CONGESTION_AVOIDANCE)
+        got = flowmodel.simulate_paths(links, 1, 60_000.0, initial=initial)
+        # The first round, then 2 rounds per drop: in 60 rounds ``sent``
+        # crosses 1550 and 3100 (windows 37, 38, ... after the first halving).
+        assert len(step_calls) == 1 + 2 * 2
+        want = stepped_ledgers(links, 1, 60_000.0, initial=initial)
+        assert ledger_lists(got) == want
+        deltas = [b - a for a, b in zip(want[1], want[1][1:])]
+        assert deltas[23:26] == [73 * 1500, 73 * 1500, 37 * 1500]
+
+    def test_ramp_reaching_the_bdp_mid_run_goes_steady(self, step_calls):
+        # The window grows 50, 51, ... 100 and is then capped at the bdp of
+        # 100.5 segments. One stepped round starts the ramp, one more shows
+        # the fixed point, and the steady rule appends the remaining rounds.
+        links = [LinkModel(capacity=100.5 * 12000, rtt=1000.0)]
+        assert links[0].bdp_segments == 100.5
+        initial = FlowState(cwnd=50.0, ssthresh=50.0, phase=CONGESTION_AVOIDANCE)
+        got = flowmodel.simulate_paths(links, 1, 200_000.0, initial=initial)
+        assert len(step_calls) == 2
+        want = stepped_ledgers(links, 1, 200_000.0, initial=initial)
+        assert ledger_lists(got) == want
+        deltas = [b - a for a, b in zip(want[1], want[1][1:])]
+        assert deltas[49:52] == [99 * 1500, 100 * 1500, 100.5 * 1500]
+
+    def test_slow_start_pinned_below_the_initial_window_rides_along_a_ramp(self, step_calls):
+        # The first path's bdp (5 segments) is below the initial window, so it
+        # stays in slow start with its window pinned at 5: unchanged by every
+        # round. The second path doubles 10 -> 20 -> 40 -> 64 in 3 rounds, then
+        # ramps to its bdp of 300 segments while the first rides along; one
+        # more round shows the fixed point. 4 rounds of 2 paths are stepped.
+        links = [LinkModel(capacity=capacity_for_bdp(bdp, 5.0), rtt=5.0) for bdp in (5.0, 300.0)]
+        got = flowmodel.simulate_paths(links, 1, 5000.0)
+        assert len(step_calls) == 4 * 2
+        assert ledger_lists(got) == stepped_ledgers(links, 1, 5000.0)
+
+    def test_three_destinations_whose_access_scale_changes_during_the_ramp(self, step_calls):
+        # Paths of 500, 833 and 1333 segments behind a 1666.7-segment access
+        # link: once the 4 flows of each path have grown past about 146
+        # segments, their summed demand exceeds the access link, and the
+        # access scale falls every round as the windows grow. The first path
+        # pins at its bdp while the others still grow. The 3 doubling rounds
+        # of each path are stepped; one ramp covers the remaining rounds.
+        links = [LinkModel(capacity=cap, rtt=20.0) for cap in (300e6, 500e6, 800e6)]
+        access_bdp = 1e9 * 0.02 / (MSS_DEFAULT * 8)
+        got = flowmodel.simulate_paths(links, 4, 10_000.0, access_bdp=access_bdp)
+        assert len(step_calls) == 3 * 3
+        want = stepped_ledgers(links, 4, 10_000.0, access_bdp)
+        assert ledger_lists(got) == want
+        first = [b - a for a, b in zip(want[0][0], want[0][0][1:])]
+        assert first[-1] < 0.7 * max(first)  # the scale fell after the first path pinned
+        deltas = [b - a for a, b in zip(want[1], want[1][1:])]
+        assert deltas[-1] == pytest.approx(access_bdp * MSS_DEFAULT)
 
     def test_unequal_rtts_rejected(self):
         with pytest.raises(ValueError):

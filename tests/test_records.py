@@ -375,6 +375,16 @@ class TestResultStore:
             store.append(result)
         assert store.load() == written
 
+    def test_loaded_simulated_record_holds_one_per_connection_trace(self, tmp_path):
+        store = ResultStore(tmp_path / "results.jsonl")
+        store.append(simulated_result(4))
+        with open(store.path, encoding="utf-8") as fh:
+            line = fh.read().rstrip("\n")
+        [loaded] = store.load()
+        assert len(loaded.raw.per_connection_traces) == 4
+        assert len({id(trace) for trace in loaded.raw.per_connection_traces}) == 1
+        assert loaded.to_json() == line
+
     def test_missing_file_is_empty(self, tmp_path):
         assert ResultStore(tmp_path / "absent.jsonl").load() == []
 
