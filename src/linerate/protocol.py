@@ -11,16 +11,19 @@ Control connections speak frames for their whole lifetime.  Data connections
 send a single START_DATA frame to bind themselves to a session, then carry a
 raw byte stream with no further framing.  Both ends move that stream through
 ``pump``: the engine and the responder send and receive with the same loop.
-Where the platform has ``os.splice`` and ``os.memfd_create`` (Linux), ``pump``
-keeps the payload in the kernel: a sender copies its ring once into an
-in-memory file and sends from it with ``os.sendfile``, and a receiver splices
-the socket into a pipe and on into /dev/null.  Elsewhere it sends ring slices
-and receives into a buffer.  The choice is made once, at import.
+On Linux, ``pump`` keeps the payload in the kernel: a sender copies its ring
+once into an in-memory file and sends from it with ``os.sendfile``, and a
+receiver passes ``MSG_TRUNC`` to ``recv_into``, with which TCP frees the
+received bytes instead of copying them out (tcp(7), since Linux 2.4).
+Elsewhere it sends ring slices and receives into a buffer.  The choice is
+made once, at import.
 """
 
 import os
 import select
+import socket
 import struct
+import sys
 import time
 
 PROTOCOL_VERSION = 1
@@ -108,18 +111,20 @@ def encode_frame(kind: int, nonce: bytes, payload: bytes = b"") -> bytes:
     return LENGTH_PREFIX.pack(len(body)) + body
 
 
-def recv_exact(sock, n: int) -> bytes:
+def recv_exact(sock, n: int, *, started: bool = False) -> bytes:
     """Read exactly n bytes or raise ConnectionError on early close.
 
-    A socket timeout propagates only when no bytes have been consumed yet, so
-    callers polling with a timeout never desynchronize the frame stream.
+    A socket timeout propagates only when no byte of the frame has been
+    consumed yet: none by this call, and none by the caller before it, which
+    passes ``started=True`` if it has.  Otherwise the read retries, so callers
+    polling with a timeout never desynchronize the frame stream.
     """
     buf = bytearray()
     while len(buf) < n:
         try:
             chunk = sock.recv(n - len(buf))
         except TimeoutError:
-            if buf:
+            if buf or started:
                 continue
             raise
         if not chunk:
@@ -135,7 +140,7 @@ def recv_frame(sock) -> tuple[int, bytes, bytes]:
         raise ProtocolError(f"frame body too short: {length}")
     if length > MAX_FRAME_BODY:
         raise ProtocolError(f"frame body too large: {length}")
-    body = recv_exact(sock, length)
+    body = recv_exact(sock, length, started=True)  # the prefix is consumed
     kind = body[0]
     if kind not in KIND_NAMES:
         raise ProtocolError(f"unknown frame kind {kind}")
@@ -156,9 +161,10 @@ def ring(pool: bytes) -> memoryview:
     return memoryview(pool + pool[:CHUNK_BYTES])
 
 
-# Made once, from the platform: where either call is missing, ``pump``'s
-# send/recv_into loops are the only ones that can run.
-_IN_KERNEL = hasattr(os, "splice") and hasattr(os, "memfd_create")
+# Made once, from the platform: off Linux, or without ``os.memfd_create``,
+# ``pump`` sends ring slices and receives without ``MSG_TRUNC``, which other
+# systems do not define as a discard for TCP.
+_IN_KERNEL = sys.platform == "linux" and hasattr(os, "memfd_create")
 
 
 def pump(sock, ring, deadline: float, stop, counts: list, index: int) -> None:
@@ -166,24 +172,21 @@ def pump(sock, ring, deadline: float, stop, counts: list, index: int) -> None:
 
     With a ``ring`` (see ``ring``), send from it, wrapping at its period, so
     the stream is the pool repeated.  With ``ring=None``, receive and discard
-    until the peer closes.  Where ``os.splice`` and ``os.memfd_create`` exist,
-    no payload byte enters Python: the sender copies the ring into a memfd
-    once per call and sends from it with ``os.sendfile``, and the receiver
-    splices each chunk from the socket into a pipe and from the pipe into
-    /dev/null.  Elsewhere the sender ``send``s ring slices and the receiver
-    ``recv_into``s one reused buffer.  Each call's count is added to
-    ``counts[index]`` at once, because another thread may read it live.
-    ``stop`` is a ``threading.Event``.  A socket timeout only retries the
-    stop test; any other OSError propagates, and what moved before it stays
+    until the peer closes, ``recv_into`` one reused buffer.  On Linux no
+    payload byte enters Python: the sender copies the ring into a memfd once
+    per call and sends from it with ``os.sendfile``, and the receiver passes
+    ``MSG_TRUNC``, so TCP counts and frees each chunk without copying it into
+    the buffer (tcp(7)).  Elsewhere the sender ``send``s ring slices and the
+    receiver's flags are 0.  Each call's count is added to ``counts[index]``
+    at once, because another thread may read it live.  ``stop`` is a
+    ``threading.Event``.  A socket timeout only retries the stop and deadline
+    test; any other OSError propagates, and what moved before it stays
     counted.
     """
-    if _IN_KERNEL:
-        if ring is not None:
-            _sendfile_ring(sock, ring, deadline, stop, counts, index)
-        else:
-            _splice_to_null(sock, deadline, stop, counts, index)
-        return
     if ring is not None:
+        if _IN_KERNEL:
+            _sendfile_ring(sock, ring, deadline, stop, counts, index)
+            return
         period = len(ring) - CHUNK_BYTES
         offset = 0
         while not stop.is_set() and time.monotonic() < deadline:
@@ -195,9 +198,10 @@ def pump(sock, ring, deadline: float, stop, counts: list, index: int) -> None:
             offset = (offset + sent) % period
         return
     buf = bytearray(CHUNK_BYTES)
+    flags = socket.MSG_TRUNC if _IN_KERNEL else 0
     while not stop.is_set() and time.monotonic() < deadline:
         try:
-            got = sock.recv_into(buf)
+            got = sock.recv_into(buf, CHUNK_BYTES, flags)
         except TimeoutError:
             continue
         if not got:
@@ -205,10 +209,9 @@ def pump(sock, ring, deadline: float, stop, counts: list, index: int) -> None:
         counts[index] += got
 
 
-# A socket with a timeout is non-blocking underneath, so os.sendfile and
-# os.splice raise BlockingIOError at once where send and recv_into would wait.
-# Both kernel loops then wait up to that timeout, as those calls do, before
-# testing stop and the deadline again.
+# A socket with a timeout is non-blocking underneath, so os.sendfile raises
+# BlockingIOError at once where send would wait.  The loop then waits up to
+# that timeout, as send does, before testing stop and the deadline again.
 
 def _sendfile_ring(sock, ring, deadline, stop, counts, index):
     writable = select.poll()
@@ -230,29 +233,6 @@ def _sendfile_ring(sock, ring, deadline, stop, counts, index):
             offset = (offset + sent) % period
     finally:
         os.close(source)
-
-
-def _splice_to_null(sock, deadline, stop, counts, index):
-    readable = select.poll()
-    readable.register(sock, select.POLLIN)
-    pipe_out, pipe_in = os.pipe2(os.O_CLOEXEC)
-    try:
-        with open(os.devnull, "wb", buffering=0) as sink:
-            while not stop.is_set() and time.monotonic() < deadline:
-                try:
-                    got = os.splice(sock.fileno(), pipe_in, CHUNK_BYTES)
-                except BlockingIOError:
-                    readable.poll(sock.gettimeout() * 1000.0)
-                    continue
-                if not got:
-                    return
-                left = got
-                while left:  # empty the pipe, so the next splice has room
-                    left -= os.splice(pipe_out, sink.fileno(), left)
-                counts[index] += got
-    finally:
-        os.close(pipe_out)
-        os.close(pipe_in)
 
 
 def pack_hello(direction: str, duration_ms: int, n_connections: int,

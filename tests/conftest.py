@@ -23,11 +23,13 @@ def step_calls(monkeypatch):
 def pump_path(request, monkeypatch):
     """Runs the test once on each of ``protocol.pump``'s ways of moving bytes.
 
-    ``kernel`` is skipped where the platform lacks ``os.splice`` or
-    ``os.memfd_create``; ``portable`` forces the ``send``/``recv_into`` loops.
+    ``kernel`` sends with ``os.sendfile`` from a memfd and receives with
+    ``MSG_TRUNC``, which TCP takes as "discard" (tcp(7)); it is skipped off
+    Linux or without ``os.memfd_create``.  ``portable`` forces the ``send``
+    loop and ``recv_into`` with flags 0.
     """
     if request.param == "kernel" and not protocol._IN_KERNEL:
-        pytest.skip("no os.splice or os.memfd_create on this platform")
+        pytest.skip("not Linux, or no os.memfd_create")
     monkeypatch.setattr(protocol, "_IN_KERNEL", request.param == "kernel")
 
 

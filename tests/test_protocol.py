@@ -181,6 +181,27 @@ def pump_in_thread(sock, ring, deadline, stop, counts):
     return thread, raised
 
 
+def receive_until_eof(near, far):
+    """Pump on near receives 1,000,003 bytes from far, counts them and returns at EOF."""
+    counts = [0]
+    try:
+        def write_then_close():
+            far.sendall(b"z" * 1_000_003)
+            far.shutdown(socket.SHUT_WR)
+
+        writer = threading.Thread(target=write_then_close)
+        writer.start()
+        near.settimeout(0.05)
+        started = time.monotonic()
+        protocol.pump(near, None, started + 20.0, threading.Event(), counts, 0)
+        assert time.monotonic() - started < 10.0  # returned at EOF, not the deadline
+        writer.join(timeout=5.0)
+        assert counts == [1_000_003]
+    finally:
+        near.close()
+        far.close()
+
+
 @pytest.mark.usefixtures("pump_path")
 class TestPump:
     def test_sent_stream_is_the_ring_period_repeated(self):
@@ -214,24 +235,34 @@ class TestPump:
             right.close()
 
     def test_receive_counts_every_byte_until_eof(self):
-        left, right = socket.socketpair()
-        counts = [0]
-        try:
-            def write_then_close():
-                left.sendall(b"z" * 1_000_003)
-                left.shutdown(socket.SHUT_WR)
+        receive_until_eof(*socket.socketpair())
 
-            writer = threading.Thread(target=write_then_close)
-            writer.start()
-            right.settimeout(0.05)
-            started = time.monotonic()
-            protocol.pump(right, None, started + 20.0, threading.Event(), counts, 0)
-            assert time.monotonic() - started < 10.0  # returned at EOF, not the deadline
-            writer.join(timeout=5.0)
-            assert counts == [1_000_003]
+    def test_receive_over_tcp_counts_every_byte_until_eof(self):
+        # MSG_TRUNC discards only on TCP; an AF_UNIX receiver still copies.
+        receive_until_eof(*tcp_pair())
+
+    def test_receiver_opens_no_descriptor_of_its_own(self, open_fds):
+        near, far = tcp_pair()
+        counts, stop = [0], threading.Event()
+        try:
+            before = open_fds()  # the two sockets are already open
+            near.settimeout(0.05)
+            receiver, raised = pump_in_thread(near, None, time.monotonic() + 30.0, stop,
+                                              counts)
+            far.sendall(b"z" * 100_000)
+            give_up = time.monotonic() + 10.0
+            while counts[0] < 100_000 and time.monotonic() < give_up:
+                time.sleep(0.01)
+            during = open_fds()  # read while pump is still receiving
+            stop.set()
+            receiver.join(timeout=5.0)
+            assert not receiver.is_alive() and raised == []
+            assert counts == [100_000]
+            assert during <= before
         finally:
-            left.close()
-            right.close()
+            stop.set()
+            near.close()
+            far.close()
 
     def test_sender_whose_peer_never_reads_returns_soon_after_stop(self, open_fds):
         before = open_fds()

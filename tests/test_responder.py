@@ -172,6 +172,17 @@ class TestEcho:
             _kind, got_nonce, _payload = protocol.recv_frame(sock)
             assert got_nonce == nonce
 
+    def test_echo_whose_body_arrives_a_poll_after_its_prefix_is_answered(self, responder):
+        frame = protocol.encode_frame(protocol.ECHO, protocol.ZERO_NONCE, b"late body")
+        prefix = protocol.LENGTH_PREFIX.size
+        assert 0.8 > responder_mod._POLL_S  # the body's first read times out
+        with open_control(responder.address) as sock:
+            sock.sendall(frame[:prefix])
+            time.sleep(0.8)
+            sock.sendall(frame[prefix:])
+            kind, _nonce, got = protocol.recv_frame(sock)
+            assert (kind, got) == (protocol.ECHO_REPLY, b"late body")
+
     def test_echo_latency_under_concurrent_bulk(self, responder):
         # The reply path must not queue behind bulk data.  Loaded echo RTT is
         # bounded by 10x the unloaded RTT; medians and a 1 ms floor keep
