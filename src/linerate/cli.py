@@ -147,12 +147,18 @@ def emit_result(result: records.MeasurementResult, fmt: str, store_path: str,
     print(f"stored      {store_path}", file=out)
 
 
-def _record_outcome(registry_path: str, server_id: str, outcome: str):
+def _record_outcomes(registry_path: str, outcomes: dict):
+    """Apply {server id: outcome} to the registry file as it is now.
+
+    Loaded just before saving, not when the caller started, so an update
+    another process saved meanwhile survives.
+    """
     registry = records.load_registry(registry_path)
-    try:
-        registry.update_health(server_id, outcome)
-    except KeyError:
-        return  # server was removed from the file mid-run; nothing to update
+    for server_id, outcome in outcomes.items():
+        try:
+            registry.update_health(server_id, outcome)
+        except KeyError:
+            pass  # server was removed from the file mid-run; nothing to update
     records.save_registry(registry_path, registry)
 
 
@@ -190,10 +196,10 @@ def _run_one(args, settings: dict | None, origin: str) -> records.MeasurementRes
         raw = Engine().run_test(spec, capacity_hint_bps=hint)
     except UnreachableTargetError:
         if server:
-            _record_outcome(args.registry, server.id, coordinator.OUTCOME_UNREACHABLE)
+            _record_outcomes(args.registry, {server.id: coordinator.OUTCOME_UNREACHABLE})
         raise
     if server:
-        _record_outcome(args.registry, server.id, coordinator.OUTCOME_OK)
+        _record_outcomes(args.registry, {server.id: coordinator.OUTCOME_OK})
     return records.make_result(raw, method, origin, server=server)
 
 
@@ -353,9 +359,7 @@ def cmd_servers(args) -> int:
         chosen = coordinator.select_server(pool, probes_per_candidate=args.probes,
                                            prober=prober)
     finally:
-        for server_id, outcome in outcomes.items():
-            registry.update_health(server_id, outcome)
-        records.save_registry(args.registry, registry)
+        _record_outcomes(args.registry, outcomes)
     for s in pool:
         stats = measured.get(s.id)
         rtt = f"{stats.median_rtt:.2f} ms" if stats and stats.received else "unreachable"

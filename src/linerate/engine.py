@@ -11,11 +11,9 @@ jitter, steady-state detection) comes from the metrics module, so the
 methodology behind a result is always inspectable and replaceable.
 """
 
-import functools
 import ipaddress
 import logging
 import math
-import os
 import socket
 import struct
 import threading
@@ -213,13 +211,6 @@ def cross_traffic_threshold_bps(capacity_hint_bps: float | None) -> float:
     return CROSS_TRAFFIC_FLOOR_BPS
 
 
-@functools.cache
-def _upload_ring() -> memoryview:
-    # The ring is read-only and its content carries no meaning, so it is
-    # drawn once per process and shared by every Engine and connection.
-    return protocol.ring(os.urandom(protocol.POOL_BYTES))
-
-
 def _connect(host, port) -> socket.socket:
     """A TCP_NODELAY connection to host:port, or UnreachableTargetError."""
     try:
@@ -304,6 +295,10 @@ class Engine:
         self.wire_bytes = 0
         flags = connection_flags(spec.n_connections)
 
+        if spec.direction == "upload":
+            # The process's data ring is drawn while the probes sleep: the
+            # draw releases the GIL, and _transfer waits for it if it runs late.
+            threading.Thread(target=protocol.data_ring, daemon=True).start()
         latency = self.probe_latency(spec.host_port, count=PROBE_COUNT_DEFAULT)
 
         control, server_load = self._handshake(spec)
@@ -346,7 +341,7 @@ class Engine:
         failed = [False] * n
         wire = [0] * n  # own bytes on counted interfaces; None when unreadable
         stop = threading.Event()
-        ring = _upload_ring() if spec.direction == "upload" else None
+        ring = protocol.data_ring() if spec.direction == "upload" else None
         duration_s = spec.duration
         interval_ms = spec.sample_interval
 

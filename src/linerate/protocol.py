@@ -11,12 +11,12 @@ Control connections speak frames for their whole lifetime.  Data connections
 send a single START_DATA frame to bind themselves to a session, then carry a
 raw byte stream with no further framing.  Both ends move that stream through
 ``pump``: the engine and the responder send and receive with the same loop.
-On Linux, ``pump`` keeps the payload in the kernel: a sender copies its ring
-once into an in-memory file and sends from it with ``os.sendfile``, and a
-receiver passes ``MSG_TRUNC`` to ``recv_into``, with which TCP frees the
-received bytes instead of copying them out (tcp(7), since Linux 2.4).
-Elsewhere it sends ring slices and receives into a buffer.  The choice is
-made once, at import.
+Every sender in a process sends from one ring, ``data_ring``, drawn once.
+On Linux, ``pump`` keeps the payload in the kernel: a sender sends from the
+ring's in-memory file with ``os.sendfile``, and a receiver passes
+``MSG_TRUNC`` to ``recv_into``, with which TCP frees the received bytes
+instead of copying them out (tcp(7), since Linux 2.4).  Elsewhere it sends
+ring slices and receives into a buffer.  The choice is made once, at import.
 """
 
 import os
@@ -24,7 +24,9 @@ import select
 import socket
 import struct
 import sys
+import threading
 import time
+from typing import NamedTuple
 
 PROTOCOL_VERSION = 1
 
@@ -151,14 +153,58 @@ def send_frame(sock, kind: int, nonce: bytes, payload: bytes = b"") -> None:
     sock.sendall(encode_frame(kind, nonce, payload))
 
 
-def ring(pool: bytes) -> memoryview:
-    """``pool`` followed by its first CHUNK_BYTES: the buffer ``pump`` sends from.
+class Ring(NamedTuple):
+    """What ``pump`` sends from: a pool laid out by ``ring``, and its memfd.
 
-    For every offset below ``len(pool)``, ``ring[offset : offset +
-    CHUNK_BYTES]`` is the next chunk of the pool repeated cyclically, so a
-    sender reads each chunk from one offset and never joins two at the wrap.
+    ``view`` is the pool followed by its first CHUNK_BYTES.  For every offset
+    below ``period``, ``view[offset : offset + CHUNK_BYTES]`` is the next
+    chunk of the pool repeated cyclically, so a sender reads each chunk from
+    one offset and never joins two at the wrap.  ``fd`` is an in-memory file
+    holding ``view``, written once; None without ``os.memfd_create``.
     """
-    return memoryview(pool + pool[:CHUNK_BYTES])
+
+    view: memoryview
+    fd: int | None
+
+    @property
+    def period(self) -> int:
+        return len(self.view) - CHUNK_BYTES
+
+
+def ring(pool: bytes) -> Ring:
+    """``pool`` laid out for ``pump``; its ``fd``, if any, is the caller's to close."""
+    view = memoryview(pool + pool[:CHUNK_BYTES])
+    fd = None
+    # Made wherever the platform can, whichever path ``pump`` takes.
+    if hasattr(os, "memfd_create"):
+        fd = os.memfd_create("linerate-ring", os.MFD_CLOEXEC)
+        try:
+            rest = view
+            while rest:
+                rest = rest[os.write(fd, rest) :]
+        except OSError:
+            os.close(fd)
+            raise
+    return Ring(view, fd)
+
+
+_data_ring_lock = threading.Lock()
+_data_ring = None
+
+
+def data_ring() -> Ring:
+    """This process's ring: ``os.urandom(POOL_BYTES)`` laid out by ``ring``, once.
+
+    Its bytes need only resist compression, so every sender in the process,
+    the engine's uploads and the responder's downloads alike, shares it, and
+    its memfd stays open for the life of the process.  The first call draws
+    it, which takes tens of ms; a call made meanwhile waits for that draw.
+    """
+    global _data_ring
+    with _data_ring_lock:
+        if _data_ring is None:
+            _data_ring = ring(os.urandom(POOL_BYTES))
+        return _data_ring
 
 
 # Made once, from the platform: off Linux, or without ``os.memfd_create``,
@@ -167,35 +213,34 @@ def ring(pool: bytes) -> memoryview:
 _IN_KERNEL = sys.platform == "linux" and hasattr(os, "memfd_create")
 
 
-def pump(sock, ring, deadline: float, stop, counts: list, index: int) -> None:
+def pump(sock, ring, deadline: float, stop, counts: list, index: int,
+         offset: int = 0) -> None:
     """Move the raw stream on one data connection until deadline, stop or EOF.
 
-    With a ``ring`` (see ``ring``), send from it, wrapping at its period, so
-    the stream is the pool repeated.  With ``ring=None``, receive and discard
-    until the peer closes, ``recv_into`` one reused buffer.  On Linux no
-    payload byte enters Python: the sender copies the ring into a memfd once
-    per call and sends from it with ``os.sendfile``, and the receiver passes
-    ``MSG_TRUNC``, so TCP counts and frees each chunk without copying it into
-    the buffer (tcp(7)).  Elsewhere the sender ``send``s ring slices and the
-    receiver's flags are 0.  Each call's count is added to ``counts[index]``
-    at once, because another thread may read it live.  ``stop`` is a
-    ``threading.Event``.  A socket timeout only retries the stop and deadline
-    test; any other OSError propagates, and what moved before it stays
-    counted.
+    With a ``ring`` (a ``Ring``), send from it starting ``offset`` bytes into
+    its period, wrapping at the period, so the stream is the pool repeated
+    from there.  With ``ring=None``, receive and discard until the peer
+    closes, ``recv_into`` one reused buffer.  On Linux no payload byte enters
+    Python: the sender sends from the ring's memfd with ``os.sendfile`` at
+    the connection's own offset, and the receiver passes ``MSG_TRUNC``, so TCP
+    counts and frees each chunk without copying it into the buffer (tcp(7)).
+    Elsewhere the sender ``send``s ring slices and the receiver's flags are
+    0.  Each call's count is added to ``counts[index]`` at once, because
+    another thread may read it live.  ``stop`` is a ``threading.Event``.  A
+    socket timeout only retries the stop and deadline test; any other OSError
+    propagates, and what moved before it stays counted.
     """
     if ring is not None:
         if _IN_KERNEL:
-            _sendfile_ring(sock, ring, deadline, stop, counts, index)
+            _sendfile_ring(sock, ring, offset, deadline, stop, counts, index)
             return
-        period = len(ring) - CHUNK_BYTES
-        offset = 0
         while not stop.is_set() and time.monotonic() < deadline:
             try:
-                sent = sock.send(ring[offset : offset + CHUNK_BYTES])
+                sent = sock.send(ring.view[offset : offset + CHUNK_BYTES])
             except TimeoutError:
                 continue
             counts[index] += sent
-            offset = (offset + sent) % period
+            offset = (offset + sent) % ring.period
         return
     buf = bytearray(CHUNK_BYTES)
     flags = socket.MSG_TRUNC if _IN_KERNEL else 0
@@ -209,30 +254,23 @@ def pump(sock, ring, deadline: float, stop, counts: list, index: int) -> None:
         counts[index] += got
 
 
-# A socket with a timeout is non-blocking underneath, so os.sendfile raises
-# BlockingIOError at once where send would wait.  The loop then waits up to
-# that timeout, as send does, before testing stop and the deadline again.
+# Every connection sends from the ring's one memfd, each at its own offset:
+# sendfile with an offset leaves the file's position alone.  A socket with a
+# timeout is non-blocking underneath, so os.sendfile raises BlockingIOError at
+# once where send would wait.  The loop then waits up to that timeout, as
+# send does, before testing stop and the deadline again.
 
-def _sendfile_ring(sock, ring, deadline, stop, counts, index):
+def _sendfile_ring(sock, ring, offset, deadline, stop, counts, index):
     writable = select.poll()
     writable.register(sock, select.POLLOUT)
-    source = os.memfd_create("linerate-ring", os.MFD_CLOEXEC)
-    try:
-        rest = ring
-        while rest:
-            rest = rest[os.write(source, rest) :]
-        period = len(ring) - CHUNK_BYTES
-        offset = 0
-        while not stop.is_set() and time.monotonic() < deadline:
-            try:
-                sent = os.sendfile(sock.fileno(), source, offset, CHUNK_BYTES)
-            except BlockingIOError:
-                writable.poll(sock.gettimeout() * 1000.0)
-                continue
-            counts[index] += sent
-            offset = (offset + sent) % period
-    finally:
-        os.close(source)
+    while not stop.is_set() and time.monotonic() < deadline:
+        try:
+            sent = os.sendfile(sock.fileno(), ring.fd, offset, CHUNK_BYTES)
+        except BlockingIOError:
+            writable.poll(sock.gettimeout() * 1000.0)
+            continue
+        counts[index] += sent
+        offset = (offset + sent) % ring.period
 
 
 def pack_hello(direction: str, duration_ms: int, n_connections: int,

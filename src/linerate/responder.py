@@ -13,7 +13,6 @@ separate connections.
 
 import argparse
 import logging
-import random
 import socket
 import threading
 import time
@@ -43,7 +42,8 @@ class SessionState:
     """One accepted test: identity, admission bookkeeping, transfer tallies.
 
     deadline is the test end; reaping waits a further SESSION_GRACE_S so the
-    client can still collect its summary.
+    client can still collect its summary.  A download session's connections
+    send the process's ``protocol.data_ring``, from an offset its nonce sets.
     """
 
     nonce: bytes
@@ -54,18 +54,6 @@ class SessionState:
     attached_connections: int = 0
     transfers: list = field(default_factory=list)  # (index, bytes, duration_ms)
     cond: threading.Condition = field(default_factory=threading.Condition, repr=False)
-    _ring: memoryview | None = field(default=None, repr=False)
-
-    def pool(self) -> memoryview:
-        """The session's ``protocol.ring``, built once.
-
-        Seeded from the nonce: deterministic per session, uncompressible.
-        """
-        with self.cond:
-            if self._ring is None:
-                seed = int.from_bytes(self.nonce, "big")
-                self._ring = protocol.ring(random.Random(seed).randbytes(protocol.POOL_BYTES))
-            return self._ring
 
 
 class Responder:
@@ -250,10 +238,12 @@ class Responder:
         if session is None:
             self._refuse_quietly(conn, nonce, refuse_reason)
             return None
-        # The pool takes tens of ms to draw. Built before the ack, it is ready
-        # when the client's window opens; the session's window opens after it.
+        # The process's first download draws the data ring, which takes tens
+        # of ms. Drawn before the ack, it is ready when the client's window
+        # opens; the session's window opens after it. Later downloads find it
+        # drawn. start() draws nothing, so an upload-only responder never does.
         if session.direction == "download":
-            session.pool()
+            protocol.data_ring()
         session.deadline = time.monotonic() + session.duration_ms / 1000.0
         load = protocol.pack_load(active, self.max_tests)
         protocol.send_frame(conn, protocol.HELLO_ACK, nonce, load)
@@ -302,9 +292,12 @@ class Responder:
 
         counts = [0]
         started = time.monotonic()
-        ring = session.pool() if session.direction == "download" else None
+        # Every download sends the one process ring, each session from its
+        # own offset, so distinct sessions serve distinct streams.
+        ring = protocol.data_ring() if session.direction == "download" else None
+        offset = int.from_bytes(nonce, "big") % protocol.POOL_BYTES
         try:
-            protocol.pump(conn, ring, session.deadline, self._stop, counts, 0)
+            protocol.pump(conn, ring, session.deadline, self._stop, counts, 0, offset)
         except OSError:
             pass  # the peer went away; what moved before that still counts
         duration_ms = int((time.monotonic() - started) * 1000)

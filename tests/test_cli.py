@@ -400,6 +400,27 @@ class TestServersCommand:
         assert registry.get("live-1").health == ("ok",)
         assert registry.get("dead-1").health == ("unreachable",)
 
+    def test_probe_keeps_a_health_update_saved_while_it_probed(self, paths, responder,
+                                                                 monkeypatch):
+        host, port = responder.address
+        run_cli(paths, "servers", "add", "a-live", f"{host}:{port}")
+        run_cli(paths, "servers", "add", "b-other", f"127.0.0.1:{dead_port()}")
+        probe = Engine.probe_latency
+
+        def probe_while_a_run_records(self, *args, **kwargs):
+            # Stands in for a `linerate run` in another process, which saves
+            # its own server's outcome to the file while the probes go on.
+            registry = records.load_registry(paths["registry"])
+            registry.update_health("b-other", "underperformed")
+            records.save_registry(paths["registry"], registry)
+            return probe(self, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "probe_latency", probe_while_a_run_records)
+        assert run_cli(paths, "servers", "probe", "--candidates", "1") == 0
+        registry = records.load_registry(paths["registry"])
+        assert registry.get("a-live").health == ("ok",)
+        assert registry.get("b-other").health == ("underperformed",)
+
 
 class TestSimulateCommand:
     @pytest.mark.parametrize("argv", [

@@ -645,22 +645,56 @@ class TestRunTest:
         server_total = sum(entry[1] for entry in record.server_summary)
         assert 0 < record.aggregate_trace.total_bytes <= server_total
 
-    def test_upload_ring_drawn_once_per_process(self, responder, monkeypatch):
-        draws = []
-        urandom = engine_mod.os.urandom
+    def test_upload_ring_drawn_once_per_process(self, fresh_data_ring, responder,
+                                                monkeypatch):
+        # Uploads and a download in one process, with the responder in it too:
+        # every sender sends the one process ring, drawn once.
+        draws, senders = [], []
+        urandom, pump = protocol.os.urandom, protocol.pump
 
         def counting(size):
             if size >= protocol.POOL_BYTES:  # not the 16-byte spec nonces
                 draws.append(size)
             return urandom(size)
 
-        monkeypatch.setattr(engine_mod.os, "urandom", counting)
-        engine_mod._upload_ring.cache_clear()
-        for _ in range(2):  # a new Engine per test, as the CLI and coordinator make
-            record = run_loopback(responder, direction="upload", duration=1.0,
+        def recording(sock, ring, *args):
+            if ring is not None:
+                senders.append(ring)
+            return pump(sock, ring, *args)
+
+        monkeypatch.setattr(protocol.os, "urandom", counting)
+        monkeypatch.setattr(protocol, "pump", recording)
+        # A new Engine per test, as the CLI and coordinator make.
+        for direction in ("upload", "upload", "download"):
+            record = run_loopback(responder, direction=direction, duration=0.5,
                                   n_connections=1)
             assert record.aggregate_trace.total_bytes > 0
         assert draws == [protocol.POOL_BYTES]
+        assert len(senders) == 3
+        assert all(ring is protocol.data_ring() for ring in senders)
+
+    def test_upload_ring_drawn_on_another_thread_during_the_probes(
+            self, fresh_data_ring, responder, monkeypatch):
+        drawn_on, drawing = [], threading.Event()
+        urandom, probe = protocol.os.urandom, Engine.probe_latency
+
+        def recording(size):
+            if size >= protocol.POOL_BYTES:
+                drawn_on.append(threading.get_ident())
+                drawing.set()
+            return urandom(size)
+
+        def probe_then_see_the_draw(self, *args, **kwargs):
+            stats = probe(self, *args, **kwargs)
+            # A draw that starts only after the probes return never sets it.
+            assert drawing.wait(timeout=10.0)
+            return stats
+
+        monkeypatch.setattr(protocol.os, "urandom", recording)
+        monkeypatch.setattr(Engine, "probe_latency", probe_then_see_the_draw)
+        record = run_loopback(responder, direction="upload", duration=0.5, n_connections=1)
+        assert record.aggregate_trace.total_bytes > 0
+        assert len(drawn_on) == 1 and drawn_on[0] != threading.get_ident()
 
     def test_engine_rejects_concurrent_runs(self, responder):
         eng = quiet_engine()

@@ -4,6 +4,7 @@ import io
 import os
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -153,6 +154,35 @@ class TestPayloadCodecs:
             protocol.direction_code("sideways")
 
 
+def test_concurrent_first_calls_draw_one_data_ring(fresh_data_ring, monkeypatch):
+    draws, rings = [], []
+    urandom = protocol.os.urandom
+
+    def counting(size):
+        draws.append(size)
+        time.sleep(0.01)  # hold the draw open while the other callers arrive
+        return urandom(size)
+
+    monkeypatch.setattr(protocol.os, "urandom", counting)
+    callers = [threading.Thread(target=lambda: rings.append(protocol.data_ring()))
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert draws == [protocol.POOL_BYTES]
+    assert len(rings) == 8 and all(ring is rings[0] for ring in rings)
+    assert len(rings[0].view) == protocol.POOL_BYTES + protocol.CHUNK_BYTES
+    if rings[0].fd is not None:  # the memfd holds the same bytes
+        assert os.pread(rings[0].fd, len(rings[0].view) + 1, 0) == rings[0].view
+
+
 def tcp_pair() -> tuple[socket.socket, socket.socket]:
     with socket.create_server(("127.0.0.1", 0)) as listener:
         near = socket.create_connection(listener.getsockname())
@@ -204,10 +234,10 @@ def receive_until_eof(near, far):
 
 @pytest.mark.usefixtures("pump_path")
 class TestPump:
-    def test_sent_stream_is_the_ring_period_repeated(self):
+    def test_sent_stream_is_the_ring_period_repeated(self, small_ring):
         # The period is whatever the ring holds beyond its trailing chunk.
-        pool = os.urandom(protocol.CHUNK_BYTES + 12_345)
-        ring = memoryview(pool + pool[: protocol.CHUNK_BYTES])
+        ring = small_ring
+        pool = bytes(ring.view[: ring.period])
         left, right = socket.socketpair()
         sent, stop = [0, 0], threading.Event()
         left.settimeout(0.05)
@@ -233,6 +263,30 @@ class TestPump:
             stop.set()
             left.close()
             right.close()
+
+    def test_sent_stream_starts_at_its_offset(self, small_ring):
+        # Offsets just before the wrap: the first chunk reads into the ring's
+        # trailing copy, and later ones from the pool's start.
+        ring = small_ring
+        pool = bytes(ring.view[: ring.period])
+        for offset in (ring.period - protocol.CHUNK_BYTES + 1, ring.period - 1):
+            left, right = socket.socketpair()
+            sent, stop = [0], threading.Event()
+            left.settimeout(0.05)
+            sender = threading.Thread(target=protocol.pump,
+                                      args=(left, ring, time.monotonic() + 30.0, stop,
+                                            sent, 0, offset))
+            try:
+                sender.start()
+                right.settimeout(10.0)
+                nbytes = 2 * protocol.CHUNK_BYTES + 1
+                assert protocol.recv_exact(right, nbytes) == (pool * 3)[offset : offset + nbytes]
+            finally:
+                stop.set()
+                sender.join(timeout=5.0)
+                left.close()
+                right.close()
+            assert not sender.is_alive()
 
     def test_receive_counts_every_byte_until_eof(self):
         receive_until_eof(*socket.socketpair())
@@ -264,10 +318,10 @@ class TestPump:
             near.close()
             far.close()
 
-    def test_sender_whose_peer_never_reads_returns_soon_after_stop(self, open_fds):
+    def test_sender_whose_peer_never_reads_returns_soon_after_stop(self, open_fds, small_ring):
+        ring = small_ring
         before = open_fds()
         left, right = socket.socketpair()
-        ring = protocol.ring(os.urandom(protocol.CHUNK_BYTES + 12_345))
         counts, stop = [0], threading.Event()
         try:
             left.settimeout(0.2)
@@ -304,10 +358,10 @@ class TestPump:
             right.close()
         assert open_fds() <= before
 
-    def test_sender_reset_by_its_peer_raises_and_keeps_its_count(self, open_fds):
+    def test_sender_reset_by_its_peer_raises_and_keeps_its_count(self, open_fds, small_ring):
+        ring = small_ring
         before = open_fds()
         near, far = tcp_pair()
-        ring = protocol.ring(os.urandom(protocol.CHUNK_BYTES + 12_345))
         counts, stop = [0], threading.Event()
         try:
             near.settimeout(0.05)

@@ -1,7 +1,6 @@
 """Responder behavior over real loopback sockets."""
 
 import os
-import random
 import socket
 import statistics
 import threading
@@ -13,7 +12,7 @@ import pytest
 from linerate import protocol
 from linerate import responder as responder_mod
 from linerate.protocol import POOL_BYTES as DATA_POOL_BYTES
-from linerate.responder import MAX_TEST_DURATION_MS, Responder, SessionState
+from linerate.responder import MAX_TEST_DURATION_MS, Responder
 
 
 def new_nonce() -> bytes:
@@ -351,7 +350,8 @@ class TestServeData:
     @pytest.mark.usefixtures("pump_path")
     def test_download_stream_is_the_session_pool_repeated(self, responder):
         # Past the end of the pool and one chunk beyond: every send slices the
-        # session's ring, so a wrong offset at the wrap would corrupt the stream.
+        # process ring from the session's offset, so a wrong offset at the wrap
+        # would corrupt the stream.
         nbytes = DATA_POOL_BYTES + 2 * protocol.CHUNK_BYTES
         nonce = new_nonce()
         with open_control(responder.address) as control:
@@ -359,22 +359,60 @@ class TestServeData:
             with open_data(responder.address, nonce, index=0) as data:
                 data.settimeout(10.0)
                 got = protocol.recv_exact(data, nbytes)
-        pool = random.Random(int.from_bytes(nonce, "big")).randbytes(DATA_POOL_BYTES)
-        assert got == (pool + pool)[:nbytes]
+        pool = bytes(protocol.data_ring().view[:DATA_POOL_BYTES])
+        start = int.from_bytes(nonce, "big") % DATA_POOL_BYTES
+        assert got == (pool * 3)[start : start + nbytes]
 
-    def test_every_ring_slice_is_the_pool_repeated(self):
-        # On loopback every send is a full chunk, so offsets stay on the chunk
-        # grid and the stream test above never reads past the pool; partial
-        # sends on real links do, so check those offsets directly.
-        nonce = new_nonce()
-        ring = SessionState(nonce=nonce, direction="download", duration_ms=1_000,
-                            expected_connections=1, deadline=0.0).pool()
-        pool = random.Random(int.from_bytes(nonce, "big")).randbytes(DATA_POOL_BYTES)
-        cyclic = pool + pool
+    def test_every_ring_slice_is_the_pool_repeated(self, responder):
+        # On loopback every send is a full chunk, so a stream crosses the wrap
+        # only where its start puts it; partial sends on real links stop
+        # anywhere.  A session's nonce sets its start, so start sessions at the
+        # offsets around the wrap.
         chunk = protocol.CHUNK_BYTES
         for offset in (0, 1, DATA_POOL_BYTES - chunk, DATA_POOL_BYTES - chunk + 1,
                        DATA_POOL_BYTES - 12_345, DATA_POOL_BYTES - 1):
-            assert ring[offset : offset + chunk] == cyclic[offset : offset + chunk]
+            nonce = (7 * DATA_POOL_BYTES + offset).to_bytes(protocol.NONCE_LEN, "big")
+            with open_control(responder.address) as control:
+                assert say_hello(control, nonce, duration_ms=3_000)[0] == protocol.HELLO_ACK
+                with open_data(responder.address, nonce, index=0) as data:
+                    data.settimeout(10.0)
+                    got = protocol.recv_exact(data, chunk)
+            pool = bytes(protocol.data_ring().view[:DATA_POOL_BYTES])
+            assert got == (pool + pool)[offset : offset + chunk]
+
+    def test_one_ring_memfd_per_process(self, responder):
+        if not protocol._IN_KERNEL or not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd, or no kernel data path")
+
+        def ring_memfds() -> int:
+            count = 0
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    count += os.readlink(f"/proc/self/fd/{fd}").startswith(
+                        "/memfd:linerate-ring")
+                except OSError:
+                    pass  # closed since it was listed
+            return count
+
+        def memfds_during_download(n_connections) -> int:
+            nonce = new_nonce()
+            with open_control(responder.address) as control:
+                assert say_hello(control, nonce, duration_ms=10_000,
+                                 n_connections=n_connections)[0] == protocol.HELLO_ACK
+                data = [open_data(responder.address, nonce, index=i)
+                        for i in range(n_connections)]
+                try:
+                    for sock in data:  # every sender has started sending
+                        sock.settimeout(10.0)
+                        protocol.recv_exact(sock, 4096)
+                    return ring_memfds()
+                finally:
+                    for sock in data:
+                        sock.close()
+
+        # The process ring's memfd, and nothing per connection or session.
+        assert memfds_during_download(16) == 1
+        assert memfds_during_download(16) == 1
 
     def test_distinct_sessions_serve_distinct_streams(self, responder):
         def first_chunk() -> bytes:
