@@ -14,12 +14,20 @@ step is drop rounds, the round after each, and slow start, so the cost
 scales with those, not with the rounds or with n. Identical inputs always
 produce identical traces, which is what makes the throughput estimators
 testable at desk scale.
+
+A ramp is computed without a per-round ``min``. Its windows never decrease,
+so each ``min`` the round loop takes (a window capped at the bdp, a share
+capped at 1.0) switches sides once, at a split found by bisection, and is
+the one operand before it and the other after. The access link's scale is
+computed round by round only when the access link is finite: behind an
+uncapped one (every single link) it is exactly 1.0. Every float a computed
+round makes is the one stepping would make.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, islice, repeat
 from operator import add, mul, truediv
@@ -228,18 +236,29 @@ def _ramp(states: list[tuple], sents: list[float], sends: list[float], bdps: lis
     start). Until some path drops a segment, whatever its share, _step
     delivers what such a path sends, keeps its phase and ssthresh, and sets
     ``cwnd = min(min(cwnd, bdp) + 1.0, bdp)`` (floored at 1), which leaves a
-    pinned window where it is. So the windows a path sends are
-    ``min(accumulate(repeat(1.0), initial=min(cwnd, bdp)), bdp)``: the same
-    chain of ``+ 1.0`` as stepping, frozen at the bdp once reached. Every
-    other quantity of a round is then a C-level map over these windows, with
-    the operands of simulate_paths' loop in its order, so each float is the
-    one the loop makes:
+    pinned window where it is. Each other quantity of a round is computed
+    for all rounds at once, with the operands of simulate_paths' loop in its
+    order, so each float is the one the loop makes. The loop's ``min`` calls
+    are not made round by round: each takes a monotone sequence and so
+    switches sides once, at a split found by bisection.
 
-    - window ``n * cwnd``, share ``min(1.0, bdp / window)``;
-    - demand ``0.0 + window0 * share0 + window1 * share1 ...``, access scale
-      ``min(1.0, access_bdp / demand)``;
-    - send ``cwnd * (share * scale)``, ``sent`` the running sum of sends;
-    - delta ``(n * send) * mss``, round total ``0.0 + delta0 + delta1 ...``.
+    - Windows: the chain ``accumulate(repeat(1.0), initial=min(cwnd, bdp))``
+      never decreases, so ``min(c, bdp)`` is the chain up to
+      ``bisect_right(chain, bdp)`` and ``bdp`` after it.
+    - Shares: ``n * cwnd`` never decreases and float division is monotone,
+      so the share ``min(1.0, bdp / (n * cwnd))`` is 1.0 up to the first
+      round whose quotient is below 1.0 and the quotient from there on.
+    - Access scale: behind an uncapped access link (``access_bdp`` inf, as
+      for every single link) ``min(1.0, inf / demand)`` is exactly 1.0, so a
+      send is ``cwnd * share``, and the cwnd itself where the share is 1.0
+      (``x * 1.0 == x``). Only a finite access link needs the demand
+      ``window0 * share0 + window1 * share1 ...`` and the scale
+      ``min(1.0, access_bdp / demand)`` of each round, and then a send is
+      ``cwnd * (share * scale)``.
+    - ``sent`` is the running sum of sends, a round's delta
+      ``(n * send) * mss`` and its total ``delta0 + delta1 ...``. The loop
+      starts the demand and the total from 0.0, and ``0.0 + x == x`` for
+      every ``x >= 0``, so the first path's terms start them here.
 
     The run stops before the first round in which some path's ``sent``
     crosses a multiple of its loss period (_step's drop), and once every
@@ -255,33 +274,42 @@ def _ramp(states: list[tuple], sents: list[float], sends: list[float], bdps: lis
                            for state, bdp in zip(states, bdps)))
     for sent, send, period in zip(sents, sends, periods):
         limit = _lookahead(sent, send, period, limit)
-    cwnds, shares = [], []
-    demand = repeat(0.0)
+    cwnds, splits = [], []
     for state, bdp in zip(states, bdps):
-        path_cwnds = list(map(min, accumulate(repeat(1.0, limit), initial=min(state[0], bdp)),
-                              repeat(bdp)))
-        windows = list(map(mul, repeat(n_connections, limit), path_cwnds))
-        path_shares = list(map(min, repeat(1.0), map(truediv, repeat(bdp), windows)))
-        demand = map(add, demand, map(mul, windows, path_shares))
+        path_cwnds = list(accumulate(repeat(1.0, limit), initial=min(state[0], bdp)))
+        pinned = bisect_right(path_cwnds, bdp)
+        path_cwnds[pinned:] = repeat(bdp, limit + 1 - pinned)
+        split = bisect_left(path_cwnds, True, hi=limit,
+                            key=lambda cwnd: bdp / (n_connections * cwnd) < 1.0)
+        quotients = list(map(truediv, repeat(bdp),
+                             map(mul, repeat(n_connections), path_cwnds[split:limit])))
         cwnds.append(path_cwnds)
-        shares.append(path_shares)
-    scales = list(map(min, repeat(1.0), map(truediv, repeat(access_bdp), demand)))
-    runs = []
-    rounds = limit
-    for path_cwnds, path_shares, sent, period in zip(cwnds, shares, sents, periods):
-        path_sends = list(map(mul, path_cwnds, map(mul, path_shares, scales)))
-        runs.append((path_sends, list(accumulate(path_sends, initial=sent))))
-        rounds = min(rounds, _drop_free_rounds(runs[-1][1], period))
+        splits.append((split, quotients))
+    if access_bdp == math.inf:
+        path_sends = [path_cwnds[:split] + list(map(mul, path_cwnds[split:limit], quotients))
+                      for path_cwnds, (split, quotients) in zip(cwnds, splits)]
+    else:
+        shares = [[1.0] * split + quotients for split, quotients in splits]
+        terms = [map(mul, map(mul, repeat(n_connections, limit), path_cwnds), path_shares)
+                 for path_cwnds, path_shares in zip(cwnds, shares)]
+        demand = terms[0]
+        for path_terms in terms[1:]:
+            demand = map(add, demand, path_terms)
+        scales = list(map(min, repeat(1.0), map(truediv, repeat(access_bdp), demand)))
+        path_sends = [list(map(mul, path_cwnds, map(mul, path_shares, scales)))
+                      for path_cwnds, path_shares in zip(cwnds, shares)]
+    runs = [list(accumulate(sends, initial=sent)) for sends, sent in zip(path_sends, sents)]
+    rounds = min(map(_drop_free_rounds, runs, periods))
     if not rounds:
         return 0, states, sents, [], []
-    deltas = [list(map(mul, map(mul, repeat(n_connections, rounds), path_sends), repeat(m)))
-              for (path_sends, _), m in zip(runs, mss)]
-    totals = repeat(0.0)
-    for path_deltas in deltas:
-        totals = map(add, totals, path_deltas)
+    deltas = [list(map(mul, map(mul, repeat(n_connections, rounds), sends), repeat(m)))
+              for sends, m in zip(path_sends, mss)]
+    totals = deltas[0]
+    for path_deltas in deltas[1:]:
+        totals = list(map(add, totals, path_deltas))
     states = [(max(path_cwnds[rounds], 1.0),) + state[1:]
               for path_cwnds, state in zip(cwnds, states)]
-    return rounds, states, [run[rounds] for _, run in runs], deltas, list(totals)
+    return rounds, states, [run[rounds] for run in runs], deltas, totals
 
 
 def advance_round(state: FlowState, link: LinkModel, capacity_share: float = 1.0) -> FlowState:
@@ -378,8 +406,7 @@ def simulate_paths(
     Ramps: when a round leaves every path either unchanged or in congestion
     avoidance with no loss round pending, the windows grow by one segment a
     round (capped at the bdp) until the first drop, and _ramp computes those
-    rounds for every path at once, again with the loop's float operations in
-    its order.
+    rounds for every path at once, again making each float the loop makes.
 
     So the ledgers are bit-identical to stepping every round. The rounds
     still stepped are the drop rounds, the round after each, slow start, and

@@ -48,9 +48,23 @@ class UnknownSchemaError(Exception):
     """The record's schema version is newer than this reader understands."""
 
 
+# json.dumps builds a new encoder on every call, which costs more than
+# encoding a small value; a record's to_json encodes dozens of them.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no whitespace, no NaN."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _CANONICAL_ENCODER.encode(obj)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# json.loads accepts NaN, Infinity and -Infinity, which canonical_json never
+# writes; a stored line holding one is corrupt.
+_decode_stored = json.JSONDecoder(parse_constant=_refuse_constant).decode
 
 
 # -- converters for types that live in other modules --------------------------
@@ -242,7 +256,7 @@ class MeasurementResult:
 
     @classmethod
     def from_json(cls, line: str) -> "MeasurementResult":
-        return cls.from_dict(json.loads(line))
+        return cls.from_dict(_decode_stored(line))
 
 
 def build_methodology(spec: TestSpec, method: EstimationMethod,
@@ -448,7 +462,7 @@ def load_registry(path) -> Registry:
 
     def add(line):
         # Adding inside the parse skips a line whose id repeats an earlier one.
-        registry.add(ServerDescriptor.from_dict(json.loads(line)))
+        registry.add(ServerDescriptor.from_dict(_decode_stored(line)))
 
     _read_json_lines(path, add, "server record")
     return registry

@@ -457,6 +457,54 @@ class TestPathModel:
         deltas = [b - a for a, b in zip(want[1], want[1][1:])]
         assert deltas[49:52] == [99 * 1500, 100 * 1500, 100.5 * 1500]
 
+    def test_ramp_landing_exactly_on_an_integer_bdp_pins_while_another_path_grows(
+            self, step_calls):
+        # One connection per path (share 1), windows 51, 52, ...: the first
+        # path's chain reaches its bdp of exactly 60 segments after 10 rounds
+        # and stays there for the rest of the ramp, while the second grows to
+        # its bdp of 200. Two stepped rounds of 2 paths: the one that starts
+        # the ramp and the one that shows the fixed point.
+        links = [LinkModel(capacity=bdp * 12000, rtt=1000.0) for bdp in (60, 200)]
+        assert [link.bdp_segments for link in links] == [60.0, 200.0]
+        initial = FlowState(cwnd=50.0, ssthresh=50.0, phase=CONGESTION_AVOIDANCE)
+        got = flowmodel.simulate_paths(links, 1, 200_000.0, initial=initial)
+        assert len(step_calls) == 2 * 2
+        want = stepped_ledgers(links, 1, 200_000.0, initial=initial)
+        assert ledger_lists(got) == want
+        first = [b - a for a, b in zip(want[0][0], want[0][0][1:])]
+        assert first[8:12] == [58 * 1500, 59 * 1500, 60 * 1500, 60 * 1500]
+        assert first[-1] == 60 * 1500
+
+    def test_ramp_whose_share_is_exactly_one_at_the_split(self, step_calls):
+        # 4 connections on a bdp of 240 segments: windows 4 * 51, 4 * 52, ...
+        # reach exactly 240 after 10 rounds, where the share bdp / window is
+        # exactly 1.0, and fall below 1.0 from the next round, while each
+        # flow's window keeps growing to the bdp. The link then carries
+        # 240 segments a round. One ramp covers both sides of the split.
+        links = [LinkModel(capacity=240 * 12000, rtt=1000.0)]
+        assert links[0].bdp_segments == 240.0
+        initial = FlowState(cwnd=50.0, ssthresh=50.0, phase=CONGESTION_AVOIDANCE)
+        got = flowmodel.simulate_paths(links, 4, 200_000.0, initial=initial)
+        assert len(step_calls) == 2
+        want = stepped_ledgers(links, 4, 200_000.0, initial=initial)
+        assert ledger_lists(got) == want
+        deltas = [b - a for a, b in zip(want[1], want[1][1:])]
+        assert deltas[8:12] == [4 * 58 * 1500, 4 * 59 * 1500, 240 * 1500, 240 * 1500]
+
+    def test_ramp_behind_an_access_link_that_binds_mid_ramp(self, step_calls):
+        # One connection on a bdp of 300 segments behind a 200-segment access
+        # link: windows 51, 52, ... are sent whole up to 200, then scaled
+        # down to the access link while the window grows on to 300.
+        links = [LinkModel(capacity=300 * 12000, rtt=1000.0)]
+        initial = FlowState(cwnd=50.0, ssthresh=50.0, phase=CONGESTION_AVOIDANCE)
+        got = flowmodel.simulate_paths(links, 1, 300_000.0, access_bdp=200.0, initial=initial)
+        assert len(step_calls) == 2
+        want = stepped_ledgers(links, 1, 300_000.0, 200.0, initial=initial)
+        assert ledger_lists(got) == want
+        deltas = [b - a for a, b in zip(want[1], want[1][1:])]
+        assert deltas[148:152] == [198 * 1500, 199 * 1500, 200 * 1500, 200 * 1500]
+        assert deltas[-1] == 200 * 1500
+
     def test_slow_start_pinned_below_the_initial_window_rides_along_a_ramp(self, step_calls):
         # The first path's bdp (5 segments) is below the initial window, so it
         # stays in slow start with its window pinned at 5: unchanged by every

@@ -221,6 +221,13 @@ class TestCanonicalJson:
         with pytest.raises(ValueError):
             canonical_json({"x": float("nan")})
 
+    @pytest.mark.parametrize("make", [clean_result, lambda: simulated_result(4)],
+                             ids=["measured", "simulated"])
+    def test_equals_json_dumps_on_a_full_record(self, make):
+        data = make().to_dict()
+        assert canonical_json(data) == json.dumps(data, sort_keys=True, separators=(",", ":"),
+                                                  allow_nan=False)
+
 
 class TestConverters:
     def test_trace_round_trip(self):
@@ -424,6 +431,21 @@ class TestResultStore:
         assert loaded == [good]
         assert any("rejected" in r.message for r in caplog.records)
 
+    def test_non_finite_numbers_make_a_line_corrupt(self, tmp_path, caplog):
+        # json.loads reads NaN and Infinity; canonical_json never writes them.
+        store = ResultStore(tmp_path / "results.jsonl")
+        good = clean_result()
+        store.append(good)
+        for value in (math.nan, math.inf):
+            data = json.loads(good.to_json())
+            data["raw"]["aggregate_trace"]["samples"][1][1] = value
+            with open(store.path, "a") as fh:
+                fh.write(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
+        with caplog.at_level(logging.WARNING):
+            loaded = store.load()
+        assert loaded == [good]
+        assert sum("skipped" in r.message for r in caplog.records) == 2
+
     def test_blank_lines_ignored(self, tmp_path):
         store = ResultStore(tmp_path / "results.jsonl")
         good = clean_result()
@@ -584,6 +606,17 @@ class TestRegistryPersistence:
         with open(path, "a") as fh:
             fh.write(canonical_json({**ServerDescriptor(id="b", host="h", port=2).to_dict(),
                                      "host": ""}) + "\n")
+        with caplog.at_level(logging.WARNING):
+            loaded = load_registry(path)
+        assert [s.id for s in loaded] == ["a"]
+        assert "corrupt server record" in caplog.text
+
+    def test_line_with_non_finite_number_skipped(self, tmp_path, caplog):
+        path = tmp_path / "servers.jsonl"
+        save_registry(path, records.Registry([ServerDescriptor(id="a", host="h", port=1)]))
+        with open(path, "a") as fh:
+            fh.write(json.dumps({**ServerDescriptor(id="b", host="h", port=2).to_dict(),
+                                 "capacity_hint": math.inf}) + "\n")
         with caplog.at_level(logging.WARNING):
             loaded = load_registry(path)
         assert [s.id for s in loaded] == ["a"]
