@@ -22,6 +22,13 @@ the one operand before it and the other after. The access link's scale is
 computed round by round only when the access link is finite: behind an
 uncapped one (every single link) it is exactly 1.0. Every float a computed
 round makes is the one stepping would make.
+
+Each pass from a ledger to a checked trace happens once. A ledger is
+sampled with no call per sample (its times, positions and floors are one
+``map`` each), a trace validates its samples once when it is built, and its
+interval-rate column (``interval_bps``) is computed once and cached, for
+check_rate_cap and every estimator. A single path is its own aggregate, so
+its ledger is built once.
 """
 
 from __future__ import annotations
@@ -29,8 +36,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, islice, repeat
-from operator import add, mul, truediv
+from functools import cached_property
+from itertools import accumulate, compress, islice, repeat
+from operator import add, gt, mul, truediv
 
 MSS_DEFAULT = 1500  # bytes per segment
 
@@ -132,12 +140,22 @@ class ThroughputTrace:
             if b1 < b0:
                 raise ValueError(f"cumulative bytes must be non-decreasing ({b0} -> {b1})")
 
+    @cached_property
+    def interval_bps(self) -> tuple[float, ...]:
+        """Rate of each interval between consecutive samples, bits/s (empty below 2 samples).
+
+        Computed once per trace and cached; check_rate_cap and every estimator
+        in ``metrics`` read it.
+        """
+        samples = self.samples
+        return tuple([8.0 * (b1 - b0) / ((t1 - t0) / 1000.0)
+                      for (t0, b0), (t1, b1) in zip(samples, samples[1:])])
+
     def check_rate_cap(self, cap_bps: float):
         """Raise if any inter-sample rate exceeds the physical cap by more than rounding."""
-        for (t0, b0), (t1, b1) in zip(self.samples, self.samples[1:]):
-            rate = 8.0 * (b1 - b0) / ((t1 - t0) / 1000.0)
-            if rate > cap_bps * (1 + RATE_CAP_SLACK):
-                raise ValueError(f"trace rate {rate:.0f} bps exceeds cap {cap_bps:.0f} bps")
+        rates = self.interval_bps
+        for rate in compress(rates, map(gt, rates, repeat(cap_bps * (1 + RATE_CAP_SLACK)))):
+            raise ValueError(f"trace rate {rate:.0f} bps exceeds cap {cap_bps:.0f} bps")
 
     @property
     def duration_ms(self) -> float:
@@ -359,24 +377,29 @@ class RoundLedger:
         """
         _append_sums(self.boundaries, repeat(delivered_bytes, count))
 
-    def bytes_at(self, t_ms: float) -> float:
-        # Delivery is fluid within a round, so interpolate linearly between
-        # round boundaries. This keeps inter-sample rates at or below capacity.
-        pos = t_ms / self.rtt
-        lo = math.floor(pos)
-        if lo >= len(self.boundaries) - 1:
-            return self.boundaries[-1]
-        frac = pos - lo
-        return self.boundaries[lo] + frac * (self.boundaries[lo + 1] - self.boundaries[lo])
-
     def sample(self, sample_interval: float, duration_ms: float) -> ThroughputTrace:
-        """The ledger as a trace sampled every ``sample_interval`` ms up to ``duration_ms``."""
-        n_samples = math.floor(duration_ms / sample_interval)
-        return ThroughputTrace(
-            sample_interval=sample_interval,
-            samples=tuple((k * sample_interval, self.bytes_at(k * sample_interval))
-                          for k in range(n_samples + 1)),
-        )
+        """The ledger as a trace sampled every ``sample_interval`` ms up to ``duration_ms``.
+
+        Delivery is fluid within a round, so a sample interpolates linearly
+        between the boundaries of the round it falls in, which keeps
+        inter-sample rates at or below capacity; a sample at or past the last
+        boundary holds the ledger's final count. The sample times, their
+        positions ``t / rtt`` in rounds and the floors of those are one
+        ``map`` each over all samples, and the interpolation one inline pass,
+        with no call per sample. Sample times increase, so the floors do too,
+        and the samples past the last round are one trailing run found by
+        bisection.
+        """
+        bounds = self.boundaries
+        times = list(map(mul, range(math.floor(duration_ms / sample_interval) + 1),
+                         repeat(sample_interval)))
+        positions = list(map(truediv, times, repeat(self.rtt)))
+        floors = list(map(math.floor, positions))
+        inside = bisect_left(floors, len(bounds) - 1)
+        counts = [bounds[lo] + (pos - lo) * (bounds[lo + 1] - bounds[lo])
+                  for pos, lo in zip(positions, floors[:inside])]
+        counts.extend(repeat(bounds[-1], len(times) - inside))
+        return ThroughputTrace(sample_interval=sample_interval, samples=tuple(zip(times, counts)))
 
 
 def simulate_paths(
@@ -412,6 +435,11 @@ def simulate_paths(
     still stepped are the drop rounds, the round after each, slow start, and
     one round to see each fixed point: the cost scales with those, not with
     the number of rounds, and n enters only through each flow's share.
+
+    A single path's aggregate is the path itself: each round's total starts
+    from 0.0 and ``0.0 + x == x``, so its ledger would repeat the path's
+    bit for bit, and the path's ledger is returned as the aggregate instead
+    of being built twice.
     Returns (per-path ledgers, aggregate ledger).
     """
     rtt = links[0].rtt
@@ -426,7 +454,8 @@ def simulate_paths(
     sents = [initial.sent] * len(links)
     delivered = [0.0] * len(links)
     ledgers = [RoundLedger(rtt=rtt) for _ in links]
-    total_ledger = RoundLedger(rtt=rtt)
+    multi = len(links) > 1
+    total_ledger = RoundLedger(rtt=rtt) if multi else ledgers[0]
 
     # Rounds append to the ledgers' lists directly: a method call per path
     # and round would cost more than the steady-stretch check.
@@ -458,7 +487,8 @@ def simulate_paths(
             path_bytes = boundaries[i]
             path_bytes.append(path_bytes[-1] + delta)
             round_total += delta
-        total_bytes.append(total_bytes[-1] + round_total)
+        if multi:
+            total_bytes.append(total_bytes[-1] + round_total)
 
         if steady and rounds:
             # Only ``sent`` changed, so the next rounds get the same shares
@@ -476,7 +506,8 @@ def simulate_paths(
                 for i, run in enumerate(runs):
                     sents[i] = run[skip]
                     ledgers[i].add_rounds(n_connections * delivered[i] * mss[i], skip)
-                total_ledger.add_rounds(round_total, skip)
+                if multi:
+                    total_ledger.add_rounds(round_total, skip)
         elif ramp and rounds:
             # No path dropped a segment this round (a drop leaves a loss
             # round pending or a timeout), so each delivered what it sent.
@@ -485,7 +516,8 @@ def simulate_paths(
             rounds -= ramped
             for path_bytes, path_deltas in zip(boundaries, deltas):
                 _append_sums(path_bytes, path_deltas)
-            _append_sums(total_bytes, totals)
+            if multi:
+                _append_sums(total_bytes, totals)
     return ledgers, total_ledger
 
 

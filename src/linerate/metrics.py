@@ -3,14 +3,16 @@
 Speed test tools disagree on how a throughput number is computed from the raw
 transfer, so every estimator here is a named method that travels with the
 result. Nothing in this module touches the network; everything is a pure
-function over traces and probe statistics.
+function over traces and probe statistics. Every estimator reads the trace's
+interval-rate column, which a trace computes once (``interval_bps``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import statistics
 from dataclasses import dataclass
+from itertools import compress, count, repeat
+from operator import ge, itemgetter
 
 from .flowmodel import ThroughputTrace
 
@@ -166,12 +168,13 @@ def jitter(rtts) -> float:
 
 def interval_rates(trace: ThroughputTrace) -> list[tuple[float, float]]:
     """Per-interval rates from a cumulative trace: (interval end ms, bits/s)."""
+    _check_rates(trace)
+    return list(zip(map(itemgetter(0), trace.samples[1:]), trace.interval_bps))
+
+
+def _check_rates(trace: ThroughputTrace):
     if len(trace.samples) < 2:
         raise ValueError("a trace needs at least 2 samples to carry a rate")
-    rates = []
-    for (t0, b0), (t1, b1) in zip(trace.samples, trace.samples[1:]):
-        rates.append((t1, 8.0 * (b1 - b0) / ((t1 - t0) / 1000.0)))
-    return rates
 
 
 def detect_steady_start(rates: list[tuple[float, float]], threshold: float = STEADY_THRESHOLD_DEFAULT) -> int:
@@ -181,22 +184,25 @@ def detect_steady_start(rates: list[tuple[float, float]], threshold: float = STE
     reach of the peak marks the start of the steady region. Degenerate traces
     that never get there return the final index; the caller flags those.
     """
-    if not rates:
+    return _steady_start([r for _, r in rates], threshold)
+
+
+def _steady_start(values, threshold: float) -> int:
+    # detect_steady_start over the rates alone.
+    if not values:
         raise ValueError("rates must be non-empty")
-    peak = max(r for _, r in rates)
-    for i, (_, r) in enumerate(rates):
-        if r >= threshold * peak:
-            return i
-    return len(rates) - 1
+    reached = map(ge, values, repeat(threshold * max(values)))
+    return next(compress(count(), reached), len(values) - 1)
 
 
-def _weighted_mean(rates: list[tuple[float, float]], start_t: float) -> float:
-    # Weight each interval by its duration so irregular sampling does not skew
-    # the mean. start_t is the timestamp opening the first counted interval.
+def _weighted_mean(trace: ThroughputTrace, start: int) -> float:
+    # Mean of the interval rates from interval ``start`` on, each weighted by
+    # its duration so irregular sampling does not skew it. Interval i runs
+    # from sample i to sample i + 1.
     total_bits = 0.0
     total_s = 0.0
-    prev_t = start_t
-    for t, r in rates:
+    prev_t = trace.samples[start][0]
+    for (t, _), r in zip(trace.samples[start + 1:], trace.interval_bps[start:]):
         dt = (t - prev_t) / 1000.0
         total_bits += r * dt
         total_s += dt
@@ -208,26 +214,24 @@ def _weighted_mean(rates: list[tuple[float, float]], start_t: float) -> float:
 
 def estimate_throughput(trace: ThroughputTrace, method: EstimationMethod) -> float:
     """Apply one named estimation method to a trace, returning bits/second."""
-    return _estimate(trace, interval_rates(trace), method)
+    _check_rates(trace)
+    return _estimate(trace, method, method.kind)
 
 
-def _estimate(trace: ThroughputTrace, rates: list[tuple[float, float]],
-              method: EstimationMethod) -> float:
-    # estimate_throughput with the trace's interval rates already computed.
-    values = [r for _, r in rates]
+def _estimate(trace: ThroughputTrace, method: EstimationMethod, kind: str) -> float:
+    # The ``kind`` estimate with the rest of ``method``'s parameters, over
+    # the trace's cached interval rates.
+    values = trace.interval_bps
 
-    if method.kind == FULL_AVERAGE:
+    if kind == FULL_AVERAGE:
         t0, b0 = trace.samples[0]
         t1, b1 = trace.samples[-1]
         return 8.0 * (b1 - b0) / ((t1 - t0) / 1000.0)
 
-    if method.kind == STEADY_STATE:
-        start = detect_steady_start(rates, steady_threshold(method.steady_start))
-        # The interval at `start` opens at the previous sample's timestamp.
-        open_t = trace.samples[start][0]
-        return _weighted_mean(rates[start:], open_t)
+    if kind == STEADY_STATE:
+        return _weighted_mean(trace, _steady_start(values, steady_threshold(method.steady_start)))
 
-    if method.kind == TRIMMED:
+    if kind == TRIMMED:
         ordered = sorted(values)
         lo = int(len(ordered) * method.trim_low_fraction)
         hi = int(len(ordered) * method.trim_high_fraction)
@@ -236,34 +240,38 @@ def _estimate(trace: ThroughputTrace, rates: list[tuple[float, float]],
             raise ValueError("trim fractions discarded every sample")
         return statistics.fmean(kept)
 
-    if method.kind == MEDIAN:
+    if kind == MEDIAN:
         return statistics.median(values)
 
-    if method.kind == PEAK:
+    if kind == PEAK:
         return max(values)
 
-    raise ValueError(f"unknown estimation method {method.kind!r}")
+    raise ValueError(f"unknown estimation method {kind!r}")
 
 
 def all_estimates(trace: ThroughputTrace, method: EstimationMethod) -> dict[str, float]:
     """Every method's estimate for one trace, keyed by method kind.
 
+    Each kind is computed with the other parameters of ``method``, so the
+    entry for ``method.kind`` is ``estimate_throughput(trace, method)``.
     Results carry all of these alongside the headline number so differently
     configured tools stay comparable.
     """
-    rates = interval_rates(trace)
-    return {
-        kind: _estimate(trace, rates, dataclasses.replace(method, kind=kind))
-        for kind in METHOD_KINDS
-    }
+    _check_rates(trace)
+    return {kind: _estimate(trace, method, kind) for kind in METHOD_KINDS}
 
 
 def build_report(direction: str, trace: ThroughputTrace, latency: LatencyStats,
                  method: EstimationMethod) -> MetricReport:
     """Assemble the standard report for one finished test."""
+    return make_report(direction, estimate_throughput(trace, method), latency, method)
+
+
+def make_report(direction: str, bps: float, latency: LatencyStats,
+                method: EstimationMethod) -> MetricReport:
+    """The standard report for one finished test whose headline estimate is ``bps``."""
     if direction not in ("download", "upload"):
         raise ValueError(f"direction must be download or upload, got {direction!r}")
-    bps = estimate_throughput(trace, method)
     return MetricReport(
         method=method,
         download_bps=bps if direction == "download" else None,

@@ -3,22 +3,25 @@
 Every stored result is self-describing: the raw trace, the probe statistics,
 and the fully expanded methodology ride along with the reported numbers, so
 anyone can recompute the report from the record alone and get the same bits.
-Records are canonical JSON, one per line; the store is append-only and a
-corrupted or foreign trailing line never hides the earlier records.
+Records are canonical JSON, one per line; the store is append-only, any
+number of processes may append to it at once, and a corrupted or foreign
+trailing line never hides the earlier records.
 
 A record stores every per-connection trace in full, even when they are one
 object repeated (as in simulated records).  ``MeasurementResult.to_json``
-encodes each distinct trace object once and repeats its text; the bytes are
-those of ``canonical_json(to_dict())``, which stays the reference form.
+encodes each distinct trace object once and repeats its text, and encodes
+the fields around the traces in one encoder call per run of sorted keys
+that no trace interrupts, a few calls a record; the bytes are those of
+``canonical_json(to_dict())``, which stays the reference form.
 """
 
+import fcntl
 import json
 import logging
 import math
 import os
 import statistics
 import tempfile
-import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import ClassVar
@@ -49,8 +52,11 @@ class UnknownSchemaError(Exception):
 
 
 # json.dumps builds a new encoder on every call, which costs more than
-# encoding a small value; a record's to_json encodes dozens of them.
-_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+# encoding a small value. check_circular=False skips the encoder's marker
+# table, an id lookup per container (every sample pair of a trace): a value
+# that contains itself still raises, as RecursionError instead of ValueError.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
+                                      check_circular=False)
 
 
 def canonical_json(obj) -> str:
@@ -117,10 +123,26 @@ def raw_to_dict(raw: RawTestRecord) -> dict:
     }
 
 
-def _join_object(encoded: dict) -> str:
-    """Canonical JSON of an object whose values are already canonical JSON text."""
-    return "{" + ",".join(canonical_json(key) + ":" + text
-                          for key, text in sorted(encoded.items())) + "}"
+def _join_object(plain: dict, encoded: dict) -> str:
+    """Canonical JSON of ``{**plain, **encoded}``; ``encoded``'s values are already JSON text.
+
+    An object's canonical JSON is its ``"key":value`` pairs in key order,
+    joined by commas in braces. So each run of ``plain`` keys that no
+    ``encoded`` key interrupts is one encoder call, with its braces cut off.
+    """
+    parts = []
+    run = {}
+    for key in sorted(plain.keys() | encoded.keys()):
+        if key in encoded:
+            if run:
+                parts.append(canonical_json(run)[1:-1])
+                run = {}
+            parts.append(canonical_json(key) + ":" + encoded[key])
+        else:
+            run[key] = plain[key]
+    if run:
+        parts.append(canonical_json(run)[1:-1])
+    return "{" + ",".join(parts) + "}"
 
 
 def _traces_from_dicts(dicts: list[dict]) -> tuple[ThroughputTrace, ...]:
@@ -210,10 +232,11 @@ class MeasurementResult:
     def to_json(self) -> str:
         """``canonical_json(self.to_dict())``, encoding each distinct trace object once.
 
-        An object's canonical JSON is its sorted ``"key":value`` pairs joined
-        by commas in braces, so the record is joined from the canonical JSON
-        of its fields.  The trace memo is keyed by ``id()`` and lives only
-        for this call; ``self`` keeps every trace alive, so no id is reused.
+        ``raw`` is joined by _join_object from its plain fields and its
+        encoded traces, and the record from its plain fields and ``raw``, so
+        a record takes a few encoder calls besides its distinct traces.  The
+        trace memo is keyed by ``id()`` and lives only for this call;
+        ``self`` keeps every trace alive, so no id is reused.
         """
         encoded_traces = {}
 
@@ -223,13 +246,12 @@ class MeasurementResult:
                 text = encoded_traces[id(trace)] = canonical_json(trace_to_dict(trace))
             return text
 
-        raw = {key: canonical_json(value) for key, value in _raw_fields(self.raw).items()}
-        raw["per_connection_traces"] = (
-            "[" + ",".join(map(trace_json, self.raw.per_connection_traces)) + "]")
-        raw["aggregate_trace"] = trace_json(self.raw.aggregate_trace)
-        fields = {key: canonical_json(value) for key, value in self._fields().items()}
-        fields["raw"] = _join_object(raw)
-        return _join_object(fields)
+        raw = _join_object(_raw_fields(self.raw), {
+            "per_connection_traces":
+                "[" + ",".join(map(trace_json, self.raw.per_connection_traces)) + "]",
+            "aggregate_trace": trace_json(self.raw.aggregate_trace),
+        })
+        return _join_object(self._fields(), {"raw": raw})
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeasurementResult":
@@ -277,18 +299,23 @@ def build_methodology(spec: TestSpec, method: EstimationMethod,
 def make_result(raw: RawTestRecord, method: EstimationMethod, origin: str,
                 server: ServerDescriptor | None = None,
                 timestamp: str | None = None) -> MeasurementResult:
-    """Assemble the storable result for one finished test."""
+    """Assemble the storable result for one finished test.
+
+    Every estimator runs once: the report's headline is the alternate
+    estimate for the method's own kind, which is what build_report computes
+    (recompute_report re-derives it independently).
+    """
     spec = raw.spec
-    report = metrics.build_report(spec.direction, raw.aggregate_trace,
-                                  raw.latency, method)
+    estimates = metrics.all_estimates(raw.aggregate_trace, method)
     return MeasurementResult(
         timestamp=timestamp or utc_now_iso(),
         origin=origin,
         raw=raw,
-        report=report,
+        report=metrics.make_report(spec.direction, estimates[method.kind], raw.latency,
+                                   method),
         server=server,
         methodology=build_methodology(spec, method, raw.aggregate_trace.source),
-        alternate_estimates=metrics.all_estimates(raw.aggregate_trace, method),
+        alternate_estimates=estimates,
     )
 
 
@@ -306,23 +333,29 @@ def recompute_report(result: MeasurementResult) -> MetricReport:
 class ResultStore:
     """Append-only newline-delimited record file.
 
-    One writer at a time; reads tolerate a corrupt or partial trailing line
-    (and any line with an unsupported schema version) by skipping it with a
+    Any number of threads and processes may append at once: each append
+    writes its whole line under an exclusive ``flock`` on the file, so lines
+    never interleave.  Reads tolerate a corrupt or partial trailing line (and
+    any line with an unsupported schema version) by skipping it with a
     warning, so earlier records always stay readable.
     """
 
     def __init__(self, path):
         self.path = str(path)
-        self._write_lock = threading.Lock()
 
     def append(self, result: MeasurementResult):
-        line = result.to_json()
-        with self._write_lock:
-            parent = os.path.dirname(self.path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+        line = memoryview((result.to_json() + "\n").encode("utf-8"))
+        parent = os.path.dirname(self.path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            # Closing the descriptor releases the lock.
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            while line:
+                line = line[os.write(fd, line):]
+        finally:
+            os.close(fd)
 
     def load(self) -> list[MeasurementResult]:
         return _read_json_lines(self.path, MeasurementResult.from_json, "record")

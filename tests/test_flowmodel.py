@@ -1,12 +1,16 @@
+import dataclasses
 import math
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linerate import flowmodel
 from linerate.flowmodel import (
     CONGESTION_AVOIDANCE,
+    MEASURED,
     MSS_DEFAULT,
+    SIMULATED,
     SLOW_START,
     TIMEOUT_RECOVERY,
     FlowState,
@@ -87,6 +91,65 @@ def capacity_for_bdp(bdp, rtt):
 def ledger_lists(result):
     ledgers, total_ledger = result
     return [ledger.boundaries for ledger in ledgers], total_ledger.boundaries
+
+
+# Per-sample and per-pair references for the batched passes over a trace.
+
+def per_sample_reference(ledger, sample_interval, duration_ms):
+    """RoundLedger.sample's samples, one interpolation call per sample."""
+    bounds = ledger.boundaries
+
+    def bytes_at(t_ms):
+        pos = t_ms / ledger.rtt
+        lo = math.floor(pos)
+        if lo >= len(bounds) - 1:
+            return bounds[-1]
+        frac = pos - lo
+        return bounds[lo] + frac * (bounds[lo + 1] - bounds[lo])
+
+    n_samples = math.floor(duration_ms / sample_interval)
+    return tuple((float(k * sample_interval), bytes_at(k * sample_interval))
+                 for k in range(n_samples + 1))
+
+
+def pairwise_rates(samples):
+    """Interval rates, bits/s, one pair of samples at a time."""
+    return [8.0 * (b1 - b0) / ((t1 - t0) / 1000.0)
+            for (t0, b0), (t1, b1) in zip(samples, samples[1:])]
+
+
+def pairwise_rate_cap(trace, cap_bps):
+    """check_rate_cap, one pair of samples at a time."""
+    for (t0, b0), (t1, b1) in zip(trace.samples, trace.samples[1:]):
+        rate = 8.0 * (b1 - b0) / ((t1 - t0) / 1000.0)
+        if rate > cap_bps * (1 + flowmodel.RATE_CAP_SLACK):
+            raise ValueError(f"trace rate {rate:.0f} bps exceeds cap {cap_bps:.0f} bps")
+
+
+def error_of(call):
+    """The message of the ValueError ``call()`` raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# Byte counts as a measured trace holds them (ints) or a simulated one (floats).
+COUNT_STEPS = st.one_of(st.integers(min_value=0, max_value=10**9),
+                        st.floats(min_value=0.0, max_value=1e9))
+
+
+@st.composite
+def irregular_traces(draw, min_samples=2):
+    """Strictly increasing, unevenly spaced times with non-decreasing counts."""
+    n = draw(st.integers(min_value=min_samples, max_value=40))
+    gaps = draw(st.lists(st.floats(min_value=0.5, max_value=500.0), min_size=n, max_size=n))
+    steps = draw(st.lists(COUNT_STEPS, min_size=n, max_size=n))
+    times = list(accumulate(gaps[1:], initial=gaps[0]))
+    counts = list(accumulate(steps))
+    return ThroughputTrace(sample_interval=100.0, samples=tuple(zip(times, counts)),
+                           source=draw(st.sampled_from([MEASURED, SIMULATED])))
 
 
 class TestLinkModel:
@@ -213,6 +276,71 @@ class TestThroughputTrace:
         trace.check_rate_cap(1e9)  # 1 Gbps over 100 ms is exactly at cap
         with pytest.raises(ValueError):
             trace.check_rate_cap(0.5e9)
+
+    @pytest.mark.parametrize("samples,message", [
+        (((0, 0), (100, 5), (100, 6), (50, 7)),
+         "sample times must be strictly increasing (100.0 -> 100.0)"),
+        (((0, 0), (100, 5), (90, 6), (80, 4)),
+         "sample times must be strictly increasing (100.0 -> 90.0)"),
+        (((0, 0), (100, 10), (200, 5), (300, 1)),
+         "cumulative bytes must be non-decreasing (10 -> 5)"),
+        (((0, 0), (100, 10.5), (200, 10.25), (200, 1)),
+         "cumulative bytes must be non-decreasing (10.5 -> 10.25)"),
+    ])
+    def test_first_offending_pair_is_named(self, samples, message):
+        with pytest.raises(ValueError) as exc:
+            ThroughputTrace(sample_interval=100, samples=samples)
+        assert str(exc.value) == message
+
+    def test_rate_cap_names_the_first_interval_over_the_cap(self):
+        # 1, 3 and 2 Gbit/s over 100 ms intervals, against a 1.5 Gbit/s cap.
+        trace = ThroughputTrace(sample_interval=100, samples=(
+            (0, 0), (100, 12_500_000), (200, 50_000_000), (300, 75_000_000)))
+        assert error_of(lambda: trace.check_rate_cap(1.5e9)) == \
+            "trace rate 3000000000 bps exceeds cap 1500000000 bps"
+        trace.check_rate_cap(3e9)
+        trace.check_rate_cap(3e9 * (1 - 5e-7))  # over by less than the rounding slack
+
+    @settings(max_examples=150, deadline=None)
+    @given(trace=irregular_traces(min_samples=1), cap_scale=st.floats(0.5, 1.5))
+    def test_interval_rates_and_rate_cap_match_the_pairwise_loop(self, trace, cap_scale):
+        rates = pairwise_rates(trace.samples)
+        assert trace.interval_bps == tuple(rates)
+        cap = cap_scale * max(rates, default=1e6)
+        assert error_of(lambda: trace.check_rate_cap(cap)) == \
+            error_of(lambda: pairwise_rate_cap(trace, cap))
+
+    def test_interval_rates_computed_once(self):
+        trace = ThroughputTrace(sample_interval=100, samples=((0, 0), (100, 10), (200, 30)))
+        assert trace.interval_bps is trace.interval_bps
+        assert dataclasses.replace(trace).interval_bps == trace.interval_bps
+
+
+class TestRoundLedgerSample:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(COUNT_STEPS, max_size=60),
+        rtt=st.floats(min_value=0.5, max_value=200.0),
+        sample_interval=st.floats(min_value=1.0, max_value=500.0),
+        n_intervals=st.floats(min_value=1.0, max_value=300.0),
+    )
+    @example(steps=[1500.0] * 10, rtt=20.0, sample_interval=30.0, n_intervals=12.5)
+    @example(steps=[7, 0, 3], rtt=3.0, sample_interval=1.0, n_intervals=20.0)
+    def test_matches_per_sample_interpolation(self, steps, rtt, sample_interval, n_intervals):
+        # Int and float counts, intervals that are not multiples of the RTT,
+        # and durations running past the ledger's last round.
+        ledger = flowmodel.RoundLedger(rtt=rtt, boundaries=list(accumulate(steps, initial=0)))
+        duration_ms = sample_interval * n_intervals
+        trace = ledger.sample(sample_interval, duration_ms)
+        assert trace.samples == per_sample_reference(ledger, sample_interval, duration_ms)
+        assert trace.sample_interval == sample_interval
+
+    @pytest.mark.parametrize("loss", [0.0, 1e-4])
+    def test_simulated_trace_matches_per_sample_interpolation(self, loss):
+        link = LinkModel(capacity=10e9, rtt=2.0, loss_rate=loss)
+        _, ledger = flowmodel.simulate_paths([link], 16, 10_000.0)
+        trace = ledger.sample(100.0, 10_000.0)
+        assert trace.samples == per_sample_reference(ledger, 100.0, 10_000.0)
 
 
 class TestSimulateTransfer:
@@ -533,6 +661,19 @@ class TestPathModel:
         assert first[-1] < 0.7 * max(first)  # the scale fell after the first path pinned
         deltas = [b - a for a, b in zip(want[1], want[1][1:])]
         assert deltas[-1] == pytest.approx(access_bdp * MSS_DEFAULT)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bdp=st.floats(min_value=1.0, max_value=300.0),
+        loss=st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=0.05)),
+        n_connections=st.integers(min_value=1, max_value=64),
+    )
+    def test_single_path_is_its_own_aggregate(self, bdp, loss, n_connections):
+        links = [LinkModel(capacity=capacity_for_bdp(bdp, 2.0), rtt=2.0, loss_rate=loss)]
+        ledgers, total = flowmodel.simulate_paths(links, n_connections, 2000.0)
+        assert total is ledgers[0]
+        # The aggregate a separate ledger would have summed, bit for bit.
+        assert total.boundaries == stepped_ledgers(links, n_connections, 2000.0)[1]
 
     def test_unequal_rtts_rejected(self):
         with pytest.raises(ValueError):

@@ -1,19 +1,69 @@
+import dataclasses
 import statistics
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from linerate.flowmodel import LinkModel, ThroughputTrace, simulate_transfer
 from linerate.metrics import (
+    METHOD_KINDS,
     EstimationMethod,
     LatencyStats,
     MetricReport,
     all_estimates,
+    build_report,
     detect_steady_start,
     estimate_throughput,
     interval_rates,
     jitter,
     loss_rate,
+    make_report,
+    steady_threshold,
+)
+from test_flowmodel import irregular_traces, pairwise_rates
+
+
+def pairwise_interval_rates(trace):
+    """interval_rates, one pair of samples at a time."""
+    return list(zip((t for t, _ in trace.samples[1:]), pairwise_rates(trace.samples)))
+
+
+def pairwise_estimate(trace, method):
+    """estimate_throughput over pairwise interval rates, one interval at a time."""
+    rates = pairwise_interval_rates(trace)
+    values = [r for _, r in rates]
+    if method.kind == "full_average":
+        (t0, b0), (t1, b1) = trace.samples[0], trace.samples[-1]
+        return 8.0 * (b1 - b0) / ((t1 - t0) / 1000.0)
+    if method.kind == "steady_state":
+        threshold = steady_threshold(method.steady_start)
+        peak = max(values)
+        start = next((i for i, r in enumerate(values) if r >= threshold * peak),
+                     len(values) - 1)
+        total_bits = total_s = 0.0
+        prev_t = trace.samples[start][0]
+        for t, r in rates[start:]:
+            dt = (t - prev_t) / 1000.0
+            total_bits += r * dt
+            total_s += dt
+            prev_t = t
+        return total_bits / total_s
+    if method.kind == "trimmed":
+        ordered = sorted(values)
+        lo = int(len(ordered) * method.trim_low_fraction)
+        hi = int(len(ordered) * method.trim_high_fraction)
+        return statistics.fmean(ordered[lo : len(ordered) - hi if hi else None])
+    if method.kind == "median":
+        return statistics.median(values)
+    return max(values)
+
+
+METHODS = st.builds(
+    EstimationMethod,
+    kind=st.sampled_from(METHOD_KINDS),
+    trim_low_fraction=st.floats(0.0, 0.45),
+    trim_high_fraction=st.floats(0.0, 0.45),
+    steady_start=st.sampled_from(["peak90", "peak40", "peak100", "peak1"]),
 )
 
 
@@ -96,6 +146,9 @@ class TestIntervalRates:
         trace = ThroughputTrace(sample_interval=100, samples=((0, 0),))
         with pytest.raises(ValueError):
             interval_rates(trace)
+        for call in (estimate_throughput, all_estimates):
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                call(trace, EstimationMethod())
 
 
 class TestDetectSteadyStart:
@@ -114,6 +167,12 @@ class TestDetectSteadyStart:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             detect_steady_start([])
+
+    def test_first_rate_within_reach_of_the_peak(self):
+        rates = [(float(i), r) for i, r in enumerate([5.0, 95.0, 40.0, 100.0, 89.9])]
+        assert detect_steady_start(rates) == 1
+        assert detect_steady_start(rates, threshold=1.0) == 3
+        assert detect_steady_start([(0.0, 0.0), (1.0, 0.0)]) == 0
 
 
 class TestEstimateThroughput:
@@ -185,6 +244,18 @@ class TestEstimateThroughput:
         assert est == pytest.approx((100e6 * 1 + 50e6 * 3) / 4)
 
 
+class TestPairwiseOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(trace=irregular_traces(), method=METHODS)
+    def test_estimates_match_the_pairwise_loop(self, trace, method):
+        # Int and float counts at irregular times; every float must agree.
+        assert interval_rates(trace) == pairwise_interval_rates(trace)
+        assert estimate_throughput(trace, method) == pairwise_estimate(trace, method)
+        assert all_estimates(trace, method) == {
+            kind: pairwise_estimate(trace, dataclasses.replace(method, kind=kind))
+            for kind in METHOD_KINDS}
+
+
 class TestEstimationMethodValidation:
     def test_trim_fraction_bounds(self):
         with pytest.raises(ValueError):
@@ -228,6 +299,16 @@ class TestMetricReport:
             MetricReport(method=EstimationMethod(), loss_rate=1.5)
         with pytest.raises(ValueError):
             MetricReport(method=EstimationMethod(), download_bps=-1)
+
+    @pytest.mark.parametrize("direction", ["download", "upload"])
+    def test_report_from_a_headline_estimate_is_build_report(self, direction):
+        method = EstimationMethod(kind="trimmed", trim_low_fraction=0.2)
+        latency = LatencyStats(rtts=(10.0, 12.0, 11.0), sent=4, received=3)
+        headline = all_estimates(WORKED_TRACE, method)[method.kind]
+        assert make_report(direction, headline, latency, method) == \
+            build_report(direction, WORKED_TRACE, latency, method)
+        with pytest.raises(ValueError):
+            make_report("sideways", headline, latency, method)
 
     def test_roundtrip_dict(self):
         report = MetricReport(

@@ -126,14 +126,44 @@ def clean_result(rng=None, origin="user", flags=frozenset(), direction="download
                        timestamp="2026-02-03T04:05:06+00:00")
 
 
-def simulated_result(n_connections, direction="download") -> MeasurementResult:
+def simulated_result(n_connections, direction="download", link=200e6, rtt=20.0,
+                     duration=2.0) -> MeasurementResult:
     """A ``run --simulate`` record with a fixed nonce and timestamp."""
-    raw = cli.simulated_raw({"link": 200e6, "rtt": 20.0, "loss": 1e-4,
-                             "connections": n_connections, "duration": 2.0}, direction)
+    raw = cli.simulated_raw({"link": link, "rtt": rtt, "loss": 1e-4,
+                             "connections": n_connections, "duration": duration}, direction)
     raw = dataclasses.replace(raw, spec=dataclasses.replace(raw.spec,
                                                             nonce=bytes(range(16))))
     return make_result(raw, EstimationMethod(), records.ORIGIN_USER,
                        timestamp="2026-01-02T03:04:05+00:00")
+
+
+def measured_result() -> MeasurementResult:
+    """A hand-built measured record: int byte counts, a distinct trace per connection."""
+    per_connection = tuple(
+        ThroughputTrace(sample_interval=100.0, source=MEASURED, samples=tuple(
+            (100 * k, (c + 1) * 1_000 * k * k + 7 * c * k) for k in range(21)))
+        for c in range(3))
+    aggregate = ThroughputTrace(sample_interval=100.0, source=MEASURED, samples=tuple(
+        (100 * k, sum(trace.samples[k][1] for trace in per_connection)) for k in range(21)))
+    raw = RawTestRecord(
+        spec=engine_mod.TestSpec(target="198.51.100.7:7777", direction="upload",
+                                 duration=2.0, n_connections=3, sample_interval=100.0,
+                                 target_id="srv-7", nonce=bytes(range(16, 32))),
+        per_connection_traces=per_connection,
+        aggregate_trace=aggregate,
+        latency=LatencyStats(rtts=(12.5, 13.25, 11.75, 14.0), sent=5, received=4),
+        cross_traffic_bps=1.5e6,
+        flags=frozenset({"below_recommended_connections", "cross_traffic_detected"}),
+        server_summary=tuple((i, 3_000_000 * (i + 1), 2_000) for i in range(3)),
+        server_load=(2, 8),
+        started_at_monotonic=12345.678,
+    )
+    server = ServerDescriptor(id="srv-7", host="198.51.100.7", port=7777,
+                              declared_location="newark-nj", network="AS64500",
+                              capacity_hint=1e9, health=("ok", "unreachable", "ok"))
+    return make_result(raw, EstimationMethod(kind="trimmed", trim_low_fraction=0.2),
+                       records.ORIGIN_SCHEDULED, server=server,
+                       timestamp="2026-03-04T05:06:07+00:00")
 
 
 # Strings json must escape: a quote, a backslash, control and non-ASCII characters.
@@ -331,6 +361,17 @@ class TestMeasurementResult:
         with pytest.raises(ValueError):
             dataclasses.replace(result, raw=raw).to_json()
 
+    def test_self_referencing_value_still_raises(self):
+        result = clean_result()
+        methodology = dict(result.methodology)
+        methodology["self"] = methodology
+        with pytest.raises((ValueError, RecursionError)):
+            dataclasses.replace(result, methodology=methodology).to_json()
+        loop = []
+        loop.append(loop)
+        with pytest.raises((ValueError, RecursionError)):
+            canonical_json(loop)
+
     @pytest.mark.parametrize("n_connections", [1, 16])
     def test_encoding_cost_does_not_grow_with_connections(self, n_connections,
                                                           trace_encodings):
@@ -371,6 +412,39 @@ class TestStoredBytes:
         text = simulated_result(n_connections, direction).to_json()
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == self.GOLDEN_SHA256[direction, n_connections]
+
+    # A link-limited lossy path that ramps between drops for its whole test
+    # (10 Gbit/s, 2 ms, p=1e-4, 16 connections, 10 s), and a measured record
+    # with int counts and a distinct trace per connection.
+    LOSSY_RAMPS_SHA256 = "46ebf6cd8a53bf89865f2709659f92cb9e5d8cbe582d135e443865a7d25b72a4"
+    MEASURED_SHA256 = "58f5ca89942bcb6aa57dac7281e4c429e15d35da5e34c96bc762fb2ddaf2bbdb"
+
+    def test_lossy_many_ramp_record_bytes_are_pinned(self):
+        text = simulated_result(16, link=10e9, rtt=2.0, duration=10.0).to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.LOSSY_RAMPS_SHA256
+
+    def test_measured_record_bytes_are_pinned(self):
+        text = measured_result().to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.MEASURED_SHA256
+
+
+STORE_WRITERS = 3
+STORE_APPENDS = 100
+
+
+def writer_result(writer):
+    """A 16-connection record (about 35 KB a line) that only ``writer`` appends."""
+    return dataclasses.replace(simulated_result(16, duration=10.0),
+                               timestamp=f"2026-01-02T03:04:{writer:02d}+00:00")
+
+
+def append_repeatedly(path, writer, start):
+    """Worker process: wait for the other writers, then append one record many times."""
+    result = writer_result(writer)
+    store = ResultStore(path)
+    start.wait(timeout=60)
+    for _ in range(STORE_APPENDS):
+        store.append(result)
 
 
 class TestResultStore:
@@ -465,6 +539,27 @@ class TestResultStore:
         for t in threads:
             t.join()
         assert len(store.load()) == 8
+
+    def test_concurrent_appends_from_processes_never_interleave(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        ctx = multiprocessing.get_context("spawn")
+        start = ctx.Barrier(STORE_WRITERS)
+        workers = [ctx.Process(target=append_repeatedly, args=(str(path), writer, start))
+                   for writer in range(STORE_WRITERS)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+            if worker.is_alive():
+                worker.kill()
+        assert [worker.exitcode for worker in workers] == [0] * STORE_WRITERS
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        assert lines.pop() == ""
+        expected = [writer_result(writer).to_json() for writer in range(STORE_WRITERS)]
+        assert sorted(lines) == sorted(expected * STORE_APPENDS)
+        loaded = ResultStore(path).load()
+        assert [result.to_json() for result in loaded] == lines
 
     def test_creates_parent_directory(self, tmp_path):
         store = ResultStore(tmp_path / "deep" / "nested" / "results.jsonl")
