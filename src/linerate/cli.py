@@ -1,12 +1,14 @@
-"""Command-line front end: run tests, schedule them, report, manage servers.
+"""Command-line front end: run tests, schedule them, report, verify, manage servers.
 
 Every finished test lands in the append-only result store with its raw trace
 and expanded methodology; `report` summarizes the store without ever pooling
 scheduled and user-initiated results, since on-demand tests skew toward
-moments when something already feels wrong.
+moments when something already feels wrong, and `verify` checks that every
+stored number can still be recomputed from its record.
 
 Exit codes: 0 ok, 2 configuration problem, 3 no usable servers, 4 test
-refused by the server, 5 target unreachable.
+refused by the server, 5 target unreachable, 6 a stored record failed
+`verify`.
 """
 
 import argparse
@@ -43,6 +45,7 @@ EXIT_CONFIG = 2
 EXIT_NO_SERVERS = 3
 EXIT_REFUSED = 4
 EXIT_UNREACHABLE = 5
+EXIT_VERIFY_FAILED = 6
 
 DEFAULT_STORE = "~/.linerate/results.jsonl"
 DEFAULT_REGISTRY = "~/.linerate/servers.jsonl"
@@ -95,8 +98,8 @@ def simulated_raw(settings: dict, direction: str,
     link = flowmodel.LinkModel(capacity=settings["link"], rtt=settings["rtt"],
                                loss_rate=settings["loss"])
     n = settings["connections"]
-    aggregate = flowmodel.simulate_transfer(link, n, duration=settings["duration"],
-                                            sample_interval=sample_interval)
+    model = flowmodel.model_inputs(link)
+    aggregate = flowmodel.simulate_model(model, n, settings["duration"], sample_interval)
     # The model's flows are symmetric, so the exact per-connection answer is
     # an equal split of the aggregate: one frozen trace, repeated n times.
     share = flowmodel.ThroughputTrace(
@@ -115,6 +118,7 @@ def simulated_raw(settings: dict, direction: str,
                              sent=SIMULATED_PROBES, received=SIMULATED_PROBES),
         cross_traffic_bps=0.0,
         flags={SIMULATED_FLAG} | connection_flags(n),
+        model=model,
     )
 
 
@@ -307,6 +311,19 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def cmd_verify(args) -> int:
+    """Check every stored record against what it claims; exit 6 if any fails a check."""
+    if not os.path.isfile(args.store):
+        raise ValueError(f"no result store at {args.store}")
+    checked, failing, failures = records.verify_store(args.store)
+    print(f"verified {checked} record(s) in {args.store}: "
+          f"{checked - failing} ok, {failing} failed")
+    for check in records.VERIFY_CHECKS:
+        if failures[check]:
+            print(f"  {check}: {failures[check]}")
+    return EXIT_VERIFY_FAILED if failing else EXIT_OK
+
+
 def cmd_servers(args) -> int:
     registry = records.load_registry(args.registry)
     if args.servers_cmd == "list":
@@ -457,6 +474,13 @@ def build_parser() -> argparse.ArgumentParser:
     report_p = sub.add_parser("report", help="summarize the result store")
     report_p.add_argument("--format", choices=("human", "machine"), default="human")
     report_p.set_defaults(func=cmd_report)
+
+    verify_p = sub.add_parser(
+        "verify", help="recompute every stored report, re-encode every record and "
+                       "regenerate every simulated trace; exit 6 on any mismatch")
+    # SUPPRESS leaves the top-level --store in place when this one is not given.
+    verify_p.add_argument("--store", default=argparse.SUPPRESS, help="result store path")
+    verify_p.set_defaults(func=cmd_verify)
 
     servers_p = sub.add_parser("servers", help="manage the server registry")
     servers_sub = servers_p.add_subparsers(dest="servers_cmd", required=True)

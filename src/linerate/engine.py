@@ -85,7 +85,6 @@ class TestSpec:
     duration: float = DEFAULT_DURATION_S  # seconds
     n_connections: int = DEFAULT_N_CONNECTIONS
     sample_interval: float = DEFAULT_SAMPLE_INTERVAL_MS  # ms
-    warmup_excluded: bool = True
     target_id: str = ""
     nonce: bytes = field(default_factory=lambda: uuid.uuid4().bytes)
 
@@ -116,7 +115,6 @@ class TestSpec:
             "duration": self.duration,
             "n_connections": self.n_connections,
             "sample_interval": self.sample_interval,
-            "warmup_excluded": self.warmup_excluded,
             "target_id": self.target_id,
             "nonce": self.nonce.hex(),
         }
@@ -140,7 +138,12 @@ class RawTestRecord:
     flags: frozenset[str]
     server_summary: tuple[tuple[int, int, int], ...] | None = None
     server_load: tuple[int, int] | None = None  # (active_tests, max_tests)
+    # This process's monotonic clock at t0, for lining up concurrent tests in
+    # memory; it means nothing once stored, so records do not store it.
     started_at_monotonic: float | None = None
+    # A simulated test's fluid-model inputs (flowmodel.model_inputs); None
+    # for a measured one.
+    model: dict | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "per_connection_traces", tuple(self.per_connection_traces))

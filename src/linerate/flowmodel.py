@@ -21,7 +21,9 @@ capped at 1.0) switches sides once, at a split found by bisection, and is
 the one operand before it and the other after. The access link's scale is
 computed round by round only when the access link is finite: behind an
 uncapped one (every single link) it is exactly 1.0. Every float a computed
-round makes is the one stepping would make.
+round makes is the one stepping would make. A lossless path never drops, so
+the running count of segments sent, which only the search for the next
+drop reads, is not built for it in a stretch or a ramp.
 
 Each pass from a ledger to a checked trace happens once. A ledger is
 sampled with no call per sample (its times, positions and floors are one
@@ -49,6 +51,11 @@ PHASES = (SLOW_START, CONGESTION_AVOIDANCE, TIMEOUT_RECOVERY)
 
 INITIAL_CWND = 10.0  # segments, common modern default
 INITIAL_SSTHRESH = 64.0
+
+# The window law _step applies (Reno, from an initial ssthresh of 64
+# segments) and the revision of the model's output, as a record stores them.
+MODEL_CC = "reno64"
+MODEL_REVISION = 1
 
 # Consecutive loss rounds that count as a timeout and force slow-start re-entry.
 TIMEOUT_LOSS_ROUNDS = 3
@@ -225,18 +232,16 @@ def _lookahead(sent: float, send: float, period: int | None, limit: int) -> int:
     return min(limit, int(((math.floor(sent / period) + 1) * period - sent) / send) + 2)
 
 
-def _drop_free_rounds(sents: list[float], period: int | None) -> int:
+def _drop_free_rounds(sents: list[float], period: int) -> int:
     # Of the rounds that take ``sents[0]`` to ``sents[1]``, ``sents[2]``, ...,
     # how many come before the first that crosses a multiple of the loss
     # period (the round in which _step drops a segment). The test is
     # _drops_between's floor(sent / period).
-    if period is None:
-        return len(sents) - 1
     mark = math.floor(sents[0] / period)
     return bisect_right(sents, mark, lo=1, key=lambda s: math.floor(s / period)) - 1
 
 
-def _steady_sents(sent: float, send: float, period: int | None, limit: int) -> list[float]:
+def _steady_sents(sent: float, send: float, period: int, limit: int) -> list[float]:
     # ``sent`` now and after each of up to ``limit`` further rounds that send
     # ``send``, up to the last round before the first drop round.
     # accumulate makes the same float sums as ``sent + send`` round by round.
@@ -316,8 +321,15 @@ def _ramp(states: list[tuple], sents: list[float], sends: list[float], bdps: lis
         scales = list(map(min, repeat(1.0), map(truediv, repeat(access_bdp), demand)))
         path_sends = [list(map(mul, path_cwnds, map(mul, path_shares, scales)))
                       for path_cwnds, path_shares in zip(cwnds, shares)]
-    runs = [list(accumulate(sends, initial=sent)) for sends, sent in zip(path_sends, sents)]
-    rounds = min(map(_drop_free_rounds, runs, periods))
+    # A lossless path never drops, so only lossy paths' running sums can
+    # stop the run; a lossless path's ``sent`` is never read again and is
+    # left where it is.
+    rounds = limit
+    runs = {}
+    for i, (sends, sent, period) in enumerate(zip(path_sends, sents, periods)):
+        if period is not None:
+            runs[i] = list(accumulate(sends, initial=sent))
+            rounds = min(rounds, _drop_free_rounds(runs[i], period))
     if not rounds:
         return 0, states, sents, [], []
     deltas = [list(map(mul, map(mul, repeat(n_connections, rounds), sends), repeat(m)))
@@ -327,7 +339,8 @@ def _ramp(states: list[tuple], sents: list[float], sends: list[float], bdps: lis
         totals = list(map(add, totals, path_deltas))
     states = [(max(path_cwnds[rounds], 1.0),) + state[1:]
               for path_cwnds, state in zip(cwnds, states)]
-    return rounds, states, [run[rounds] for run in runs], deltas, totals
+    sents = [runs[i][rounds] if i in runs else sent for i, sent in enumerate(sents)]
+    return rounds, states, sents, deltas, totals
 
 
 def advance_round(state: FlowState, link: LinkModel, capacity_share: float = 1.0) -> FlowState:
@@ -449,6 +462,7 @@ def simulate_paths(
         raise ValueError(f"duration must be positive and finite, got {duration_ms} ms")
     bdps = [link.bdp_segments for link in links]
     periods = [link.loss_period for link in links]
+    lossy = [i for i, period in enumerate(periods) if period is not None]
     mss = [link.mss for link in links]
     states = [(initial.cwnd, initial.ssthresh, initial.phase, initial.loss_rounds)] * len(links)
     sents = [initial.sent] * len(links)
@@ -496,16 +510,19 @@ def simulate_paths(
             # ``sent`` crosses a multiple of its loss period. This round
             # dropped nothing (a drop always changes loss_rounds), so what
             # each path delivered is also what it sent.
+            # A lossless path never drops, so it never stops the stretch and
+            # its ``sent`` is never read again: it is left where it is.
             skip = rounds
-            runs = []
-            for i in range(len(links)):
-                runs.append(_steady_sents(sents[i], delivered[i], periods[i], skip))
-                skip = len(runs[-1]) - 1
+            runs = {}
+            for i in lossy:
+                runs[i] = _steady_sents(sents[i], delivered[i], periods[i], skip)
+                skip = len(runs[i]) - 1
             if skip:
                 rounds -= skip
-                for i, run in enumerate(runs):
+                for i, run in runs.items():
                     sents[i] = run[skip]
-                    ledgers[i].add_rounds(n_connections * delivered[i] * mss[i], skip)
+                for i, ledger in enumerate(ledgers):
+                    ledger.add_rounds(n_connections * delivered[i] * mss[i], skip)
                 if multi:
                     total_ledger.add_rounds(round_total, skip)
         elif ramp and rounds:
@@ -553,6 +570,39 @@ def simulate_transfer(
     # The link never delivers more than one bdp per round, whatever n is.
     trace.check_rate_cap(link.capacity)
     return trace
+
+
+def model_inputs(link: LinkModel) -> dict:
+    """The inputs simulate_transfer needs besides connections, duration and sample interval.
+
+    A simulated record stores them, so its trace can be regenerated from
+    the record alone (simulate_model). ``cc`` names the congestion-control
+    law and ``revision`` the model's; a change that moves any bit of the
+    model's output bumps the revision.
+    """
+    return {
+        "capacity": link.capacity,
+        "rtt": link.rtt,
+        "loss_rate": link.loss_rate,
+        "mss": link.mss,
+        "initial_cwnd": INITIAL_CWND,
+        "initial_ssthresh": INITIAL_SSTHRESH,
+        "cc": MODEL_CC,
+        "revision": MODEL_REVISION,
+    }
+
+
+def simulate_model(inputs: dict, n_connections: int, duration: float,
+                   sample_interval: float) -> ThroughputTrace:
+    """simulate_transfer on ``model_inputs``' output; ValueError for another law or revision."""
+    if inputs["cc"] != MODEL_CC or inputs["revision"] != MODEL_REVISION:
+        raise ValueError(f"model {inputs['cc']!r} revision {inputs['revision']!r} is not "
+                         f"this model ({MODEL_CC!r} revision {MODEL_REVISION})")
+    link = LinkModel(capacity=inputs["capacity"], rtt=inputs["rtt"],
+                     loss_rate=inputs["loss_rate"], mss=inputs["mss"])
+    return simulate_transfer(link, n_connections, duration, sample_interval,
+                             initial_cwnd=inputs["initial_cwnd"],
+                             initial_ssthresh=inputs["initial_ssthresh"])
 
 
 def slow_start_rounds(link: LinkModel, initial_cwnd: float = INITIAL_CWND) -> int:

@@ -1,18 +1,29 @@
 """Versioned result records, the append-only store, and aggregate reporting.
 
-Every stored result is self-describing: the raw trace, the probe statistics,
-and the fully expanded methodology ride along with the reported numbers, so
-anyone can recompute the report from the record alone and get the same bits.
-Records are canonical JSON, one per line; the store is append-only, any
-number of processes may append to it at once, and a corrupted or foreign
-trailing line never hides the earlier records.
+Every stored result is self-describing: the raw traces, the probe statistics,
+the fully expanded methodology and, for a simulated test, the fluid model's
+inputs ride along with the reported numbers, so anyone can recompute the
+report (and regenerate a simulated trace) from the record alone and get the
+same bits.  ``verify_store`` checks exactly that.  Records are canonical
+JSON, one per line; the store is append-only, any number of processes may
+append to it at once, and a corrupted or foreign trailing line never hides
+the earlier records.
 
-A record stores every per-connection trace in full, even when they are one
-object repeated (as in simulated records).  ``MeasurementResult.to_json``
-encodes each distinct trace object once and repeats its text, and encodes
-the fields around the traces in one encoder call per run of sorted keys
-that no trace interrupts, a few calls a record; the bytes are those of
-``canonical_json(to_dict())``, which stays the reference form.
+Schema v2 stores a record's traces as one table, ``raw.trace``: the sample
+interval and source, the sampler's time column once, the distinct byte
+columns once each, and indices into those columns for the aggregate and
+for each connection.  Columns are deduplicated by value, so a simulated
+record's n equal per-connection traces are one column, and the bytes
+depend only on the values, not on which trace objects were shared.  A
+record's line is ``canonical_json(to_dict())``: one encoder call.
+
+Schema v1 lines still load.  v1 stored every trace as ``[t, bytes]`` pairs
+in full, the spec and flags twice (top level and ``raw``), a
+``warmup_excluded`` flag in the spec and the methodology that no estimator
+reads and every run set to true, and ``started_at_monotonic``, a reading of
+one process's monotonic clock.  v2 drops all of these; the last stays on
+``RawTestRecord`` in memory for ``run_multi_destination``.  A v1 record
+re-encodes to its v1 bytes with ``to_json(SCHEMA_V1)``.
 """
 
 import fcntl
@@ -22,11 +33,13 @@ import math
 import os
 import statistics
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import itemgetter
 from typing import ClassVar
 
-from . import metrics
+from . import flowmodel, metrics
 from .coordinator import Registry, ServerDescriptor
 from .engine import FLAG_CROSS_TRAFFIC, FLAG_DEGENERATE, RawTestRecord, TestSpec
 from .flowmodel import ThroughputTrace
@@ -34,7 +47,8 @@ from .metrics import EstimationMethod, LatencyStats, MetricReport
 
 log = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_V1 = 1
+SCHEMA_VERSION = 2
 
 ORIGIN_SCHEDULED = "scheduled"
 ORIGIN_USER = "user"
@@ -46,15 +60,21 @@ EXCLUSION_FLAGS = (FLAG_CROSS_TRAFFIC, FLAG_DEGENERATE)
 THROUGHPUT_METRICS = ("download_bps", "upload_bps")
 QUALITY_METRICS = ("latency_ms", "jitter_ms", "loss_rate")
 
+# The checks verify_store makes, in the order it reports failures: a line
+# that does not load, a report that its methodology and aggregate trace do
+# not reproduce, a line that does not re-encode to its own bytes, and a
+# simulated aggregate trace that its stored model inputs do not regenerate.
+VERIFY_CHECKS = ("corrupt", "report", "round_trip", "model")
+
 
 class UnknownSchemaError(Exception):
-    """The record's schema version is newer than this reader understands."""
+    """The record's schema version is one this reader does not understand."""
 
 
 # json.dumps builds a new encoder on every call, which costs more than
 # encoding a small value. check_circular=False skips the encoder's marker
-# table, an id lookup per container (every sample pair of a trace): a value
-# that contains itself still raises, as RecursionError instead of ValueError.
+# table, an id lookup per container: a value that contains itself still
+# raises, as RecursionError instead of ValueError.
 _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
                                       check_circular=False)
 
@@ -75,8 +95,124 @@ _decode_stored = json.JSONDecoder(parse_constant=_refuse_constant).decode
 
 # -- converters for types that live in other modules --------------------------
 
+def latency_to_dict(stats: LatencyStats) -> dict:
+    return {"rtts": list(stats.rtts), "sent": stats.sent, "received": stats.received}
+
+
+def latency_from_dict(data: dict) -> LatencyStats:
+    return LatencyStats(rtts=tuple(data["rtts"]), sent=data["sent"],
+                        received=data["received"])
+
+
+def _columns(trace: ThroughputTrace) -> tuple[tuple, tuple]:
+    """A trace's samples as a time column and a byte column."""
+    samples = trace.samples
+    return tuple(map(itemgetter(0), samples)), tuple(map(itemgetter(1), samples))
+
+
+def trace_table(aggregate: ThroughputTrace, per_connection) -> dict:
+    """A record's traces as schema v2's ``raw.trace``: one time column, distinct byte columns.
+
+    Every trace must share the aggregate's sample interval, source and
+    sample times, as the engine's one sampler and the fluid model's equal
+    split always do; a record whose traces do not raises ValueError.  Each
+    trace object is split into columns once, and a byte column equal to an
+    earlier one is stored once.  Equal is ``==``, under which an int 5
+    equals 5.0; the traces of one record never mix the two (measured counts
+    are ints, simulated bytes floats).  The aggregate's column comes first.
+    """
+    interval, source = aggregate.sample_interval, aggregate.source
+    times, counts = _columns(aggregate)
+    columns = [counts]
+    positions = {counts: 0}  # byte column -> its index
+    known = {id(aggregate): 0}  # trace object -> its column's index
+    indices = []
+    for trace in per_connection:
+        index = known.get(id(trace))
+        if index is None:
+            if trace.sample_interval != interval or trace.source != source:
+                raise ValueError("a record's traces must share one sample interval and source")
+            trace_times, counts = _columns(trace)
+            if trace_times != times:
+                raise ValueError("a record's traces must share one time column")
+            index = known[id(trace)] = positions.setdefault(counts, len(columns))
+            if index == len(columns):
+                columns.append(counts)
+        indices.append(index)
+    return {
+        "sample_interval": interval,
+        "source": source,
+        "times": times,
+        "columns": columns,
+        "aggregate": 0,
+        "per_connection": indices,
+    }
+
+
+def traces_from_table(table: dict) -> tuple[ThroughputTrace, tuple[ThroughputTrace, ...]]:
+    """(aggregate, per-connection traces) of a ``raw.trace``; one trace object per column."""
+    times = table["times"]
+    columns = table["columns"]
+    if any(len(column) != len(times) for column in columns):
+        raise ValueError("every byte column must be as long as the time column")
+    per_connection = table["per_connection"]
+    for index in [table["aggregate"], *per_connection]:
+        if type(index) is not int or not 0 <= index < len(columns):
+            raise ValueError(f"trace column index {index!r} is not one of the record's columns")
+    # The trace normalizes (and validates) the pairs zip yields.
+    traces = [ThroughputTrace(sample_interval=table["sample_interval"],
+                              samples=zip(times, column), source=table["source"])
+              for column in columns]
+    return traces[table["aggregate"]], tuple(traces[index] for index in per_connection)
+
+
+def _raw_fields(raw: RawTestRecord) -> dict:
+    """The fields every schema stores alike."""
+    return {
+        "latency": latency_to_dict(raw.latency),
+        "cross_traffic_bps": raw.cross_traffic_bps,
+        "flags": sorted(raw.flags),
+        "server_summary": ([list(row) for row in raw.server_summary]
+                           if raw.server_summary is not None else None),
+        "server_load": list(raw.server_load) if raw.server_load is not None else None,
+    }
+
+
+def raw_to_dict(raw: RawTestRecord) -> dict:
+    return {
+        **_raw_fields(raw),
+        "spec": raw.spec.to_dict(),
+        "model": raw.model,
+        "trace": trace_table(raw.aggregate_trace, raw.per_connection_traces),
+    }
+
+
+def _raw_record(data: dict, spec: dict, aggregate: ThroughputTrace, per_connection,
+                **extra) -> RawTestRecord:
+    return RawTestRecord(
+        spec=TestSpec.from_dict(spec),
+        per_connection_traces=per_connection,
+        aggregate_trace=aggregate,
+        latency=latency_from_dict(data["latency"]),
+        cross_traffic_bps=data["cross_traffic_bps"],
+        flags=frozenset(data["flags"]),
+        server_summary=(tuple(tuple(row) for row in data["server_summary"])
+                        if data["server_summary"] is not None else None),
+        server_load=(tuple(data["server_load"])
+                     if data["server_load"] is not None else None),
+        **extra,
+    )
+
+
+def raw_from_dict(data: dict) -> RawTestRecord:
+    aggregate, per_connection = traces_from_table(data["trace"])
+    return _raw_record(data, data["spec"], aggregate, per_connection, model=data["model"])
+
+
+# -- schema v1 ------------------------------------------------------------------
+
 def trace_to_dict(trace: ThroughputTrace) -> dict:
-    # json writes the (t, bytes) tuples as arrays, so the samples need no copy.
+    """A trace as schema v1 stores it; json writes the (t, bytes) tuples as arrays."""
     return {
         "sample_interval": trace.sample_interval,
         "samples": trace.samples,
@@ -92,66 +228,23 @@ def trace_from_dict(data: dict) -> ThroughputTrace:
     )
 
 
-def latency_to_dict(stats: LatencyStats) -> dict:
-    return {"rtts": list(stats.rtts), "sent": stats.sent, "received": stats.received}
-
-
-def latency_from_dict(data: dict) -> LatencyStats:
-    return LatencyStats(rtts=tuple(data["rtts"]), sent=data["sent"],
-                        received=data["received"])
-
-
-def _raw_fields(raw: RawTestRecord) -> dict:
-    """Every field of ``raw_to_dict`` except the traces."""
-    return {
-        "spec": raw.spec.to_dict(),
-        "latency": latency_to_dict(raw.latency),
-        "cross_traffic_bps": raw.cross_traffic_bps,
-        "flags": sorted(raw.flags),
-        "server_summary": ([list(row) for row in raw.server_summary]
-                           if raw.server_summary is not None else None),
-        "server_load": list(raw.server_load) if raw.server_load is not None else None,
-        "started_at_monotonic": raw.started_at_monotonic,
-    }
-
-
-def raw_to_dict(raw: RawTestRecord) -> dict:
+def raw_to_v1_dict(raw: RawTestRecord) -> dict:
+    """``raw`` as schema v1 stores it; ``raw.model`` has no place there."""
     return {
         **_raw_fields(raw),
+        # Every run set warmup_excluded, and no estimator read it.
+        "spec": {**raw.spec.to_dict(), "warmup_excluded": True},
+        "started_at_monotonic": raw.started_at_monotonic,
         "per_connection_traces": [trace_to_dict(t) for t in raw.per_connection_traces],
         "aggregate_trace": trace_to_dict(raw.aggregate_trace),
     }
 
 
-def _join_object(plain: dict, encoded: dict) -> str:
-    """Canonical JSON of ``{**plain, **encoded}``; ``encoded``'s values are already JSON text.
-
-    An object's canonical JSON is its ``"key":value`` pairs in key order,
-    joined by commas in braces. So each run of ``plain`` keys that no
-    ``encoded`` key interrupts is one encoder call, with its braces cut off.
-    """
-    parts = []
-    run = {}
-    for key in sorted(plain.keys() | encoded.keys()):
-        if key in encoded:
-            if run:
-                parts.append(canonical_json(run)[1:-1])
-                run = {}
-            parts.append(canonical_json(key) + ":" + encoded[key])
-        else:
-            run[key] = plain[key]
-    if run:
-        parts.append(canonical_json(run)[1:-1])
-    return "{" + ",".join(parts) + "}"
-
-
 def _traces_from_dicts(dicts: list[dict]) -> tuple[ThroughputTrace, ...]:
     # A trace equal to an earlier one of the same record decodes to that
-    # earlier object: a simulated record's n per-connection traces are one
-    # trace written n times, so it is built and validated once, and
-    # to_json's memo encodes it once again. Equal is ==, under which a JSON 5
-    # equals 5.0; the traces of one written record never mix the two
-    # (measured counts are ints, simulated bytes floats).
+    # earlier object: a simulated v1 record's n per-connection traces are one
+    # trace written n times, so it is built and validated once. Equal is ==,
+    # as in trace_table.
     decoded = []
     traces = []
     for data in dicts:
@@ -163,20 +256,12 @@ def _traces_from_dicts(dicts: list[dict]) -> tuple[ThroughputTrace, ...]:
     return tuple(traces)
 
 
-def raw_from_dict(data: dict) -> RawTestRecord:
-    return RawTestRecord(
-        spec=TestSpec.from_dict(data["spec"]),
-        per_connection_traces=_traces_from_dicts(data["per_connection_traces"]),
-        aggregate_trace=trace_from_dict(data["aggregate_trace"]),
-        latency=latency_from_dict(data["latency"]),
-        cross_traffic_bps=data["cross_traffic_bps"],
-        flags=frozenset(data["flags"]),
-        server_summary=(tuple(tuple(row) for row in data["server_summary"])
-                        if data["server_summary"] is not None else None),
-        server_load=(tuple(data["server_load"])
-                     if data["server_load"] is not None else None),
-        started_at_monotonic=data["started_at_monotonic"],
-    )
+def raw_from_v1_dict(data: dict) -> RawTestRecord:
+    spec = dict(data["spec"])
+    spec.pop("warmup_excluded", None)
+    return _raw_record(data, spec, trace_from_dict(data["aggregate_trace"]),
+                       _traces_from_dicts(data["per_connection_traces"]),
+                       started_at_monotonic=data["started_at_monotonic"])
 
 
 def utc_now_iso() -> str:
@@ -194,16 +279,14 @@ class MeasurementResult:
     server: ServerDescriptor | None
     methodology: dict
     alternate_estimates: dict  # method kind -> bits/s
-    # Not a field: the writer can only write the version the reader accepts.
+    # Not a field: the version to_json writes unless told otherwise.
     schema_version: ClassVar[int] = SCHEMA_VERSION
 
     def __post_init__(self):
         if self.origin not in ORIGINS:
             raise ValueError(f"origin must be one of {ORIGINS}, got {self.origin!r}")
 
-    # Schema v1 stores the spec and flags twice, at the top level and in raw.
-    # In memory they are raw's alone, and from_dict refuses a line whose two
-    # copies differ.
+    # The spec and flags are raw's; schema v1 stored a second copy of each.
     @property
     def spec(self) -> TestSpec:
         return self.raw.spec
@@ -212,67 +295,57 @@ class MeasurementResult:
     def flags(self) -> frozenset:
         return self.raw.flags
 
-    def _fields(self) -> dict:
-        """Every field of ``to_dict`` except ``raw``."""
-        return {
-            "schema_version": self.schema_version,
+    def to_dict(self, schema_version: int = SCHEMA_VERSION) -> dict:
+        data = {
+            "schema_version": schema_version,
             "timestamp": self.timestamp,
             "origin": self.origin,
-            "spec": self.spec.to_dict(),
             "report": self.report.to_dict(),
             "server": self.server.to_dict() if self.server is not None else None,
-            "flags": sorted(self.flags),
             "methodology": self.methodology,
             "alternate_estimates": self.alternate_estimates,
         }
+        if schema_version == SCHEMA_VERSION:
+            data["raw"] = raw_to_dict(self.raw)
+        elif schema_version == SCHEMA_V1:
+            raw = data["raw"] = raw_to_v1_dict(self.raw)
+            data["spec"], data["flags"] = raw["spec"], raw["flags"]
+            data["methodology"] = {**self.methodology, "warmup_excluded": True}
+        else:
+            raise UnknownSchemaError(f"cannot write schema version {schema_version!r}")
+        return data
 
-    def to_dict(self) -> dict:
-        return {**self._fields(), "raw": raw_to_dict(self.raw)}
-
-    def to_json(self) -> str:
-        """``canonical_json(self.to_dict())``, encoding each distinct trace object once.
-
-        ``raw`` is joined by _join_object from its plain fields and its
-        encoded traces, and the record from its plain fields and ``raw``, so
-        a record takes a few encoder calls besides its distinct traces.  The
-        trace memo is keyed by ``id()`` and lives only for this call;
-        ``self`` keeps every trace alive, so no id is reused.
-        """
-        encoded_traces = {}
-
-        def trace_json(trace: ThroughputTrace) -> str:
-            text = encoded_traces.get(id(trace))
-            if text is None:
-                text = encoded_traces[id(trace)] = canonical_json(trace_to_dict(trace))
-            return text
-
-        raw = _join_object(_raw_fields(self.raw), {
-            "per_connection_traces":
-                "[" + ",".join(map(trace_json, self.raw.per_connection_traces)) + "]",
-            "aggregate_trace": trace_json(self.raw.aggregate_trace),
-        })
-        return _join_object(self._fields(), {"raw": raw})
+    def to_json(self, schema_version: int = SCHEMA_VERSION) -> str:
+        """The record's stored line (without its newline), in one encoder call."""
+        return canonical_json(self.to_dict(schema_version))
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeasurementResult":
         if not isinstance(data, dict):
             raise ValueError(f"a record is a JSON object, not {type(data).__name__}")
         version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
+        if version not in (SCHEMA_V1, SCHEMA_VERSION):
             raise UnknownSchemaError(
                 f"record schema version {version!r} is not supported "
-                f"(this reader understands {SCHEMA_VERSION})")
-        raw = data["raw"]
-        if data["spec"] != raw["spec"] or data["flags"] != raw["flags"]:
-            raise ValueError("top-level spec and flags differ from the raw record's")
+                f"(this reader understands {SCHEMA_V1} and {SCHEMA_VERSION})")
+        methodology = data["methodology"]
+        if version == SCHEMA_VERSION:
+            raw = raw_from_dict(data["raw"])
+        else:
+            stored = data["raw"]
+            if data["spec"] != stored["spec"] or data["flags"] != stored["flags"]:
+                raise ValueError("top-level spec and flags differ from the raw record's")
+            raw = raw_from_v1_dict(stored)
+            methodology = dict(methodology)
+            methodology.pop("warmup_excluded", None)
         return cls(
             timestamp=data["timestamp"],
             origin=data["origin"],
-            raw=raw_from_dict(raw),
+            raw=raw,
             report=MetricReport.from_dict(data["report"]),
             server=(ServerDescriptor.from_dict(data["server"])
                     if data["server"] is not None else None),
-            methodology=data["methodology"],
+            methodology=methodology,
             alternate_estimates=data["alternate_estimates"],
         )
 
@@ -291,7 +364,6 @@ def build_methodology(spec: TestSpec, method: EstimationMethod,
         "duration_s": spec.duration,
         "n_connections": spec.n_connections,
         "sample_interval_ms": spec.sample_interval,
-        "warmup_excluded": spec.warmup_excluded,
         "trace_source": trace_source,
     }
 
@@ -328,6 +400,59 @@ def recompute_report(result: MeasurementResult) -> MetricReport:
     method = EstimationMethod.from_dict(result.methodology["method"])
     return metrics.build_report(result.spec.direction, result.raw.aggregate_trace,
                                 result.raw.latency, method)
+
+
+def regenerate_trace(raw: RawTestRecord) -> ThroughputTrace:
+    """A simulated record's aggregate trace, simulated again from its stored model inputs."""
+    spec = raw.spec
+    return flowmodel.simulate_model(raw.model, spec.n_connections, spec.duration,
+                                    spec.sample_interval)
+
+
+def _holds(check) -> bool:
+    # A check that cannot even be computed on a loaded record fails.
+    try:
+        return check()
+    except (ArithmeticError, LookupError, TypeError, ValueError):
+        return False
+
+
+def verify_line(line: str) -> list[str]:
+    """The VERIFY_CHECKS one stored line (without its newline) fails, in order."""
+    try:
+        data = _decode_stored(line)
+        result = MeasurementResult.from_dict(data)
+    except (UnknownSchemaError, LookupError, TypeError, ValueError):
+        return ["corrupt"]
+    failed = []
+    if not _holds(lambda: recompute_report(result) == result.report):
+        failed.append("report")
+    if result.to_json(data["schema_version"]) != line:
+        failed.append("round_trip")
+    if result.raw.model is not None and not _holds(
+            lambda: regenerate_trace(result.raw) == result.raw.aggregate_trace):
+        failed.append("model")
+    return failed
+
+
+def verify_store(path) -> tuple[int, int, Counter]:
+    """(records checked, records failing, failures by check) over a store's non-blank lines.
+
+    A line is counted once under each check it fails.  A missing store
+    raises FileNotFoundError.
+    """
+    checked = failing = 0
+    failures = Counter()
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            checked += 1
+            failed = verify_line(line)
+            failing += bool(failed)
+            failures.update(failed)
+    return checked, failing, failures
 
 
 class ResultStore:

@@ -359,6 +359,43 @@ class TestReportCommand:
         assert "median" in out
 
 
+class TestVerifyCommand:
+    def run_two(self, paths):
+        assert run_cli(paths, "run", "--simulate", "link=100mbps,loss=0.001",
+                       "--duration", "2") == cli.EXIT_OK
+        assert run_cli(paths, "run", "--simulate", "link=50mbps", "--connections", "1",
+                       "--direction", "upload") == cli.EXIT_OK
+
+    def test_stored_runs_verify(self, paths, capsys):
+        self.run_two(paths)
+        capsys.readouterr()
+        assert run_cli(paths, "verify") == cli.EXIT_OK
+        assert capsys.readouterr().out == (
+            f"verified 2 record(s) in {paths['store']}: 2 ok, 0 failed\n")
+
+    def test_store_given_after_the_subcommand(self, paths, tmp_path, capsys):
+        self.run_two(paths)
+        assert cli.main(["--store", str(tmp_path / "absent.jsonl"),
+                         "verify", "--store", paths["store"]]) == cli.EXIT_OK
+
+    def test_report_edited_by_hand_exits_with_the_verify_code(self, paths, capsys):
+        self.run_two(paths)
+        with open(paths["store"], encoding="utf-8") as fh:
+            first, second = fh.read().splitlines()
+        data = json.loads(first)
+        data["report"]["download_bps"] += 1.0
+        with open(paths["store"], "w", encoding="utf-8") as fh:
+            fh.write(records.canonical_json(data) + "\n" + second + "\n")
+        capsys.readouterr()
+        assert run_cli(paths, "verify") == cli.EXIT_VERIFY_FAILED == 6
+        assert capsys.readouterr().out.splitlines() == [
+            f"verified 2 record(s) in {paths['store']}: 1 ok, 1 failed", "  report: 1"]
+
+    def test_missing_store_is_config_error(self, paths, capsys):
+        assert run_cli(paths, "verify") == cli.EXIT_CONFIG
+        assert "no result store" in capsys.readouterr().err
+
+
 class TestServersCommand:
     def test_add_list_remove(self, paths, capsys):
         assert run_cli(paths, "servers", "add", "a-1", "a.example.net:7777",

@@ -484,6 +484,24 @@ class TestPathModel:
         assert counts == [settled, settled]
         assert settled < math.ceil(2000 / 7.0)
 
+    def test_lossless_paths_build_no_sent_runs(self, monkeypatch):
+        # A lossless path never drops, so neither its steady stretches nor
+        # its ramps build the running ``sent`` list that the search for the
+        # next drop reads; a lossy path still does.
+        calls = []
+        for name in ("_steady_sents", "_drop_free_rounds"):
+            def counting(*args, _name=name, _original=getattr(flowmodel, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(flowmodel, name, counting)
+        simulate_transfer(LinkModel(capacity=400e6, rtt=7.0), 4, 2)
+        flowmodel.simulate_paths([LinkModel(capacity=c, rtt=7.0) for c in (300e6, 500e6)],
+                                 4, 2000.0, access_bdp=40.0)
+        assert calls == []
+        simulate_transfer(LinkModel(capacity=400e6, rtt=7.0, loss_rate=1e-5), 4, 10)
+        assert set(calls) == {"_steady_sents", "_drop_free_rounds"}
+
     # Links are drawn by bdp (1-300 segments) at 1-10 ms RTT, so windows often
     # reach the bdp and sit there between drops: the stretches the model skips.
     @settings(max_examples=60, deadline=None)

@@ -8,7 +8,9 @@ import math
 import multiprocessing
 import os
 import random
+import shutil
 import threading
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -51,7 +53,10 @@ def random_result(rng) -> MeasurementResult:
     n_conn = rng.randint(1, 6)
     interval = rng.choice([50.0, 100.0])
     n_intervals = rng.randint(3, 15)
-    per_conn = tuple(random_trace(rng, n_intervals, interval) for _ in range(n_conn))
+    per_conn = [random_trace(rng, n_intervals, interval) for _ in range(n_conn)]
+    # One sampler: every trace of a record shares its times and source.
+    source = per_conn[0].source
+    per_conn = tuple(dataclasses.replace(trace, source=source) for trace in per_conn)
     # aggregate as the exact sum keeps the record internally consistent
     aggregate = ThroughputTrace(
         sample_interval=interval,
@@ -59,7 +64,7 @@ def random_result(rng) -> MeasurementResult:
             (per_conn[0].samples[k][0], sum(t.samples[k][1] for t in per_conn))
             for k in range(n_intervals + 1)
         ),
-        source=MEASURED,
+        source=source,
     )
     sent = rng.randint(5, 12)
     received = rng.randint(1, sent)
@@ -75,7 +80,6 @@ def random_result(rng) -> MeasurementResult:
             duration=n_intervals * interval / 1000.0,
             n_connections=n_conn,
             sample_interval=interval,
-            warmup_excluded=rng.random() < 0.5,
             target_id=rng.choice(["", f"srv-{rng.randint(0, 99)}"]),
             nonce=rng.getrandbits(128).to_bytes(16, "big"),
         ),
@@ -90,7 +94,6 @@ def random_result(rng) -> MeasurementResult:
                   for i in range(n_conn)),
         ]),
         server_load=rng.choice([None, (rng.randint(1, 8), 8)]),
-        started_at_monotonic=rng.uniform(0, 1e6),
     )
     method = EstimationMethod(kind=rng.choice(METHOD_KINDS))
     server = rng.choice([
@@ -173,28 +176,28 @@ ESCAPED_TEXT = st.one_of(
 
 
 @st.composite
-def drawn_traces(draw, interval):
+def drawn_traces(draw, interval, n_steps, source):
+    """A trace of ``n_steps`` intervals: the sampler's times, drawn byte counts."""
     steps = draw(st.lists(st.one_of(st.integers(0, 10**7), st.floats(0.0, 1e7)),
-                          min_size=1, max_size=6))
+                          min_size=n_steps, max_size=n_steps))
     samples = [(0.0, 0)]
     for k, step in enumerate(steps, start=1):
         samples.append((k * interval, samples[-1][1] + step))
-    return ThroughputTrace(sample_interval=interval, samples=tuple(samples),
-                           source=draw(st.sampled_from([MEASURED, SIMULATED])))
+    return ThroughputTrace(sample_interval=interval, samples=tuple(samples), source=source)
 
 
 @st.composite
-def per_connection_traces(draw, sharing, interval):
+def per_connection_traces(draw, sharing, shape):
     n = draw(st.integers(1, 6))
     if sharing == "same":
-        return (draw(drawn_traces(interval)),) * n
+        return (draw(drawn_traces(*shape)),) * n
     if sharing == "distinct":
-        return tuple(draw(drawn_traces(interval)) for _ in range(n))
+        return tuple(draw(drawn_traces(*shape)) for _ in range(n))
     # dataclasses.replace with no changes gives an equal but distinct object.
     if sharing == "equal":
-        first = draw(drawn_traces(interval))
+        first = draw(drawn_traces(*shape))
         return (first,) + tuple(dataclasses.replace(first) for _ in range(n - 1))
-    pool = draw(st.lists(drawn_traces(interval), min_size=1, max_size=3))
+    pool = draw(st.lists(drawn_traces(*shape), min_size=1, max_size=3))
     picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()),
                           min_size=n, max_size=n))
     return tuple(pool[i] if same else dataclasses.replace(pool[i]) for i, same in picks)
@@ -202,9 +205,12 @@ def per_connection_traces(draw, sharing, interval):
 
 @st.composite
 def drawn_results(draw, sharing):
-    interval = draw(st.sampled_from([50.0, 100.0]))
-    per_conn = draw(per_connection_traces(sharing, interval))
-    aggregate = draw(st.one_of(st.just(per_conn[0]), drawn_traces(interval)))
+    # One sampler: the traces share an interval, a time column and a source.
+    shape = (draw(st.sampled_from([50.0, 100.0])), draw(st.integers(1, 6)),
+             draw(st.sampled_from([MEASURED, SIMULATED])))
+    interval = shape[0]
+    per_conn = draw(per_connection_traces(sharing, shape))
+    aggregate = draw(st.one_of(st.just(per_conn[0]), drawn_traces(*shape)))
     n = len(per_conn)
     server = draw(st.none() | st.builds(
         ServerDescriptor, id=ESCAPED_TEXT.filter(bool), host=ESCAPED_TEXT.filter(bool),
@@ -231,15 +237,15 @@ def drawn_results(draw, sharing):
 
 @pytest.fixture
 def trace_encodings(monkeypatch):
-    """A list that grows by one for every trace converted for encoding."""
+    """A list that grows by one for every trace split into columns for encoding."""
     calls = []
-    to_dict = records.trace_to_dict
+    columns = records._columns
 
     def counting(trace):
         calls.append(None)
-        return to_dict(trace)
+        return columns(trace)
 
-    monkeypatch.setattr(records, "trace_to_dict", counting)
+    monkeypatch.setattr(records, "_columns", counting)
     return calls
 
 
@@ -283,14 +289,18 @@ class TestMeasurementResult:
                               alternate_estimates=result.alternate_estimates)
 
     def test_spec_and_flags_are_the_raw_records(self):
+        # Schema v2 stores them once, in raw; v1's top-level copies are gone.
         result = clean_result()
         other = simulated_result(1, direction="upload").raw
         swapped = dataclasses.replace(result, raw=other)
         assert swapped.spec == other.spec
         assert swapped.flags == other.flags
         stored = json.loads(swapped.to_json())
-        assert stored["spec"] == stored["raw"]["spec"] == other.spec.to_dict()
-        assert stored["flags"] == stored["raw"]["flags"] == sorted(other.flags)
+        assert "spec" not in stored and "flags" not in stored
+        assert stored["raw"]["spec"] == other.spec.to_dict()
+        assert stored["raw"]["flags"] == sorted(other.flags)
+        loaded = MeasurementResult.from_json(swapped.to_json())
+        assert (loaded.spec, loaded.flags) == (other.spec, other.flags)
 
     @pytest.mark.parametrize("edit", [
         lambda data: data["spec"].update(direction="upload"),
@@ -299,8 +309,9 @@ class TestMeasurementResult:
         lambda data: data["raw"]["flags"].append("degenerate_trace"),
     ], ids=["spec-direction", "spec-connections", "top-level-flag", "raw-flag"])
     def test_line_whose_spec_or_flags_differ_from_raw_is_corrupt(self, tmp_path, edit):
+        # Only schema v1 stores the two copies.
         good = clean_result()
-        data = json.loads(good.to_json())
+        data = json.loads(good.to_json(records.SCHEMA_V1))
         edit(data)
         with pytest.raises(ValueError):
             MeasurementResult.from_dict(data)
@@ -323,7 +334,7 @@ class TestMeasurementResult:
 
     def test_unknown_schema_version_rejected(self):
         data = json.loads(clean_result().to_json())
-        data["schema_version"] = 2
+        data["schema_version"] = 3
         with pytest.raises(UnknownSchemaError):
             MeasurementResult.from_dict(data)
 
@@ -333,6 +344,8 @@ class TestMeasurementResult:
             dataclasses.replace(result, schema_version=2)
         assert result.schema_version == records.SCHEMA_VERSION
         assert json.loads(result.to_json())["schema_version"] == records.SCHEMA_VERSION
+        with pytest.raises(UnknownSchemaError):
+            result.to_json(records.SCHEMA_VERSION + 1)
 
     def test_missing_schema_version_rejected(self):
         data = json.loads(clean_result().to_json())
@@ -352,11 +365,15 @@ class TestMeasurementResult:
     @given(data=st.data())
     def test_to_json_is_canonical_json_of_to_dict(self, sharing, data):
         result = data.draw(drawn_results(sharing))
-        assert result.to_json() == canonical_json(result.to_dict())
+        text = result.to_json()
+        assert text == canonical_json(result.to_dict())
+        assert MeasurementResult.from_json(text).to_json() == text
 
     def test_nan_in_a_repeated_trace_rejected(self):
         result = simulated_result(4)
-        bad = ThroughputTrace(sample_interval=100.0, samples=((0.0, 0.0), (100.0, math.nan)))
+        share = result.raw.per_connection_traces[0]
+        bad = dataclasses.replace(
+            share, samples=((0.0, 0.0), (100.0, math.nan)) + share.samples[2:])
         raw = dataclasses.replace(result.raw, per_connection_traces=(bad,) * 4)
         with pytest.raises(ValueError):
             dataclasses.replace(result, raw=raw).to_json()
@@ -375,11 +392,16 @@ class TestMeasurementResult:
     @pytest.mark.parametrize("n_connections", [1, 16])
     def test_encoding_cost_does_not_grow_with_connections(self, n_connections,
                                                           trace_encodings):
-        # One repeated per-connection trace plus the aggregate.
+        # One repeated per-connection trace plus the aggregate, each split
+        # into columns once. At one connection the share's column equals
+        # the aggregate's, so the record stores one column.
         result = simulated_result(n_connections)
         trace_encodings.clear()
-        result.to_json()
+        table = json.loads(result.to_json())["raw"]["trace"]
         assert len(trace_encodings) == 2
+        assert len(table["columns"]) == (1 if n_connections == 1 else 2)
+        assert table["aggregate"] == 0
+        assert table["per_connection"] == [0 if n_connections == 1 else 1] * n_connections
 
     def test_alternate_estimates_cover_every_method(self):
         result = clean_result()
@@ -397,7 +419,9 @@ class TestMeasurementResult:
 
 class TestStoredBytes:
     # Pinned so that encoding changes cannot alter stored records, on any
-    # supported Python version.
+    # supported Python version. The v1 digests are those of the records the
+    # last v1 writer stored; the records now reach them through
+    # to_json(SCHEMA_V1), so a v1 line still re-encodes to its own bytes.
     GOLDEN_SHA256 = {
         ("download", 1): "c29b7a271f6123961fb2c60bc28052202ad608c9d230567e57c0fbcea5638058",
         ("download", 4): "2480a523b545183f32a2b2e850d8e04763fc7eb8aa2eb573f0baf98f0f75992c",
@@ -406,26 +430,297 @@ class TestStoredBytes:
         ("upload", 4): "eaded0516ecaba9cd7ab7f74236621bfe26a1b039970e00a11f67e33174fc9c6",
         ("upload", 16): "221b76d8ce17a0de9bf1c4a08e482c86683d824cce63d4a4102462c416770789",
     }
+    V2_SHA256 = {
+        ("download", 1): "0912683a757b5b5d2a00028b361ec447afca7831bc6aa98157101dedf88c9ade",
+        ("download", 4): "63beff8d222539d35c3feea54ca1fed48c893750fe3607fbdeac9b7235aa2968",
+        ("download", 16): "df49269dbce10426ced2f5f0b258ccf66e91b17146e6b02e376a837a4c7de873",
+        ("upload", 1): "2ee2d399b8c1bd0b76e7e70e382dc9a9aeced669a4702c3e0cc794b7d7693b19",
+        ("upload", 4): "eb3f6f9409ea43fb4adaafbe5b90dfe1c35e10bd7c02b604dcfd60c25cfbbf48",
+        ("upload", 16): "9b19044cf1e9fc617f63e8b0590866b73badef751a353708c04e08b5f4084803",
+    }
 
     @pytest.mark.parametrize("direction,n_connections", sorted(GOLDEN_SHA256))
     def test_simulated_record_bytes_are_pinned(self, direction, n_connections):
-        text = simulated_result(n_connections, direction).to_json()
+        text = simulated_result(n_connections, direction).to_json(records.SCHEMA_V1)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == self.GOLDEN_SHA256[direction, n_connections]
+
+    @pytest.mark.parametrize("direction,n_connections", sorted(V2_SHA256))
+    def test_simulated_v2_record_bytes_are_pinned(self, direction, n_connections):
+        text = simulated_result(n_connections, direction).to_json()
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == self.V2_SHA256[direction, n_connections]
 
     # A link-limited lossy path that ramps between drops for its whole test
     # (10 Gbit/s, 2 ms, p=1e-4, 16 connections, 10 s), and a measured record
     # with int counts and a distinct trace per connection.
     LOSSY_RAMPS_SHA256 = "46ebf6cd8a53bf89865f2709659f92cb9e5d8cbe582d135e443865a7d25b72a4"
     MEASURED_SHA256 = "58f5ca89942bcb6aa57dac7281e4c429e15d35da5e34c96bc762fb2ddaf2bbdb"
+    LOSSY_RAMPS_V2_SHA256 = "7f89841249e07368ae5635962498862a63839f2e858c28731590fe64940fd2d2"
+    MEASURED_V2_SHA256 = "20a0b73648b5dcf7a8c9f99b9910c2c6621c64d2ad7396b6c66fffd0ef3023b8"
 
     def test_lossy_many_ramp_record_bytes_are_pinned(self):
-        text = simulated_result(16, link=10e9, rtt=2.0, duration=10.0).to_json()
+        text = simulated_result(16, link=10e9, rtt=2.0, duration=10.0).to_json(records.SCHEMA_V1)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.LOSSY_RAMPS_SHA256
 
     def test_measured_record_bytes_are_pinned(self):
-        text = measured_result().to_json()
+        text = measured_result().to_json(records.SCHEMA_V1)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.MEASURED_SHA256
+
+    def test_lossy_many_ramp_v2_record_bytes_are_pinned(self):
+        text = simulated_result(16, link=10e9, rtt=2.0, duration=10.0).to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.LOSSY_RAMPS_V2_SHA256
+
+    def test_measured_v2_record_bytes_are_pinned(self):
+        text = measured_result().to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.MEASURED_V2_SHA256
+
+
+def stored_fields_equal(loaded: MeasurementResult, result: MeasurementResult):
+    """Assert ``==`` on every field a v2 line stores, one field at a time."""
+    for field in dataclasses.fields(MeasurementResult):
+        if field.name != "raw":
+            assert getattr(loaded, field.name) == getattr(result, field.name), field.name
+    for field in dataclasses.fields(RawTestRecord):
+        if field.name != "started_at_monotonic":
+            assert getattr(loaded.raw, field.name) == getattr(result.raw, field.name), field.name
+
+
+class TestSchemaV2:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_record_round_trips_every_stored_field(self, seed):
+        result = random_result(random.Random(seed))
+        text = result.to_json()
+        assert json.loads(text)["schema_version"] == 2
+        loaded = MeasurementResult.from_json(text)
+        stored_fields_equal(loaded, result)
+        assert loaded.to_json() == text
+
+    @pytest.mark.parametrize("change", [
+        lambda trace: dataclasses.replace(trace, sample_interval=50.0),
+        lambda trace: dataclasses.replace(trace, source=MEASURED),
+        lambda trace: dataclasses.replace(
+            trace, samples=tuple((t + 1.0, b) for t, b in trace.samples)),
+        lambda trace: dataclasses.replace(trace, samples=trace.samples[:-1]),
+    ], ids=["interval", "source", "times", "fewer-samples"])
+    @pytest.mark.parametrize("changed", ["aggregate", "one-connection"])
+    def test_traces_that_do_not_share_one_time_column_are_refused(self, change, changed):
+        result = simulated_result(4)
+        raw = result.raw
+        if changed == "aggregate":
+            raw = dataclasses.replace(raw, aggregate_trace=change(raw.aggregate_trace))
+        else:
+            traces = list(raw.per_connection_traces)
+            traces[2] = change(traces[2])
+            raw = dataclasses.replace(raw, per_connection_traces=tuple(traces))
+        with pytest.raises(ValueError, match="must share one"):
+            dataclasses.replace(result, raw=raw).to_json()
+
+    def test_equal_distinct_traces_are_one_column_and_load_as_one_object(self):
+        result = simulated_result(4)
+        share = result.raw.per_connection_traces[0]
+        copies = tuple(dataclasses.replace(share) for _ in range(4))
+        assert len({id(trace) for trace in copies}) == 4
+        copied = dataclasses.replace(
+            result, raw=dataclasses.replace(result.raw, per_connection_traces=copies))
+        text = copied.to_json()
+        assert text == result.to_json()
+        table = json.loads(text)["raw"]["trace"]
+        assert (len(table["columns"]), table["per_connection"]) == (2, [1, 1, 1, 1])
+        loaded = MeasurementResult.from_json(text)
+        assert len({id(trace) for trace in loaded.raw.per_connection_traces}) == 1
+        assert loaded.raw.per_connection_traces == copies
+
+    def test_single_connection_trace_is_the_aggregate_object(self):
+        loaded = MeasurementResult.from_json(simulated_result(1).to_json())
+        assert loaded.raw.per_connection_traces == (loaded.raw.aggregate_trace,)
+        assert loaded.raw.per_connection_traces[0] is loaded.raw.aggregate_trace
+
+    def test_sixteen_connection_simulated_record_is_at_most_a_fifth_of_v1(self):
+        # Default-length (10 s) tests; at 2 s the fields around the traces
+        # weigh as much as the traces do.
+        for result in (simulated_result(16, duration=10.0),
+                       simulated_result(16, link=10e9, rtt=2.0, duration=10.0)):
+            assert 5 * len(result.to_json()) <= len(result.to_json(records.SCHEMA_V1))
+
+    @pytest.mark.parametrize("edit", [
+        lambda table: table["per_connection"].__setitem__(0, 5),
+        lambda table: table["per_connection"].__setitem__(0, -1),
+        lambda table: table["per_connection"].__setitem__(0, True),
+        lambda table: table.update(aggregate=1.0),
+        lambda table: table["columns"][1].pop(),
+        lambda table: table["times"].pop(),
+        lambda table: table["columns"][1].reverse(),
+    ], ids=["index-past-end", "negative-index", "bool-index", "float-index",
+            "short-column", "short-times", "decreasing-bytes"])
+    def test_malformed_trace_table_makes_a_line_corrupt(self, tmp_path, edit):
+        good = simulated_result(4)
+        data = json.loads(good.to_json())
+        edit(data["raw"]["trace"])
+        store = ResultStore(tmp_path / "results.jsonl")
+        with open(store.path, "w") as fh:
+            fh.write(canonical_json(data) + "\n")
+        store.append(good)
+        assert store.load() == [good]
+
+    def test_simulated_record_stores_its_model_inputs(self):
+        result = simulated_result(4)
+        stored = json.loads(result.to_json())["raw"]["model"]
+        assert stored == {"capacity": 200e6, "rtt": 20.0, "loss_rate": 1e-4, "mss": 1500,
+                          "initial_cwnd": 10.0, "initial_ssthresh": 64.0, "cc": "reno64",
+                          "revision": 1}
+        loaded = MeasurementResult.from_json(result.to_json())
+        assert records.regenerate_trace(loaded.raw) == loaded.raw.aggregate_trace
+        assert json.loads(measured_result().to_json())["raw"]["model"] is None
+
+    # v2 drops four v1 fields; each test below checks what now carries
+    # the information.
+    def test_started_at_monotonic_stays_in_memory_only(self):
+        # A reading of one process's monotonic clock: run_multi_destination
+        # lines up its tests with it in memory; a stored record's wall time
+        # is its timestamp.
+        result = measured_result()
+        assert result.raw.started_at_monotonic == 12345.678
+        stored = json.loads(result.to_json())
+        assert "started_at_monotonic" not in stored["raw"]
+        loaded = MeasurementResult.from_json(result.to_json())
+        assert loaded.raw.started_at_monotonic is None
+        assert datetime.fromisoformat(loaded.timestamp).tzinfo is not None
+
+    def test_the_stored_method_names_the_warmup_rule(self):
+        # v1's warmup_excluded was true on every run and read by nothing.
+        # What the headline leaves out is the method's: steady_state and
+        # trimmed start at its steady_start rule, full_average keeps all.
+        result = clean_result()
+        stored = json.loads(result.to_json())
+        assert "warmup_excluded" not in stored["raw"]["spec"]
+        assert "warmup_excluded" not in stored["methodology"]
+        method = stored["methodology"]["method"]
+        assert method["kind"] == "steady_state"
+        assert method["steady_start"] == EstimationMethod().steady_start
+        assert EstimationMethod.from_dict(method) == result.report.method
+        v1 = json.loads(result.to_json(records.SCHEMA_V1))
+        assert v1["spec"]["warmup_excluded"] is v1["methodology"]["warmup_excluded"] is True
+
+
+V1_STORE = os.path.join(os.path.dirname(__file__), "data", "store_v1.jsonl")
+
+
+def v1_lines() -> list[str]:
+    with open(V1_STORE, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+class TestSchemaV1:
+    """Lines the last v1 writer stored, in ``tests/data/store_v1.jsonl``.
+
+    The file holds simulated_result(1), simulated_result(4),
+    simulated_result(16, "upload"), the lossy 10 Gbit/s 16-connection
+    record and measured_result(), appended by the v1 ResultStore.
+    """
+
+    def test_fixture_holds_the_pinned_v1_records(self):
+        golden = TestStoredBytes.GOLDEN_SHA256
+        assert [hashlib.sha256(line.encode("utf-8")).hexdigest() for line in v1_lines()] == [
+            golden["download", 1], golden["download", 4], golden["upload", 16],
+            TestStoredBytes.LOSSY_RAMPS_SHA256, TestStoredBytes.MEASURED_SHA256]
+
+    def test_every_line_loads_and_re_encodes_to_its_bytes(self):
+        lines = v1_lines()
+        loaded = ResultStore(V1_STORE).load()
+        assert len(loaded) == len(lines) == 5
+        for line, result in zip(lines, loaded):
+            assert json.loads(line)["schema_version"] == records.SCHEMA_V1
+            assert result.to_json(records.SCHEMA_V1) == line
+            assert result.raw.model is None
+            assert recompute_report(result) == result.report
+
+    def test_v1_lines_followed_by_v2_appends_load_in_order(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        shutil.copyfile(V1_STORE, path)
+        store = ResultStore(path)
+        appended = [simulated_result(4), measured_result(), simulated_result(1, "upload")]
+        for result in appended:
+            store.append(result)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        versions = [json.loads(line)["schema_version"] for line in lines]
+        assert versions == [1] * 5 + [2] * 3
+        loaded = store.load()
+        assert [result.to_json(version) for result, version in zip(loaded, versions)] == lines
+        for result, fresh in zip(loaded[5:], appended):
+            stored_fields_equal(result, fresh)
+        # The v1 records re-encode as v2 lines that load to the same records.
+        for result in loaded[:5]:
+            stored_fields_equal(MeasurementResult.from_json(result.to_json()), result)
+
+
+def every_kind_store(path) -> list[str]:
+    """A store of v1 lines and v2 appends of every record kind; returns its lines."""
+    shutil.copyfile(V1_STORE, path)
+    store = ResultStore(path)
+    for result in (simulated_result(1), simulated_result(4, "upload"),
+                   simulated_result(16, link=10e9, rtt=2.0, duration=10.0),
+                   measured_result(),
+                   clean_result(flags=frozenset({"cross_traffic_detected"}))):
+        store.append(result)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def rewrite_line(path, lines, index, edit):
+    """Write ``lines`` back to ``path`` with line ``index`` edited by hand."""
+    data = json.loads(lines[index])
+    edit(data)
+    lines = lines[:index] + [canonical_json(data)] + lines[index + 1:]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+class TestVerify:
+    def test_passes_on_every_record_kind(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        lines = every_kind_store(path)
+        assert records.verify_store(path) == (len(lines), 0, Counter())
+
+    def test_passes_on_the_v1_fixture(self):
+        assert records.verify_store(V1_STORE) == (5, 0, Counter())
+
+    @pytest.mark.parametrize("index", [1, 6, 8], ids=["v1", "v2-simulated", "v2-measured"])
+    def test_fails_on_a_report_edited_by_hand(self, tmp_path, index):
+        path = tmp_path / "results.jsonl"
+        lines = every_kind_store(path)
+
+        def edit(data):
+            report = data["report"]
+            axis = "download_bps" if report["download_bps"] is not None else "upload_bps"
+            report[axis] *= 1.01
+
+        rewrite_line(path, lines, index, edit)
+        assert records.verify_store(path) == (len(lines), 1, Counter(report=1))
+
+    @pytest.mark.parametrize("key,value", [
+        ("capacity", 100e6), ("loss_rate", 0.0), ("rtt", 2.5), ("initial_cwnd", 4.0),
+        ("revision", 2), ("cc", "cubic"), ("mss", -1),
+    ])
+    def test_fails_on_a_model_input_edited_by_hand(self, tmp_path, key, value):
+        # The lossy 10 Gbit/s record, whose trace every one of its inputs
+        # shapes (a 2 s, 200 Mbit/s test drops nothing at p = 1e-4, so its
+        # trace does not depend on its loss rate).
+        path = tmp_path / "results.jsonl"
+        lines = every_kind_store(path)
+        rewrite_line(path, lines, 7, lambda data: data["raw"]["model"].update({key: value}))
+        assert records.verify_store(path) == (len(lines), 1, Counter(model=1))
+
+    def test_counts_lines_that_do_not_load_or_re_encode(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        lines = every_kind_store(path)
+        spaced = json.dumps(json.loads(lines[7]))  # the default separators add spaces
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines[:7] + [spaced, "{not json", ""] + lines[8:]) + "\n")
+        assert records.verify_store(path) == (len(lines) + 1, 2,
+                                              Counter(round_trip=1, corrupt=1))
 
 
 STORE_WRITERS = 3
@@ -433,9 +728,28 @@ STORE_APPENDS = 100
 
 
 def writer_result(writer):
-    """A 16-connection record (about 35 KB a line) that only ``writer`` appends."""
-    return dataclasses.replace(simulated_result(16, duration=10.0),
-                               timestamp=f"2026-01-02T03:04:{writer:02d}+00:00")
+    """A measured 16-connection record (about 35 KB a line) that only ``writer`` appends.
+
+    Each connection's trace is distinct, so the line is many times the 4 KB
+    in which an unlocked writer could be split.
+    """
+    rng = random.Random(writer)
+    per_connection = tuple(dataclasses.replace(random_trace(rng, 200, 50.0), source=MEASURED)
+                           for _ in range(16))
+    aggregate = ThroughputTrace(sample_interval=50.0, source=MEASURED, samples=tuple(
+        (t, sum(trace.samples[k][1] for trace in per_connection))
+        for k, (t, _) in enumerate(per_connection[0].samples)))
+    raw = RawTestRecord(
+        spec=engine_mod.TestSpec(target="h.example.net:7777", duration=10.0,
+                                 n_connections=16, sample_interval=50.0, nonce=bytes(16)),
+        per_connection_traces=per_connection,
+        aggregate_trace=aggregate,
+        latency=LatencyStats(rtts=(12.5, 13.0), sent=2, received=2),
+        cross_traffic_bps=0.0,
+        flags=frozenset(),
+    )
+    return make_result(raw, EstimationMethod(), records.ORIGIN_USER,
+                       timestamp=f"2026-01-02T03:04:{writer:02d}+00:00")
 
 
 def append_repeatedly(path, writer, start):
@@ -512,7 +826,7 @@ class TestResultStore:
         store.append(good)
         for value in (math.nan, math.inf):
             data = json.loads(good.to_json())
-            data["raw"]["aggregate_trace"]["samples"][1][1] = value
+            data["raw"]["trace"]["columns"][0][1] = value
             with open(store.path, "a") as fh:
                 fh.write(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
         with caplog.at_level(logging.WARNING):
