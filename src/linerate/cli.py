@@ -98,6 +98,10 @@ def simulated_raw(settings: dict, direction: str,
     link = flowmodel.LinkModel(capacity=settings["link"], rtt=settings["rtt"],
                                loss_rate=settings["loss"])
     n = settings["connections"]
+    # Built first, so an interval the spec refuses never reaches the model.
+    spec = TestSpec(target=SIMULATED_TARGET, direction=direction,
+                    duration=settings["duration"], n_connections=n,
+                    sample_interval=sample_interval, target_id=SIMULATED_FLAG)
     model = flowmodel.model_inputs(link)
     aggregate = flowmodel.simulate_model(model, n, settings["duration"], sample_interval)
     # The model's flows are symmetric, so the exact per-connection answer is
@@ -107,9 +111,6 @@ def simulated_raw(settings: dict, direction: str,
         samples=tuple((t, b / n) for t, b in aggregate.samples),
     )
     per_connection = (share,) * n
-    spec = TestSpec(target=SIMULATED_TARGET, direction=direction,
-                    duration=settings["duration"], n_connections=n,
-                    sample_interval=sample_interval, target_id=SIMULATED_FLAG)
     return RawTestRecord(
         spec=spec,
         per_connection_traces=per_connection,
@@ -190,7 +191,8 @@ def _run_one(args, settings: dict | None, origin: str) -> records.MeasurementRes
     """One test's result: from the fluid model when ``settings`` is given, else measured."""
     method = EstimationMethod(kind=args.method)
     if settings is not None:
-        return records.make_result(simulated_raw(settings, args.direction), method, origin)
+        return records.make_result(simulated_raw(settings, args.direction, args.interval),
+                                   method, origin)
     target, target_id, server = _resolve_target(args)
     spec = TestSpec(target=target, direction=args.direction, duration=args.duration,
                     n_connections=args.connections, sample_interval=args.interval,

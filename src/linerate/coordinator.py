@@ -5,7 +5,7 @@ set, and the final choice is always the lowest measured median RTT, so a
 mislabeled server can never win on its label.  Health tracking removes
 servers that keep failing or underperforming and lets them earn their way
 back.  Schedules spread a day's tests across peak and off-peak windows at
-seeded-random times.  Multi-destination runs drive several engines at once
+seeded-random times.  Multi-destination runs drive several tests at once
 so no single path bottleneck caps the measured rate.
 """
 
@@ -408,10 +408,11 @@ def run_multi_destination(specs, method: metrics.EstimationMethod | None = None,
     run proceeds over the survivors (flagged partial) and only fails outright
     when nothing survives.
 
-    Cross traffic is judged once, over the whole run: the counters are read
-    before the first engine starts and after the last one ends, and every
-    engine's own wire bytes are subtracted.  A record's own cross-traffic
-    figure counts its siblings as foreign, so the records are not returned.
+    Every destination runs on one engine.  Cross traffic is judged once, over
+    the whole run: the counters are read before the first test starts and
+    after the last one ends, and every record's own wire bytes are
+    subtracted.  A record's own cross-traffic figure counts its siblings as
+    foreign, so the records are not returned.
     """
     specs = list(specs)
     if not 2 <= len(specs) <= max_destinations:
@@ -424,9 +425,9 @@ def run_multi_destination(specs, method: metrics.EstimationMethod | None = None,
     records = {}
     failures = {}
     lock = threading.Lock()
-    engines = [engine_factory() for _ in specs]
+    engine = engine_factory()
 
-    def run_one(engine, key, spec):
+    def run_one(key, spec):
         try:
             record = engine.run_test(spec)
             with lock:
@@ -436,8 +437,8 @@ def run_multi_destination(specs, method: metrics.EstimationMethod | None = None,
                 failures[key] = str(exc)
 
     threads = [threading.Thread(target=run_one, args=args, daemon=True)
-               for args in zip(engines, keys, specs)]
-    counted_at_start = engines[0].read_counters()
+               for args in zip(keys, specs)]
+    counted_at_start = engine.read_counters()
     started = time.monotonic()
     for t in threads:
         t.start()
@@ -446,8 +447,9 @@ def run_multi_destination(specs, method: metrics.EstimationMethod | None = None,
 
     if not records:
         raise MultiDestFailedError(failures)
-    wire = [engine.wire_bytes for engine in engines]
-    cross_bps, flags = engines[0].measure_cross_traffic(
+    # A destination that failed moved no bytes of its own.
+    wire = [record.wire_bytes for record in records.values()]
+    cross_bps, flags = engine.measure_cross_traffic(
         counted_at_start, started, None if None in wire else sum(wire))
     method = method or metrics.EstimationMethod()
 

@@ -144,6 +144,10 @@ class RawTestRecord:
     # A simulated test's fluid-model inputs (flowmodel.model_inputs); None
     # for a measured one.
     model: dict | None = None
+    # The test's own bytes on counted interfaces, which cross-traffic
+    # detection subtracts; None when unreadable or not measured. In memory
+    # only, like started_at_monotonic.
+    wire_bytes: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "per_connection_traces", tuple(self.per_connection_traces))
@@ -225,13 +229,14 @@ def _connect(host, port) -> socket.socket:
 
 
 class Engine:
-    """One client-side test runner.  Not shareable across concurrent tests."""
+    """One client-side test runner.
+
+    It keeps no state between tests: everything a test produces is on its
+    record, so one engine may run several tests at once.
+    """
 
     def __init__(self, counter_provider=None):
         self.read_counters = counter_provider or read_interface_byte_counters
-        # The last test's bytes on counted interfaces; None when unreadable.
-        self.wire_bytes = 0
-        self._busy = threading.Lock()
 
     # -- latency ------------------------------------------------------------
 
@@ -287,15 +292,6 @@ class Engine:
 
     def run_test(self, spec: TestSpec,
                  capacity_hint_bps: float | None = None) -> RawTestRecord:
-        if not self._busy.acquire(blocking=False):
-            raise RuntimeError("engine already running a test; use one engine per test")
-        try:
-            return self._run_test_locked(spec, capacity_hint_bps)
-        finally:
-            self._busy.release()
-
-    def _run_test_locked(self, spec, capacity_hint_bps):
-        self.wire_bytes = 0
         flags = connection_flags(spec.n_connections)
 
         if spec.direction == "upload":
@@ -306,11 +302,10 @@ class Engine:
 
         control, server_load = self._handshake(spec)
         try:
-            record = self._transfer(spec, control, flags, latency, capacity_hint_bps,
-                                    server_load)
+            return self._transfer(spec, control, flags, latency, capacity_hint_bps,
+                                  server_load)
         finally:
             control.close()
-        return record
 
     def _handshake(self, spec):
         """The admitted test's control socket and its load; closed on any failure."""
@@ -401,8 +396,8 @@ class Engine:
 
         for worker in workers:
             worker.join(timeout=5.0)
-        self.wire_bytes = None if None in wire else sum(wire)
-        cross_bps, cross_flags = self.measure_cross_traffic(counted_at_t0, t0, self.wire_bytes,
+        wire_bytes = None if None in wire else sum(wire)
+        cross_bps, cross_flags = self.measure_cross_traffic(counted_at_t0, t0, wire_bytes,
                                                             capacity_hint_bps)
         flags |= cross_flags
         if not any(opened):
@@ -430,6 +425,7 @@ class Engine:
             server_summary=server_summary,
             server_load=server_load,
             started_at_monotonic=t0,
+            wire_bytes=wire_bytes,
         )
 
     def _collect_summary(self, control, spec):

@@ -382,14 +382,6 @@ class RoundLedger:
     rtt: float
     boundaries: list[float] = field(default_factory=lambda: [0.0])
 
-    def add_rounds(self, delivered_bytes: float, count: int):
-        """Append ``count`` rounds that each deliver ``delivered_bytes``.
-
-        accumulate makes the same float sums as appending
-        ``boundaries[-1] + delivered_bytes`` once per round.
-        """
-        _append_sums(self.boundaries, repeat(delivered_bytes, count))
-
     def sample(self, sample_interval: float, duration_ms: float) -> ThroughputTrace:
         """The ledger as a trace sampled every ``sample_interval`` ms up to ``duration_ms``.
 
@@ -521,10 +513,10 @@ def simulate_paths(
                 rounds -= skip
                 for i, run in runs.items():
                     sents[i] = run[skip]
-                for i, ledger in enumerate(ledgers):
-                    ledger.add_rounds(n_connections * delivered[i] * mss[i], skip)
+                for i, path_bytes in enumerate(boundaries):
+                    _append_sums(path_bytes, repeat(n_connections * delivered[i] * mss[i], skip))
                 if multi:
-                    total_ledger.add_rounds(round_total, skip)
+                    _append_sums(total_bytes, repeat(round_total, skip))
         elif ramp and rounds:
             # No path dropped a segment this round (a drop leaves a loss
             # round pending or a timeout), so each delivered what it sent.

@@ -181,8 +181,10 @@ def detect_steady_start(rates: list[tuple[float, float]], threshold: float = STE
     """Index of the first sample whose rate reaches ``threshold`` of the trace's peak.
 
     Slow start ramps toward the running maximum, so the first sample within
-    reach of the peak marks the start of the steady region. Degenerate traces
-    that never get there return the final index; the caller flags those.
+    reach of the peak marks the start of the steady region. With a threshold
+    up to 1 the peak itself qualifies, so a trace still rising when it ends
+    gets the end of its ramp as its "steady region"; nothing flags it, as no
+    convergence flag exists yet. A threshold above 1 gives the final index.
     """
     return _steady_start([r for _, r in rates], threshold)
 

@@ -528,7 +528,7 @@ def _summarize(values: list[float]) -> dict | None:
     return {
         "count": len(values),
         "median": statistics.median(values),
-        "mean": statistics.fmean(values),
+        "mean": statistics.mean(values),
         "p5": _percentile(values, 0.05),
         "p95": _percentile(values, 0.95),
     }

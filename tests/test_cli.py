@@ -106,6 +106,22 @@ class TestSimulatedRun:
                        "--duration", "inf") == cli.EXIT_CONFIG
         assert ResultStore(paths["store"]).load() == []
 
+    def test_interval_sets_the_simulated_sample_interval(self, paths):
+        assert run_cli(paths, "run", "--simulate", "link=100mbps", "--interval", "50",
+                       "--duration", "2") == cli.EXIT_OK
+        stored = ResultStore(paths["store"]).load()[0]
+        assert stored.spec.sample_interval == 50.0
+        assert stored.methodology["sample_interval_ms"] == 50.0
+        assert stored.raw.aggregate_trace.sample_interval == 50.0
+        assert len(stored.raw.aggregate_trace.samples) == 41
+        assert records.verify_store(paths["store"])[:2] == (1, 0)
+
+    @pytest.mark.parametrize("interval", ["0", "-5", "nan", "3000"])
+    def test_interval_the_spec_refuses_is_config_error(self, paths, interval):
+        assert run_cli(paths, "run", "--simulate", "link=100mbps", "--interval", interval,
+                       "--duration", "2") == cli.EXIT_CONFIG
+        assert ResultStore(paths["store"]).load() == []
+
 
 class TestMeasuredRun:
     def test_direct_target(self, paths, responder, capsys):

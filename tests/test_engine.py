@@ -664,7 +664,7 @@ class TestRunTest:
 
         monkeypatch.setattr(protocol.os, "urandom", counting)
         monkeypatch.setattr(protocol, "pump", recording)
-        # A new Engine per test, as the CLI and coordinator make.
+        # A new Engine per test, as the CLI makes.
         for direction in ("upload", "upload", "download"):
             record = run_loopback(responder, direction=direction, duration=0.5,
                                   n_connections=1)
@@ -696,12 +696,46 @@ class TestRunTest:
         assert record.aggregate_trace.total_bytes > 0
         assert len(drawn_on) == 1 and drawn_on[0] != threading.get_ident()
 
-    def test_engine_rejects_concurrent_runs(self, responder):
+    def test_one_engine_runs_overlapping_tests(self, responder, monkeypatch):
+        # Two tests at once on one engine, on a path forced to count as a
+        # counted interface: each record carries its own connections' wire
+        # bytes, told apart by the nonce each data connection sends.
+        nonce_of, wire_of = {}, {}
+        send_frame, read_wire_bytes = protocol.send_frame, engine_mod._read_wire_bytes
+
+        def recording_send(sock, kind, nonce, *args):
+            if kind == protocol.START_DATA:
+                nonce_of[sock.getsockname()] = nonce
+            return send_frame(sock, kind, nonce, *args)
+
+        def recording_read(sock):
+            wire_of[sock.getsockname()] = read_wire_bytes(sock)
+            return wire_of[sock.getsockname()]
+
+        monkeypatch.setattr(engine_mod, "_crosses_counted_interface", lambda local, peer: True)
+        monkeypatch.setattr(protocol, "send_frame", recording_send)
+        monkeypatch.setattr(engine_mod, "_read_wire_bytes", recording_read)
         eng = quiet_engine()
-        assert eng._busy.acquire(blocking=False)
-        try:
-            spec = engine_mod.TestSpec(target="%s:%d" % responder.address, duration=1.0)
-            with pytest.raises(RuntimeError):
-                eng.run_test(spec)
-        finally:
-            eng._busy.release()
+        specs = [engine_mod.TestSpec(target="%s:%d" % responder.address, direction=direction,
+                                     duration=1.0, n_connections=n)
+                 for direction, n in (("download", 2), ("upload", 3))]
+        records = [None] * len(specs)
+
+        def run(i):
+            records[i] = eng.run_test(specs[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(specs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        starts = [record.started_at_monotonic for record in records]
+        assert abs(starts[0] - starts[1]) < 1.0  # the transfers overlapped
+        assert len(wire_of) == 5
+        for spec, record in zip(specs, records):
+            assert record.spec is spec
+            assert record.aggregate_trace.total_bytes > 0
+            own = [wire_of[address] for address, nonce in nonce_of.items()
+                   if nonce == spec.nonce]
+            assert len(own) == spec.n_connections
+            assert record.wire_bytes == sum(own) > 0

@@ -588,6 +588,15 @@ class TestSchemaV2:
         assert loaded.raw.started_at_monotonic is None
         assert datetime.fromisoformat(loaded.timestamp).tzinfo is not None
 
+    def test_wire_bytes_stay_in_memory_only(self):
+        # The engine's own-bytes sum for cross-traffic detection: no schema stores it.
+        result = measured_result()
+        carrying = dataclasses.replace(
+            result, raw=dataclasses.replace(result.raw, wire_bytes=123_456))
+        for version in (records.SCHEMA_V1, records.SCHEMA_VERSION):
+            assert carrying.to_json(version) == result.to_json(version)
+        assert MeasurementResult.from_json(carrying.to_json()).raw.wire_bytes is None
+
     def test_the_stored_method_names_the_warmup_rule(self):
         # v1's warmup_excluded was true on every run and read by nothing.
         # What the headline leaves out is the method's: steady_state and
@@ -914,6 +923,17 @@ class TestAggregation:
         value = result.report.download_bps
         assert summary["median"] == summary["mean"] == value
         assert summary["p5"] == summary["p95"] == value
+
+    # statistics.fmean misses all but the last by an ulp or more: 5 copies of
+    # 985933306.6666665 average to 985933306.6666664, 3 of 0.1 to
+    # 0.10000000000000002.
+    @pytest.mark.parametrize("value, n", [
+        (985933306.6666665, 5), (985933306.6666665, 7), (0.1, 3),
+        (1 / 3, 100), (123456789.12345679, 19), (1e-300, 100), (64.89, 2),
+    ])
+    def test_mean_of_identical_values_is_exactly_the_value(self, value, n):
+        summary = records._summarize([value] * n)
+        assert summary["mean"] == summary["median"] == value
 
     def test_quality_metrics_cover_flagged_results(self):
         # Cross traffic taints the throughput number, not the echo probes.
