@@ -34,9 +34,9 @@ from .engine import (
     TestRefusedError,
     TestSpec,
     UnreachableTargetError,
-    connection_flags,
 )
-from .metrics import METHOD_KINDS, STEADY_STATE, EstimationMethod, LatencyStats
+from .metrics import METHOD_KINDS, STEADY_STATE, EstimationMethod
+from .records import SIMULATED_FLAG
 
 log = logging.getLogger(__name__)
 
@@ -50,9 +50,7 @@ EXIT_VERIFY_FAILED = 6
 DEFAULT_STORE = "~/.linerate/results.jsonl"
 DEFAULT_REGISTRY = "~/.linerate/servers.jsonl"
 
-SIMULATED_FLAG = "simulated"
 SIMULATED_TARGET = "simulated:0"
-SIMULATED_PROBES = 5
 
 
 def parse_simulate_spec(text: str) -> dict:
@@ -97,30 +95,11 @@ def simulated_raw(settings: dict, direction: str,
     """A test record synthesized from the fluid model instead of the network."""
     link = flowmodel.LinkModel(capacity=settings["link"], rtt=settings["rtt"],
                                loss_rate=settings["loss"])
-    n = settings["connections"]
     # Built first, so an interval the spec refuses never reaches the model.
     spec = TestSpec(target=SIMULATED_TARGET, direction=direction,
-                    duration=settings["duration"], n_connections=n,
+                    duration=settings["duration"], n_connections=settings["connections"],
                     sample_interval=sample_interval, target_id=SIMULATED_FLAG)
-    model = flowmodel.model_inputs(link)
-    aggregate = flowmodel.simulate_model(model, n, settings["duration"], sample_interval)
-    # The model's flows are symmetric, so the exact per-connection answer is
-    # an equal split of the aggregate: one frozen trace, repeated n times.
-    share = flowmodel.ThroughputTrace(
-        sample_interval=sample_interval,
-        samples=tuple((t, b / n) for t, b in aggregate.samples),
-    )
-    per_connection = (share,) * n
-    return RawTestRecord(
-        spec=spec,
-        per_connection_traces=per_connection,
-        aggregate_trace=aggregate,
-        latency=LatencyStats(rtts=(settings["rtt"],) * SIMULATED_PROBES,
-                             sent=SIMULATED_PROBES, received=SIMULATED_PROBES),
-        cross_traffic_bps=0.0,
-        flags={SIMULATED_FLAG} | connection_flags(n),
-        model=model,
-    )
+    return records.simulate_raw(spec, flowmodel.model_inputs(link))
 
 
 def _format_optional_rate(bps) -> str:
@@ -187,6 +166,14 @@ def _simulate_settings(args) -> dict | None:
     return settings
 
 
+def _test_spec(args, settings: dict | None, target: str, target_id: str = "") -> TestSpec:
+    """One test's spec from ``args``; a simulated test is sized by its ``settings``."""
+    sized = settings or {"connections": args.connections, "duration": args.duration}
+    return TestSpec(target=target, direction=args.direction, duration=sized["duration"],
+                    n_connections=sized["connections"], sample_interval=args.interval,
+                    target_id=target_id)
+
+
 def _run_one(args, settings: dict | None, origin: str) -> records.MeasurementResult:
     """One test's result: from the fluid model when ``settings`` is given, else measured."""
     method = EstimationMethod(kind=args.method)
@@ -194,9 +181,7 @@ def _run_one(args, settings: dict | None, origin: str) -> records.MeasurementRes
         return records.make_result(simulated_raw(settings, args.direction, args.interval),
                                    method, origin)
     target, target_id, server = _resolve_target(args)
-    spec = TestSpec(target=target, direction=args.direction, duration=args.duration,
-                    n_connections=args.connections, sample_interval=args.interval,
-                    target_id=target_id)
+    spec = _test_spec(args, None, target, target_id)
     hint = server.capacity_hint if server else None
     try:
         raw = Engine().run_test(spec, capacity_hint_bps=hint)
@@ -253,11 +238,14 @@ def cmd_schedule(args) -> int:
         raise ValueError(f"peak window must look like 19:00-23:00, got {args.peak_window!r}")
     schedule = Schedule(tests_per_day=args.tests_per_day, peak_window=window,
                         fraction_peak=args.fraction_peak, seed=args.seed)
-    # An impossible schedule must fail at startup, not at 19:00.
+    # An impossible schedule must fail at startup, not at 19:00, and so must
+    # a test spec that every firing would refuse. The server is chosen at
+    # each firing, so the placeholder target stands in for it here.
     generate_schedule(schedule, datetime.now().date(), test_duration_s=args.duration)
+    settings = _simulate_settings(args)
+    _test_spec(args, settings, SIMULATED_TARGET)
 
     store = records.ResultStore(args.store)
-    settings = _simulate_settings(args)
 
     def fire(when):
         try:

@@ -5,17 +5,16 @@ flow transmits its congestion window, the link delivers at most one
 bandwidth-delay product worth of segments, and the window reacts to a
 deterministic loss schedule. The n flows of a path start identical and always
 get equal shares, so they stay in lockstep: one representative flow stands for
-all n and the path delivers n times what it does. Two kinds of round are
-computed in runs instead of stepped, up to the next scheduled drop: a steady
-stretch, in which a round changes nothing but the count of segments sent (a
-window pinned at the bdp) and so repeats exactly, and a congestion-avoidance
-ramp, in which each window grows by one segment a round. What is left to
-step is drop rounds, the round after each, and slow start, so the cost
-scales with those, not with the rounds or with n. Identical inputs always
-produce identical traces, which is what makes the throughput estimators
-testable at desk scale.
+all n and the path delivers n times what it does. A run of drop-free rounds
+is computed instead of stepped, up to the next scheduled drop or the end of
+the test: each window grows by one segment a round until it sits at its
+bdp, and once every window does, each round repeats the last exactly and is
+appended without being computed. What is left to step is drop rounds, the
+round after each, and slow start, so the cost scales with those, not with
+the rounds or with n. Identical inputs always produce identical traces,
+which is what makes the throughput estimators testable at desk scale.
 
-A ramp is computed without a per-round ``min``. Its windows never decrease,
+A run is computed without a per-round ``min``. Its windows never decrease,
 so each ``min`` the round loop takes (a window capped at the bdp, a share
 capped at 1.0) switches sides once, at a split found by bisection, and is
 the one operand before it and the other after. The access link's scale is
@@ -23,7 +22,7 @@ computed round by round only when the access link is finite: behind an
 uncapped one (every single link) it is exactly 1.0. Every float a computed
 round makes is the one stepping would make. A lossless path never drops, so
 the running count of segments sent, which only the search for the next
-drop reads, is not built for it in a stretch or a ramp.
+drop reads, is not built for it.
 
 Each pass from a ledger to a checked trace happens once. A ledger is
 sampled with no call per sample (its times, positions and floors are one
@@ -187,9 +186,8 @@ def _step(state: tuple, sent: float, initial_cwnd: float, bdp: float, period: in
     # loss_rounds) and ``sent`` the segments transmitted so far; returns the
     # next state, the next ``sent`` and the segments delivered this round.
     # This is the only place where drops, halving, timeouts and slow start
-    # happen: simulate_paths steps a round here unless the round is a repeat
-    # of a steady stretch (_steady_sents) or part of a drop-free
-    # congestion-avoidance ramp (_ramp).
+    # happen: simulate_paths steps a round here unless the round is part of
+    # a drop-free run (_ramp).
     cwnd, ssthresh, phase, loss_rounds = state
     cwnd = min(cwnd, bdp)  # the link cannot carry more than one bdp
     send = cwnd * share
@@ -241,17 +239,9 @@ def _drop_free_rounds(sents: list[float], period: int) -> int:
     return bisect_right(sents, mark, lo=1, key=lambda s: math.floor(s / period)) - 1
 
 
-def _steady_sents(sent: float, send: float, period: int, limit: int) -> list[float]:
-    # ``sent`` now and after each of up to ``limit`` further rounds that send
-    # ``send``, up to the last round before the first drop round.
-    # accumulate makes the same float sums as ``sent + send`` round by round.
-    sents = list(accumulate(repeat(send, _lookahead(sent, send, period, limit)), initial=sent))
-    return sents[:_drop_free_rounds(sents, period) + 1]
-
-
 def _ramp(states: list[tuple], sents: list[float], sends: list[float], bdps: list[float],
           periods: list, mss: list[int], n_connections: int, access_bdp: float,
-          limit: int) -> tuple[int, list[tuple], list[float], list[list[float]], list[float]]:
+          limit: int) -> tuple[int, int, list[tuple], list[float], list[list[float]], list[float]]:
     """Up to ``limit`` drop-free rounds of paths that grow by one segment per round.
 
     Every path is either in congestion avoidance with no loss round pending
@@ -284,36 +274,42 @@ def _ramp(states: list[tuple], sents: list[float], sends: list[float], bdps: lis
       every ``x >= 0``, so the first path's terms start them here.
 
     The run stops before the first round in which some path's ``sent``
-    crosses a multiple of its loss period (_step's drop), and once every
-    window has reached its bdp (pinned rounds are the steady rule's). The
-    lookahead is bounded by those stops, estimated from ``sends`` (each
+    crosses a multiple of its loss period (_step's drop), or after
+    ``limit`` rounds. Rounds are computed only up to the first in which
+    every window sits at its bdp: each round after it gets the same
+    windows, shares and scale, so it repeats that round exactly and is held,
+    not computed; only a lossy path's ``sent`` is summed over held rounds.
+    The lookahead is bounded by those stops, estimated from ``sends`` (each
     path's last send); a run they cut short is resumed by the loop, so they
     size the work and never change the result.
 
-    Returns (rounds, states, sents, per-path deltas, round totals) after the
-    run, or zero rounds.
+    Returns (rounds, held, states, sents, per-path deltas, round totals)
+    after the run: the deltas and totals of ``rounds`` computed rounds,
+    which the next ``held`` rounds repeat the last of; or zero rounds.
     """
-    limit = min(limit, max(math.ceil(bdp - min(state[0], bdp))
-                           for state, bdp in zip(states, bdps)))
+    # The first round in which every window sits at its bdp, were the chains
+    # below exact; where they pin later, the run is not held and is resumed.
+    all_pinned = max(math.ceil(bdp - min(state[0], bdp)) for state, bdp in zip(states, bdps))
+    built = min(limit, all_pinned + 1)
     for sent, send, period in zip(sents, sends, periods):
-        limit = _lookahead(sent, send, period, limit)
+        built = _lookahead(sent, send, period, built)
     cwnds, splits = [], []
     for state, bdp in zip(states, bdps):
-        path_cwnds = list(accumulate(repeat(1.0, limit), initial=min(state[0], bdp)))
+        path_cwnds = list(accumulate(repeat(1.0, built), initial=min(state[0], bdp)))
         pinned = bisect_right(path_cwnds, bdp)
-        path_cwnds[pinned:] = repeat(bdp, limit + 1 - pinned)
-        split = bisect_left(path_cwnds, True, hi=limit,
+        path_cwnds[pinned:] = repeat(bdp, built + 1 - pinned)
+        split = bisect_left(path_cwnds, True, hi=built,
                             key=lambda cwnd: bdp / (n_connections * cwnd) < 1.0)
         quotients = list(map(truediv, repeat(bdp),
-                             map(mul, repeat(n_connections), path_cwnds[split:limit])))
+                             map(mul, repeat(n_connections), path_cwnds[split:built])))
         cwnds.append(path_cwnds)
         splits.append((split, quotients))
     if access_bdp == math.inf:
-        path_sends = [path_cwnds[:split] + list(map(mul, path_cwnds[split:limit], quotients))
+        path_sends = [path_cwnds[:split] + list(map(mul, path_cwnds[split:built], quotients))
                       for path_cwnds, (split, quotients) in zip(cwnds, splits)]
     else:
         shares = [[1.0] * split + quotients for split, quotients in splits]
-        terms = [map(mul, map(mul, repeat(n_connections, limit), path_cwnds), path_shares)
+        terms = [map(mul, map(mul, repeat(n_connections, built), path_cwnds), path_shares)
                  for path_cwnds, path_shares in zip(cwnds, shares)]
         demand = terms[0]
         for path_terms in terms[1:]:
@@ -324,14 +320,25 @@ def _ramp(states: list[tuple], sents: list[float], sends: list[float], bdps: lis
     # A lossless path never drops, so only lossy paths' running sums can
     # stop the run; a lossless path's ``sent`` is never read again and is
     # left where it is.
-    rounds = limit
+    rounds = built
     runs = {}
     for i, (sends, sent, period) in enumerate(zip(path_sends, sents, periods)):
         if period is not None:
             runs[i] = list(accumulate(sends, initial=sent))
             rounds = min(rounds, _drop_free_rounds(runs[i], period))
     if not rounds:
-        return 0, states, sents, [], []
+        return 0, 0, states, sents, [], []
+    sents = [runs[i][rounds] if i in runs else sent for i, sent in enumerate(sents)]
+    held = 0
+    if rounds == built < limit and all(c[built - 1] == bdp for c, bdp in zip(cwnds, bdps)):
+        held = limit - built
+        for i in runs:
+            send = path_sends[i][-1]
+            runs[i] = list(accumulate(repeat(send, _lookahead(sents[i], send, periods[i], held)),
+                                      initial=sents[i]))
+            held = _drop_free_rounds(runs[i], periods[i])
+        for i, run in runs.items():
+            sents[i] = run[held]
     deltas = [list(map(mul, map(mul, repeat(n_connections, rounds), sends), repeat(m)))
               for sends, m in zip(path_sends, mss)]
     totals = deltas[0]
@@ -339,8 +346,7 @@ def _ramp(states: list[tuple], sents: list[float], sends: list[float], bdps: lis
         totals = list(map(add, totals, path_deltas))
     states = [(max(path_cwnds[rounds], 1.0),) + state[1:]
               for path_cwnds, state in zip(cwnds, states)]
-    sents = [runs[i][rounds] if i in runs else sent for i, sent in enumerate(sents)]
-    return rounds, states, sents, deltas, totals
+    return rounds, held, states, sents, deltas, totals
 
 
 def advance_round(state: FlowState, link: LinkModel, capacity_share: float = 1.0) -> FlowState:
@@ -369,10 +375,14 @@ def advance_round(state: FlowState, link: LinkModel, capacity_share: float = 1.0
     )
 
 
-def _append_sums(boundaries: list[float], deltas):
-    # Append ``boundaries[-1] + delta`` for each delta in turn: accumulate
-    # makes the same float sums as appending one round at a time.
+def _append_sums(boundaries: list[float], deltas: list[float], held: int):
+    # Append ``boundaries[-1] + delta`` for each delta in turn, then for the
+    # last delta ``held`` times more: accumulate makes the same float sums as
+    # appending one round at a time.
     boundaries.extend(islice(accumulate(deltas, initial=boundaries[-1]), 1, None))
+    if held:
+        held_sums = accumulate(repeat(deltas[-1], held), initial=boundaries[-1])
+        boundaries.extend(islice(held_sums, 1, None))
 
 
 @dataclass
@@ -424,22 +434,20 @@ def simulate_paths(
     path is scaled down when the summed demand exceeds ``access_bdp``
     segments. A single link is one path behind an uncapped access link.
 
-    Steady stretches: when a round leaves every path's (cwnd, ssthresh, phase,
-    loss_rounds) unchanged, the rounds after it repeat its per-path and total
-    deltas exactly, up to the first round whose ``sent`` crosses the next
-    multiple of some path's loss period (on lossless paths, to the end). Those
-    rounds are appended to the ledgers without stepping, with the same float
-    sums.
-
-    Ramps: when a round leaves every path either unchanged or in congestion
-    avoidance with no loss round pending, the windows grow by one segment a
-    round (capped at the bdp) until the first drop, and _ramp computes those
-    rounds for every path at once, again making each float the loop makes.
+    Runs: when a round leaves every path either unchanged (a window pinned
+    at its bdp) or in congestion avoidance with no loss round pending, the
+    windows grow by one segment a round, capped at the bdp, until the first
+    round whose ``sent`` crosses the next multiple of some path's loss
+    period (on lossless paths, to the end of the test). _ramp computes those
+    rounds for every path at once, making each float the loop makes, up to
+    the first round in which every window sits at its bdp; the rounds after
+    it repeat its per-path and total deltas exactly and are appended with
+    the same float sums.
 
     So the ledgers are bit-identical to stepping every round. The rounds
-    still stepped are the drop rounds, the round after each, slow start, and
-    one round to see each fixed point: the cost scales with those, not with
-    the number of rounds, and n enters only through each flow's share.
+    still stepped are the drop rounds, the round after each, and slow start:
+    the cost scales with those, not with the number of rounds, and n enters
+    only through each flow's share.
 
     A single path's aggregate is the path itself: each round's total starts
     from 0.0 and ``0.0 + x == x``, so its ledger would repeat the path's
@@ -454,7 +462,6 @@ def simulate_paths(
         raise ValueError(f"duration must be positive and finite, got {duration_ms} ms")
     bdps = [link.bdp_segments for link in links]
     periods = [link.loss_period for link in links]
-    lossy = [i for i, period in enumerate(periods) if period is not None]
     mss = [link.mss for link in links]
     states = [(initial.cwnd, initial.ssthresh, initial.phase, initial.loss_rounds)] * len(links)
     sents = [initial.sent] * len(links)
@@ -464,7 +471,7 @@ def simulate_paths(
     total_ledger = RoundLedger(rtt=rtt) if multi else ledgers[0]
 
     # Rounds append to the ledgers' lists directly: a method call per path
-    # and round would cost more than the steady-stretch check.
+    # and round would cost more than the check for a run.
     boundaries = [ledger.boundaries for ledger in ledgers]
     total_bytes = total_ledger.boundaries
     rounds = math.ceil(duration_ms / rtt)
@@ -480,15 +487,13 @@ def simulate_paths(
         access_scale = min(1.0, access_bdp / demand)
 
         round_total = 0.0
-        steady = ramp = True
+        ramp = True
         for i in range(len(links)):
             state = states[i]
             states[i], sents[i], delivered[i] = _step(
                 state, sents[i], initial.initial_cwnd, bdps[i], periods[i],
                 shares[i] * access_scale)
-            unchanged = states[i] == state
-            steady = steady and unchanged
-            ramp = ramp and (unchanged or states[i][2:] == (CONGESTION_AVOIDANCE, 0))
+            ramp = ramp and (states[i] == state or states[i][2:] == (CONGESTION_AVOIDANCE, 0))
             delta = n_connections * delivered[i] * mss[i]
             path_bytes = boundaries[i]
             path_bytes.append(path_bytes[-1] + delta)
@@ -496,37 +501,16 @@ def simulate_paths(
         if multi:
             total_bytes.append(total_bytes[-1] + round_total)
 
-        if steady and rounds:
-            # Only ``sent`` changed, so the next rounds get the same shares
-            # and send the same, and add the same deltas until a path's
-            # ``sent`` crosses a multiple of its loss period. This round
-            # dropped nothing (a drop always changes loss_rounds), so what
-            # each path delivered is also what it sent.
-            # A lossless path never drops, so it never stops the stretch and
-            # its ``sent`` is never read again: it is left where it is.
-            skip = rounds
-            runs = {}
-            for i in lossy:
-                runs[i] = _steady_sents(sents[i], delivered[i], periods[i], skip)
-                skip = len(runs[i]) - 1
-            if skip:
-                rounds -= skip
-                for i, run in runs.items():
-                    sents[i] = run[skip]
-                for i, path_bytes in enumerate(boundaries):
-                    _append_sums(path_bytes, repeat(n_connections * delivered[i] * mss[i], skip))
-                if multi:
-                    _append_sums(total_bytes, repeat(round_total, skip))
-        elif ramp and rounds:
+        if ramp and rounds:
             # No path dropped a segment this round (a drop leaves a loss
             # round pending or a timeout), so each delivered what it sent.
-            ramped, states, sents, deltas, totals = _ramp(
+            ramped, held, states, sents, deltas, totals = _ramp(
                 states, sents, delivered, bdps, periods, mss, n_connections, access_bdp, rounds)
-            rounds -= ramped
+            rounds -= ramped + held
             for path_bytes, path_deltas in zip(boundaries, deltas):
-                _append_sums(path_bytes, path_deltas)
+                _append_sums(path_bytes, path_deltas, held)
             if multi:
-                _append_sums(total_bytes, totals)
+                _append_sums(total_bytes, totals, held)
     return ledgers, total_ledger
 
 
@@ -616,17 +600,14 @@ def loss_limited_throughput(
 ) -> float:
     """Steady-state rate of one flow under the link's periodic loss, in bits/s.
 
-    Runs the round model past its transient, then averages delivered segments
-    per RTT over many loss cycles. Only meaningful when loss limits the flow,
-    so a lossless link is rejected.
+    Runs the round model past its transient, then averages delivered bytes
+    per RTT over many loss cycles, read from one flow's ledger. Only
+    meaningful when loss limits the flow, so a lossless link is rejected.
     """
     if link.loss_rate == 0:
         raise ValueError("loss_rate must be > 0; a lossless link is capacity-limited")
-    state = FlowState()
-    for _ in range(warmup_rounds):
-        state = advance_round(state, link)
-    start_delivered = state.delivered
-    for _ in range(measure_rounds):
-        state = advance_round(state, link)
-    segments_per_round = (state.delivered - start_delivered) / measure_rounds
-    return segments_per_round * link.mss * 8 / (link.rtt / 1000.0)
+    end = warmup_rounds + measure_rounds
+    (ledger,), _ = simulate_paths([link], 1, end * link.rtt)
+    bounds = ledger.boundaries
+    bytes_per_round = (bounds[end] - bounds[warmup_rounds]) / measure_rounds
+    return bytes_per_round * 8 / (link.rtt / 1000.0)

@@ -3,11 +3,11 @@
 Every stored result is self-describing: the raw traces, the probe statistics,
 the fully expanded methodology and, for a simulated test, the fluid model's
 inputs ride along with the reported numbers, so anyone can recompute the
-report (and regenerate a simulated trace) from the record alone and get the
-same bits.  ``verify_store`` checks exactly that.  Records are canonical
-JSON, one per line; the store is append-only, any number of processes may
-append to it at once, and a corrupted or foreign trailing line never hides
-the earlier records.
+report, alternate estimates and methodology (and a simulated record's raw
+data) from the record alone and get the same bits.  ``verify_store`` checks
+exactly that.  Records are canonical JSON, one per line; the store is
+append-only, any number of processes may append to it at once, and a
+corrupted or foreign trailing line never hides the earlier records.
 
 Schema v2 stores a record's traces as one table, ``raw.trace``: the sample
 interval and source, the sampler's time column once, the distinct byte
@@ -41,7 +41,8 @@ from typing import ClassVar
 
 from . import flowmodel, metrics
 from .coordinator import Registry, ServerDescriptor
-from .engine import FLAG_CROSS_TRAFFIC, FLAG_DEGENERATE, RawTestRecord, TestSpec
+from .engine import (FLAG_CROSS_TRAFFIC, FLAG_DEGENERATE, RawTestRecord, TestSpec,
+                     connection_flags)
 from .flowmodel import ThroughputTrace
 from .metrics import EstimationMethod, LatencyStats, MetricReport
 
@@ -61,10 +62,15 @@ THROUGHPUT_METRICS = ("download_bps", "upload_bps")
 QUALITY_METRICS = ("latency_ms", "jitter_ms", "loss_rate")
 
 # The checks verify_store makes, in the order it reports failures: a line
-# that does not load, a report that its methodology and aggregate trace do
-# not reproduce, a line that does not re-encode to its own bytes, and a
-# simulated aggregate trace that its stored model inputs do not regenerate.
+# that does not load, a report, alternate estimate or methodology that its
+# method, spec and aggregate trace do not reproduce, a line that does not
+# re-encode to its own bytes, and a simulated record's raw data that its
+# spec and model inputs do not regenerate.
 VERIFY_CHECKS = ("corrupt", "report", "round_trip", "model")
+
+# A simulated record's flag and target id, and its probes of the model's RTT.
+SIMULATED_FLAG = "simulated"
+SIMULATED_PROBES = 5
 
 
 class UnknownSchemaError(Exception):
@@ -402,11 +408,35 @@ def recompute_report(result: MeasurementResult) -> MetricReport:
                                 result.raw.latency, method)
 
 
-def regenerate_trace(raw: RawTestRecord) -> ThroughputTrace:
-    """A simulated record's aggregate trace, simulated again from its stored model inputs."""
-    spec = raw.spec
-    return flowmodel.simulate_model(raw.model, spec.n_connections, spec.duration,
-                                    spec.sample_interval)
+def simulate_raw(spec: TestSpec, model: dict) -> RawTestRecord:
+    """A simulated test's whole raw record, from its spec and fluid-model inputs alone."""
+    n = spec.n_connections
+    aggregate = flowmodel.simulate_model(model, n, spec.duration, spec.sample_interval)
+    # The model's flows are symmetric, so the exact per-connection answer is
+    # an equal split of the aggregate: one frozen trace, repeated n times.
+    share = ThroughputTrace(
+        sample_interval=spec.sample_interval,
+        samples=tuple((t, b / n) for t, b in aggregate.samples),
+    )
+    return RawTestRecord(
+        spec=spec,
+        per_connection_traces=(share,) * n,
+        aggregate_trace=aggregate,
+        latency=LatencyStats(rtts=(model["rtt"],) * SIMULATED_PROBES,
+                             sent=SIMULATED_PROBES, received=SIMULATED_PROBES),
+        cross_traffic_bps=0.0,
+        flags={SIMULATED_FLAG} | connection_flags(n),
+        model=model,
+    )
+
+
+def _derived_fields_hold(result: MeasurementResult) -> bool:
+    # The report, alternate estimates and methodology, each derived again.
+    method = EstimationMethod.from_dict(result.methodology["method"])
+    trace = result.raw.aggregate_trace
+    return (recompute_report(result) == result.report
+            and metrics.all_estimates(trace, method) == result.alternate_estimates
+            and build_methodology(result.spec, method, trace.source) == result.methodology)
 
 
 def _holds(check) -> bool:
@@ -425,12 +455,12 @@ def verify_line(line: str) -> list[str]:
     except (UnknownSchemaError, LookupError, TypeError, ValueError):
         return ["corrupt"]
     failed = []
-    if not _holds(lambda: recompute_report(result) == result.report):
+    if not _holds(lambda: _derived_fields_hold(result)):
         failed.append("report")
     if result.to_json(data["schema_version"]) != line:
         failed.append("round_trip")
     if result.raw.model is not None and not _holds(
-            lambda: regenerate_trace(result.raw) == result.raw.aggregate_trace):
+            lambda: simulate_raw(result.spec, result.raw.model) == result.raw):
         failed.append("model")
     return failed
 

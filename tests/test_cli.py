@@ -323,6 +323,26 @@ class TestScheduling:
         assert code == cli.EXIT_CONFIG
         assert ResultStore(paths["store"]).load() == []
 
+    @pytest.mark.parametrize("argv", [
+        ["--simulate", "link=10mbps", "--interval", "0"],
+        ["--simulate", "link=10mbps,duration=50ms"],
+        ["--simulate", "link=10mbps,connections=0"],
+        ["--interval", "nan"],
+        ["--connections", "70000"],
+        ["--direction", "download", "--interval", "20000"],
+    ], ids=["simulated-interval", "simulated-duration", "simulated-connections",
+            "measured-interval", "measured-connections", "measured-interval-past-duration"])
+    def test_spec_every_firing_would_refuse_is_refused_at_startup(self, paths, monkeypatch,
+                                                                   argv):
+        # The server is chosen at each firing, so the registry is empty here:
+        # only the spec's own values are checked at startup.
+        started = []
+        monkeypatch.setattr(cli, "run_scheduled",
+                            lambda *args, **kwargs: started.append(args) or (0, 0))
+        code = run_cli(paths, "schedule", "--tests-per-day", "4", *argv)
+        assert code == cli.EXIT_CONFIG
+        assert started == []
+
     def test_bad_peak_window_is_config_error(self, paths):
         code = run_cli(paths, "schedule", "--tests-per-day", "4",
                        "--peak-window", "19:00", "--simulate", "link=10mbps")

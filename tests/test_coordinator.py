@@ -541,10 +541,10 @@ class TestMultiDestinationSimulation:
     def test_cost_per_destination_does_not_depend_on_connections(self, step_calls):
         # The paths are lossless, so at any n every window doubles 10 -> 20 ->
         # 40 -> 64 (ssthresh) in 3 stepped rounds, then grows one segment per
-        # round up to the path's bdp (233.3 segments), a ramp that is
-        # computed, not stepped. One more round shows that nothing changes;
-        # the rest of the test is appended, not stepped.
-        settled = 3 + 1
+        # round up to the path's bdp (233.3 segments) and holds it to the
+        # end of the test: one ramp that is computed, not stepped, its
+        # pinned rounds appended.
+        settled = 3
         counts = []
         for n in (1, 64):
             step_calls.clear()

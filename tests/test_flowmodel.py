@@ -473,9 +473,9 @@ class TestPathModel:
         link = LinkModel(capacity=400e6, rtt=7.0)
         # The window doubles 10 -> 20 -> 40 -> 64 (ssthresh) in 3 stepped
         # rounds, then grows one segment per round up to the bdp (233.3
-        # segments), a ramp that is computed, not stepped. One more round
-        # shows that nothing changes; the rest is appended.
-        settled = 3 + 1
+        # segments) and holds it to the end: one ramp that is computed, not
+        # stepped, its pinned rounds appended.
+        settled = 3
         counts = []
         for n in (1, 64):
             step_calls.clear()
@@ -485,11 +485,11 @@ class TestPathModel:
         assert settled < math.ceil(2000 / 7.0)
 
     def test_lossless_paths_build_no_sent_runs(self, monkeypatch):
-        # A lossless path never drops, so neither its steady stretches nor
-        # its ramps build the running ``sent`` list that the search for the
-        # next drop reads; a lossy path still does.
+        # A lossless path never drops, so its ramps, pinned rounds included,
+        # build no running ``sent`` list for the search for the next drop to
+        # read; a lossy path still does.
         calls = []
-        for name in ("_steady_sents", "_drop_free_rounds"):
+        for name in ("_drop_free_rounds",):
             def counting(*args, _name=name, _original=getattr(flowmodel, name)):
                 calls.append(_name)
                 return _original(*args)
@@ -500,7 +500,7 @@ class TestPathModel:
                                  4, 2000.0, access_bdp=40.0)
         assert calls == []
         simulate_transfer(LinkModel(capacity=400e6, rtt=7.0, loss_rate=1e-5), 4, 10)
-        assert set(calls) == {"_steady_sents", "_drop_free_rounds"}
+        assert set(calls) == {"_drop_free_rounds"}
 
     # Links are drawn by bdp (1-300 segments) at 1-10 ms RTT, so windows often
     # reach the bdp and sit there between drops: the stretches the model skips.
@@ -543,7 +543,7 @@ class TestPathModel:
         assert links[0].bdp_segments == 50.0 and links[0].loss_period == 1000
         initial = FlowState(cwnd=50.0, phase=CONGESTION_AVOIDANCE)
         got = flowmodel.simulate_paths(links, 1, 120_000.0, initial=initial)
-        assert len(step_calls) < 120  # steady stretches were appended, not stepped
+        assert len(step_calls) < 120  # pinned rounds were appended, not stepped
         want = stepped_ledgers(links, 1, 120_000.0, initial=initial)
         assert ledger_lists(got) == want
         deltas = [b - a for a, b in zip(want[1], want[1][1:])]
@@ -555,8 +555,8 @@ class TestPathModel:
     # reference runs (it calls _step too).
 
     @pytest.mark.parametrize("loss, most_steps", [
-        # Lossless: 3 doubling rounds, one ramp up to the bdp (1666.7
-        # segments), one round to see the fixed point; the rest is appended.
+        # Lossless: 3 doubling rounds, then one ramp up to the bdp (1666.7
+        # segments) that holds it to the end; the bound has a round to spare.
         (0.0, 3 + 1),
         # 3 doubling rounds, then 2 stepped rounds per drop: the drop and the
         # round after it, which starts with a loss round pending. The link
@@ -591,30 +591,49 @@ class TestPathModel:
 
     def test_ramp_reaching_the_bdp_mid_run_goes_steady(self, step_calls):
         # The window grows 50, 51, ... 100 and is then capped at the bdp of
-        # 100.5 segments. One stepped round starts the ramp, one more shows
-        # the fixed point, and the steady rule appends the remaining rounds.
+        # 100.5 segments. One stepped round starts the ramp, which runs to
+        # the end: its rounds at the bdp are appended, not computed.
         links = [LinkModel(capacity=100.5 * 12000, rtt=1000.0)]
         assert links[0].bdp_segments == 100.5
         initial = FlowState(cwnd=50.0, ssthresh=50.0, phase=CONGESTION_AVOIDANCE)
         got = flowmodel.simulate_paths(links, 1, 200_000.0, initial=initial)
-        assert len(step_calls) == 2
+        assert len(step_calls) == 1
         want = stepped_ledgers(links, 1, 200_000.0, initial=initial)
         assert ledger_lists(got) == want
         deltas = [b - a for a, b in zip(want[1], want[1][1:])]
         assert deltas[49:52] == [99 * 1500, 100 * 1500, 100.5 * 1500]
+
+    def test_lossy_ramp_that_pins_then_drops_is_one_run(self, step_calls):
+        # One connection (share 1), a bdp of exactly 100 segments and a loss
+        # period of 5000: after the first round (``sent`` 50) the window
+        # grows 51, 52, ... 100 (``sent`` 3825) and then holds the bdp, and
+        # the 12th round at the bdp takes ``sent`` past 5000, a drop round.
+        # The window halves to 50 and the cycle repeats (the next drop at
+        # 10,000). Each cycle is one run, ramp and pinned rounds together:
+        # 1 stepped round, then 2 per drop (the drop and the round after).
+        links = [LinkModel(capacity=100 * 12000, rtt=1000.0, loss_rate=1 / 5000)]
+        assert links[0].bdp_segments == 100.0 and links[0].loss_period == 5000
+        initial = FlowState(cwnd=50.0, ssthresh=50.0, phase=CONGESTION_AVOIDANCE)
+        got = flowmodel.simulate_paths(links, 1, 130_000.0, initial=initial)
+        assert len(step_calls) == 1 + 2 * 2
+        want = stepped_ledgers(links, 1, 130_000.0, initial=initial)
+        assert ledger_lists(got) == want
+        deltas = [b - a for a, b in zip(want[1], want[1][1:])]
+        assert deltas[60:64] == [100 * 1500, 100 * 1500, 99 * 1500, 50 * 1500]
+        assert deltas[123:127] == [100 * 1500, 100 * 1500, 99 * 1500, 50 * 1500]
 
     def test_ramp_landing_exactly_on_an_integer_bdp_pins_while_another_path_grows(
             self, step_calls):
         # One connection per path (share 1), windows 51, 52, ...: the first
         # path's chain reaches its bdp of exactly 60 segments after 10 rounds
         # and stays there for the rest of the ramp, while the second grows to
-        # its bdp of 200. Two stepped rounds of 2 paths: the one that starts
-        # the ramp and the one that shows the fixed point.
+        # its bdp of 200. One stepped round of 2 paths starts the ramp, which
+        # runs to the end.
         links = [LinkModel(capacity=bdp * 12000, rtt=1000.0) for bdp in (60, 200)]
         assert [link.bdp_segments for link in links] == [60.0, 200.0]
         initial = FlowState(cwnd=50.0, ssthresh=50.0, phase=CONGESTION_AVOIDANCE)
         got = flowmodel.simulate_paths(links, 1, 200_000.0, initial=initial)
-        assert len(step_calls) == 2 * 2
+        assert len(step_calls) == 1 * 2
         want = stepped_ledgers(links, 1, 200_000.0, initial=initial)
         assert ledger_lists(got) == want
         first = [b - a for a, b in zip(want[0][0], want[0][0][1:])]
@@ -631,7 +650,7 @@ class TestPathModel:
         assert links[0].bdp_segments == 240.0
         initial = FlowState(cwnd=50.0, ssthresh=50.0, phase=CONGESTION_AVOIDANCE)
         got = flowmodel.simulate_paths(links, 4, 200_000.0, initial=initial)
-        assert len(step_calls) == 2
+        assert len(step_calls) == 1
         want = stepped_ledgers(links, 4, 200_000.0, initial=initial)
         assert ledger_lists(got) == want
         deltas = [b - a for a, b in zip(want[1], want[1][1:])]
@@ -644,7 +663,7 @@ class TestPathModel:
         links = [LinkModel(capacity=300 * 12000, rtt=1000.0)]
         initial = FlowState(cwnd=50.0, ssthresh=50.0, phase=CONGESTION_AVOIDANCE)
         got = flowmodel.simulate_paths(links, 1, 300_000.0, access_bdp=200.0, initial=initial)
-        assert len(step_calls) == 2
+        assert len(step_calls) == 1
         want = stepped_ledgers(links, 1, 300_000.0, 200.0, initial=initial)
         assert ledger_lists(got) == want
         deltas = [b - a for a, b in zip(want[1], want[1][1:])]
@@ -655,11 +674,11 @@ class TestPathModel:
         # The first path's bdp (5 segments) is below the initial window, so it
         # stays in slow start with its window pinned at 5: unchanged by every
         # round. The second path doubles 10 -> 20 -> 40 -> 64 in 3 rounds, then
-        # ramps to its bdp of 300 segments while the first rides along; one
-        # more round shows the fixed point. 4 rounds of 2 paths are stepped.
+        # ramps to its bdp of 300 segments and holds it to the end while the
+        # first rides along. 3 rounds of 2 paths are stepped.
         links = [LinkModel(capacity=capacity_for_bdp(bdp, 5.0), rtt=5.0) for bdp in (5.0, 300.0)]
         got = flowmodel.simulate_paths(links, 1, 5000.0)
-        assert len(step_calls) == 4 * 2
+        assert len(step_calls) == 3 * 2
         assert ledger_lists(got) == stepped_ledgers(links, 1, 5000.0)
 
     def test_three_destinations_whose_access_scale_changes_during_the_ramp(self, step_calls):
@@ -764,6 +783,28 @@ class TestLossLimitedThroughput:
         assert fast == pytest.approx(cycle_rate(40))
         assert slow == pytest.approx(cycle_rate(80))
         assert slow == pytest.approx(fast / 2, rel=0.10)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        capacity=st.floats(min_value=1e6, max_value=1e10),
+        rtt=st.floats(min_value=1.0, max_value=300.0),
+        loss=st.floats(min_value=1e-6, max_value=0.05),
+        mss=st.sampled_from([536, 1500, 9000]),
+    )
+    def test_matches_one_flow_stepped_through_advance_round(self, capacity, rtt, loss, mss):
+        # The rate comes from simulate_paths' ledger; one flow stepped round
+        # by round is its oracle. Both see the same rounds and differ only in
+        # how they sum them (bytes per round against segments), so they agree
+        # to rounding.
+        link = LinkModel(capacity=capacity, rtt=rtt, loss_rate=loss, mss=mss)
+        state = FlowState()
+        for _ in range(200):
+            state = advance_round(state, link)
+        before = state.delivered
+        for _ in range(2000):
+            state = advance_round(state, link)
+        stepped = (state.delivered - before) / 2000 * mss * 8 / (rtt / 1000)
+        assert loss_limited_throughput(link) == pytest.approx(stepped, rel=1e-12)
 
     def test_below_capacity(self):
         link = LinkModel(capacity=100e6, rtt=40, loss_rate=0.01)

@@ -571,7 +571,7 @@ class TestSchemaV2:
                           "initial_cwnd": 10.0, "initial_ssthresh": 64.0, "cc": "reno64",
                           "revision": 1}
         loaded = MeasurementResult.from_json(result.to_json())
-        assert records.regenerate_trace(loaded.raw) == loaded.raw.aggregate_trace
+        assert records.simulate_raw(loaded.spec, loaded.raw.model) == loaded.raw
         assert json.loads(measured_result().to_json())["raw"]["model"] is None
 
     # v2 drops four v1 fields; each test below checks what now carries
@@ -720,6 +720,62 @@ class TestVerify:
         path = tmp_path / "results.jsonl"
         lines = every_kind_store(path)
         rewrite_line(path, lines, 7, lambda data: data["raw"]["model"].update({key: value}))
+        assert records.verify_store(path) == (len(lines), 1, Counter(model=1))
+
+    @pytest.mark.parametrize("index", [1, 6, 8], ids=["v1", "v2-simulated", "v2-measured"])
+    @pytest.mark.parametrize("edit", [
+        lambda data: data["alternate_estimates"].update(
+            peak=data["alternate_estimates"]["peak"] * 1.01),
+        lambda data: data["methodology"].update(
+            n_connections=data["methodology"]["n_connections"] + 1),
+    ], ids=["alternate-estimate", "methodology"])
+    def test_fails_on_a_derived_field_edited_by_hand(self, tmp_path, index, edit):
+        # Every alternate estimate and the methodology are derived again from
+        # the stored method, spec and aggregate trace, like the report.
+        path = tmp_path / "results.jsonl"
+        lines = every_kind_store(path)
+        rewrite_line(path, lines, index, edit)
+        assert records.verify_store(path) == (len(lines), 1, Counter(report=1))
+
+    def test_fails_on_a_per_connection_column_edited_by_hand(self, tmp_path):
+        # The 4-connection simulated record: its per-connection column is the
+        # aggregate's split four ways, stored once, apart from the aggregate.
+        path = tmp_path / "results.jsonl"
+        lines = every_kind_store(path)
+
+        def edit(data):
+            table = data["raw"]["trace"]
+            column = table["per_connection"][0]
+            assert column != table["aggregate"]
+            table["columns"][column] = [b * 1.01 for b in table["columns"][column]]
+
+        rewrite_line(path, lines, 6, edit)
+        assert records.verify_store(path) == (len(lines), 1, Counter(model=1))
+
+    def test_fails_on_probe_rtts_edited_with_their_report(self, tmp_path):
+        # The report's latency is recomputed from the probe RTTs, so both are
+        # edited; a simulated record's probes see the model's base RTT.
+        path = tmp_path / "results.jsonl"
+        lines = every_kind_store(path)
+
+        def edit(data):
+            latency = data["raw"]["latency"]
+            latency["rtts"] = [25.0] * len(latency["rtts"])
+            data["report"]["latency_ms"] = 25.0
+
+        rewrite_line(path, lines, 5, edit)
+        assert records.verify_store(path) == (len(lines), 1, Counter(model=1))
+
+    @pytest.mark.parametrize("flags", [
+        ["below_recommended_connections", "cross_traffic_detected", "simulated"],
+        ["below_recommended_connections"],
+    ], ids=["added", "removed"])
+    def test_fails_on_simulated_flags_edited_by_hand(self, tmp_path, flags):
+        path = tmp_path / "results.jsonl"
+        lines = every_kind_store(path)
+        assert json.loads(lines[5])["raw"]["flags"] == ["below_recommended_connections",
+                                                         "simulated"]
+        rewrite_line(path, lines, 5, lambda data: data["raw"].update(flags=flags))
         assert records.verify_store(path) == (len(lines), 1, Counter(model=1))
 
     def test_counts_lines_that_do_not_load_or_re_encode(self, tmp_path):
