@@ -54,7 +54,7 @@ SIMULATED_TARGET = "simulated:0"
 
 
 def parse_simulate_spec(text: str) -> dict:
-    """Parse 'link=200mbps,rtt=20ms,loss=0[,connections=4][,duration=10]'.
+    """Parse 'link=200mbps,rtt=20ms,loss=0[,connections=4][,duration=10s]'.
 
     Only keys named in the string appear in the result (besides rtt and loss
     defaults); connection count and duration otherwise follow the normal run
@@ -238,12 +238,12 @@ def cmd_schedule(args) -> int:
         raise ValueError(f"peak window must look like 19:00-23:00, got {args.peak_window!r}")
     schedule = Schedule(tests_per_day=args.tests_per_day, peak_window=window,
                         fraction_peak=args.fraction_peak, seed=args.seed)
-    # An impossible schedule must fail at startup, not at 19:00, and so must
-    # a test spec that every firing would refuse. The server is chosen at
-    # each firing, so the placeholder target stands in for it here.
-    generate_schedule(schedule, datetime.now().date(), test_duration_s=args.duration)
+    # A test spec that every firing would refuse must fail at startup, not at
+    # 19:00, and so must a schedule too full for its tests' duration. The
+    # server is chosen at each firing, so the placeholder target stands in here.
     settings = _simulate_settings(args)
-    _test_spec(args, settings, SIMULATED_TARGET)
+    duration = _test_spec(args, settings, SIMULATED_TARGET).duration
+    generate_schedule(schedule, datetime.now().date(), test_duration_s=duration)
 
     store = records.ResultStore(args.store)
 
@@ -260,8 +260,7 @@ def cmd_schedule(args) -> int:
             headline = result.report.download_bps or result.report.upload_bps
             print(f"{when.isoformat()}  {_format_optional_rate(headline)}")
 
-    fired, missed = run_scheduled(schedule, args.days, fire,
-                                  test_duration_s=args.duration)
+    fired, missed = run_scheduled(schedule, args.days, fire, test_duration_s=duration)
     print(f"fired {fired} of {fired + missed} scheduled runs over {args.days} day(s)")
     return EXIT_OK
 

@@ -14,6 +14,7 @@ import random
 import threading
 import time
 from bisect import bisect_left
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from operator import itemgetter
@@ -404,9 +405,11 @@ def run_multi_destination(specs, method: metrics.EstimationMethod | None = None,
                           max_destinations: int = MAX_DESTINATIONS_DEFAULT) -> MultiDestResult:
     """Run one test per destination concurrently and combine the results.
 
-    Destinations that refuse or are unreachable are recorded as failures; the
-    run proceeds over the survivors (flagged partial) and only fails outright
-    when nothing survives.
+    A destination that refuses (``TestRefusedError``) or is unreachable
+    (``UnreachableTargetError``) is recorded as a failure; the run proceeds
+    over the survivors (flagged partial) and only fails outright when nothing
+    survives.  Any other error propagates once every destination's test has
+    ended, so no destination is dropped from the result unrecorded.
 
     Every destination runs on one engine.  Cross traffic is judged once, over
     the whole run: the counters are read before the first test starts and
@@ -422,53 +425,38 @@ def run_multi_destination(specs, method: metrics.EstimationMethod | None = None,
     if len(set(keys)) != len(keys):
         raise ValueError("destinations must be distinct")
 
-    records = {}
-    failures = {}
-    lock = threading.Lock()
     engine = engine_factory()
-
-    def run_one(key, spec):
-        try:
-            record = engine.run_test(spec)
-            with lock:
-                records[key] = record
-        except (TestRefusedError, UnreachableTargetError) as exc:
-            with lock:
-                failures[key] = str(exc)
-
-    threads = [threading.Thread(target=run_one, args=args, daemon=True)
-               for args in zip(keys, specs)]
     counted_at_start = engine.read_counters()
     started = time.monotonic()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    with ThreadPoolExecutor(max_workers=len(specs)) as pool:
+        futures = [pool.submit(engine.run_test, spec) for spec in specs]
 
+    method = method or metrics.EstimationMethod()
+    records, per_destination, failures = [], [], []
+    for key, spec, future in zip(keys, specs, futures):
+        try:
+            record = future.result()
+        except (TestRefusedError, UnreachableTargetError) as exc:
+            failures.append((key, str(exc)))
+            continue
+        records.append(record)
+        per_destination.append((key, metrics.build_report(
+            spec.direction, record.aggregate_trace, record.latency, method)))
     if not records:
-        raise MultiDestFailedError(failures)
+        raise MultiDestFailedError(dict(failures))
     # A destination that failed moved no bytes of its own.
-    wire = [record.wire_bytes for record in records.values()]
+    wire = [record.wire_bytes for record in records]
     cross_bps, flags = engine.measure_cross_traffic(
         counted_at_start, started, None if None in wire else sum(wire))
-    method = method or metrics.EstimationMethod()
-
-    per_destination = []
-    for key, spec in zip(keys, specs):
-        if key in records:
-            record = records[key]
-            report = metrics.build_report(spec.direction, record.aggregate_trace,
-                                          record.latency, method)
-            per_destination.append((key, report))
-    aggregate_bps, overlap = _aggregate_over_overlap(list(records.values()), method)
+    aggregate_bps, overlap = _aggregate_over_overlap(records, method)
     if failures:
         flags.add(FLAG_PARTIAL)
     return MultiDestResult(
-        per_destination=tuple(per_destination),
+        per_destination=per_destination,
         aggregate_bps=aggregate_bps,
         overlap_window=overlap,
-        flags=frozenset(flags),
-        failures=tuple(sorted(failures.items())),
+        flags=flags,
+        failures=failures,
         cross_traffic_bps=cross_bps,
     )
 

@@ -242,7 +242,10 @@ class Engine:
 
     def probe_latency(self, target, count: int = PROBE_COUNT_DEFAULT,
                       interval_ms: float = 20.0) -> LatencyStats:
-        """Echo-based RTT probe on a fresh connection; lost replies count as loss."""
+        """Echo-based RTT probe on a fresh connection; lost probes count as loss.
+
+        A probe is lost when its reply times out or its connection fails.
+        """
         if count < PROBE_COUNT_MIN:
             raise ValueError(f"need at least {PROBE_COUNT_MIN} probes, got {count}")
         host, port = units.parse_address(target) if isinstance(target, str) else target
@@ -253,15 +256,15 @@ class Engine:
             for i in range(count):
                 payload = b"probe-%04d" % i
                 sent_at = time.monotonic()
-                protocol.send_frame(sock, protocol.ECHO, protocol.ZERO_NONCE, payload)
                 try:
+                    protocol.send_frame(sock, protocol.ECHO, protocol.ZERO_NONCE, payload)
                     while True:
                         kind, _nonce, got = protocol.recv_frame(sock)
                         if kind == protocol.ECHO_REPLY and got == payload:
                             rtts.append((time.monotonic() - sent_at) * 1000.0)
                             break
                         # stale or foreign reply: keep reading until timeout
-                except (TimeoutError, ConnectionError, protocol.ProtocolError):
+                except (OSError, protocol.ProtocolError):
                     pass  # this probe is lost; later ones may still succeed
                 if i + 1 < count:
                     time.sleep(interval_ms / 1000.0)

@@ -254,7 +254,9 @@ class Responder:
 
     def _end_session(self, session):
         with self._lock:
-            self._sessions.pop(session.nonce, None)
+            # A reaped session's nonce may be held by a newer session by now.
+            if self._sessions.get(session.nonce) is session:
+                del self._sessions[session.nonce]
         log.info("session %s ended", session.nonce.hex()[:8])
 
     def _reap_expired_locked(self):

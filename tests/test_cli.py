@@ -13,7 +13,7 @@ from linerate.coordinator import Schedule, generate_schedule
 from linerate.engine import Engine
 from linerate.records import MeasurementResult, ResultStore
 from linerate.responder import Responder
-from test_engine import MALFORMED_ANSWERS, BadAnswerServer
+from test_engine import MALFORMED_ANSWERS, BadAnswerServer, ClosingServer
 
 
 @pytest.fixture
@@ -162,6 +162,16 @@ class TestMeasuredRun:
     def test_unreachable_exit_code(self, paths):
         code = run_cli(paths, "run", "--server", f"127.0.0.1:{dead_port()}",
                        "--duration", "1.0")
+        assert code == cli.EXIT_UNREACHABLE
+        assert ResultStore(paths["store"]).load() == []
+
+    def test_peer_that_closes_is_unreachable_exit_code(self, paths):
+        # Every probe is lost, then the handshake fails on the closed connection.
+        server = ClosingServer()
+        try:
+            code = run_cli(paths, "run", "--server", server.address, "--duration", "1.0")
+        finally:
+            server.close()
         assert code == cli.EXIT_UNREACHABLE
         assert ResultStore(paths["store"]).load() == []
 
@@ -316,6 +326,27 @@ class TestScheduling:
         stored = ResultStore(paths["store"]).load()
         assert len(stored) == 8
         assert all(r.origin == "scheduled" for r in stored)
+
+    def test_schedule_is_spaced_by_the_simulated_duration(self, paths, monkeypatch):
+        started = []
+        monkeypatch.setattr(cli, "run_scheduled",
+                            lambda *args, **kwargs: started.append(kwargs) or (0, 0))
+        code = run_cli(paths, "schedule", "--tests-per-day", "4",
+                       "--simulate", "link=10mbps,duration=30s")
+        assert code == cli.EXIT_OK
+        assert [kwargs["test_duration_s"] for kwargs in started] == [30.0]
+
+    def test_schedule_too_full_for_the_simulated_duration_refused_at_startup(
+            self, paths, monkeypatch):
+        # 200 tests of 600 s cannot fit a day at the required spacing; spaced
+        # for the 10 s --duration default they would.
+        started = []
+        monkeypatch.setattr(cli, "run_scheduled",
+                            lambda *args, **kwargs: started.append(args) or (0, 0))
+        code = run_cli(paths, "schedule", "--tests-per-day", "200",
+                       "--simulate", "link=10mbps,duration=600s")
+        assert code == cli.EXIT_CONFIG
+        assert started == []
 
     def test_infeasible_schedule_refused_at_startup(self, paths):
         code = run_cli(paths, "schedule", "--tests-per-day", "1000",

@@ -30,6 +30,7 @@ from linerate.coordinator import (
 from linerate.engine import Engine
 from linerate.metrics import EstimationMethod, LatencyStats
 from linerate.responder import Responder
+from test_engine import ClosingServer
 
 
 def server(sid, location="", removed=False, health=(), port=9000):
@@ -633,6 +634,43 @@ class TestRunMultiDestination:
         assert len(result.failures) == 1
         assert result.failures[0][0] == "busy"
         assert result.aggregate_bps > 0
+
+    def test_destination_that_closes_is_a_failure(self):
+        ok_server = Responder("127.0.0.1", 0).start()
+        closing = ClosingServer()
+        try:
+            specs = [dest_spec(ok_server, "good"),
+                     engine_mod.TestSpec(target=closing.address, duration=1.5,
+                                         n_connections=2, target_id="gone")]
+            result = run_multi_destination(specs, engine_factory=quiet_factory)
+        finally:
+            ok_server.stop()
+            closing.close()
+        assert [sid for sid, _ in result.per_destination] == ["good"]
+        assert [sid for sid, _ in result.failures] == ["gone"]
+        assert co.FLAG_PARTIAL in result.flags
+
+    def test_other_error_propagates_after_every_test_ends(self):
+        returned = []
+
+        class FailingEngine(Engine):
+            def run_test(self, spec, capacity_hint_bps=None):
+                if spec.target_id == "broken":
+                    raise RuntimeError("engine fault")
+                record = super().run_test(spec, capacity_hint_bps)
+                returned.append(spec.target_id)
+                return record
+
+        ok_server = Responder("127.0.0.1", 0).start()
+        try:
+            specs = [dest_spec(ok_server, "good", duration=1.0),
+                     engine_mod.TestSpec(target="127.0.0.1:1", target_id="broken")]
+            with pytest.raises(RuntimeError, match="engine fault"):
+                run_multi_destination(
+                    specs, engine_factory=lambda: FailingEngine(counter_provider=lambda: 0))
+            assert returned == ["good"]
+        finally:
+            ok_server.stop()
 
     def test_all_destinations_failing_raises(self):
         ports = []

@@ -242,6 +242,29 @@ class BadAnswerServer:
         self._listener.close()
 
 
+class ClosingServer:
+    """Accepts every connection and closes it at once, like a peer that vanishes."""
+
+    def __init__(self):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = "%s:%d" % self._listener.getsockname()[:2]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            conn.close()
+
+    def close(self):
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        self._thread.join()
+        self._listener.close()
+
+
 # A HELLO_ACK whose load payload is 3 bytes, and a REFUSE with no such reason.
 MALFORMED_ANSWERS = pytest.mark.parametrize("kind, payload", [
     (protocol.HELLO_ACK, b"\x00\x01\x02"),
@@ -322,6 +345,14 @@ class TestProbeLatency:
         assert stats.sent == 10
         assert stats.received == 9
         assert metrics.loss_rate(stats.sent, stats.received) == pytest.approx(0.1)
+
+    def test_peer_that_closes_loses_every_probe(self):
+        server = ClosingServer()
+        try:
+            stats = quiet_engine().probe_latency(server.address, count=10)
+        finally:
+            server.close()
+        assert (stats.sent, stats.received) == (10, 0)
 
     def test_too_few_probes_rejected(self, responder):
         with pytest.raises(ValueError):

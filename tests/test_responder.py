@@ -145,6 +145,27 @@ class TestHandshake:
             with open_control(server.address) as again:
                 assert say_hello(again, new_nonce())[0] == protocol.HELLO_ACK
 
+    def test_reaped_session_ending_leaves_the_session_that_reused_its_nonce(
+            self, monkeypatch):
+        monkeypatch.setattr(responder_mod, "SESSION_GRACE_S", 0.0)
+        nonce = new_nonce()
+        with Responder("127.0.0.1", 0, max_tests=1) as server:
+            first = open_control(server.address)
+            assert say_hello(first, nonce, duration_ms=1)[0] == protocol.HELLO_ACK
+            (first_served_by,) = server._conns.values()
+            time.sleep(0.05)  # past its deadline: the next HELLO reaps it
+            with open_control(server.address) as second:
+                kind, _n, _payload = say_hello(second, nonce, duration_ms=30_000)
+                assert kind == protocol.HELLO_ACK
+                first.close()
+                first_served_by.join(5.0)  # it ends its own session, then exits
+                assert not first_served_by.is_alive()
+                assert server.active_tests() == 1
+                with open_control(server.address) as third:
+                    kind, _n, payload = say_hello(third, new_nonce())
+                    assert kind == protocol.REFUSE
+                    assert protocol.unpack_refuse(payload) == protocol.REASON_AT_CAPACITY
+
     def test_max_tests_default_follows_capacity_hint(self):
         assert Responder(capacity_hint_bps=4e9).max_tests == 4
         assert Responder(capacity_hint_bps=5e8).max_tests == 1  # never below one slot
