@@ -58,7 +58,7 @@ def parse_simulate_spec(text: str) -> dict:
 
     Only keys named in the string appear in the result (besides rtt and loss
     defaults); connection count and duration otherwise follow the normal run
-    flags.
+    flags. A bare rtt= is in ms; duration= needs a unit, as --duration is in s.
     """
     settings = {"rtt": 20.0, "loss": 0.0}
     seen = set()
@@ -82,6 +82,8 @@ def parse_simulate_spec(text: str) -> dict:
         elif key == "connections":
             settings["connections"] = int(value)
         elif key == "duration":
+            if not value.strip().lower().endswith(("s", "m")):
+                raise ValueError(f"duration= needs a unit, such as 10s, got {value!r}")
             settings["duration"] = units.parse_time_ms(value) / 1000.0
         else:
             raise ValueError(f"unknown simulation key {key!r}")

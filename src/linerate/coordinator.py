@@ -17,7 +17,6 @@ from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
-from operator import itemgetter
 
 from . import metrics
 from .engine import (
@@ -357,16 +356,17 @@ class MultiDestResult:
         object.__setattr__(self, "failures", tuple(self.failures))
 
 
-def _interp_bytes(samples, t_ms: float) -> float:
+def _interp_bytes(times, counts, t_ms: float) -> float:
     """Cumulative bytes at a time between samples, linearly interpolated."""
-    if t_ms <= samples[0][0]:
-        return samples[0][1]
-    if t_ms >= samples[-1][0]:
-        return samples[-1][1]
+    if t_ms <= times[0]:
+        return counts[0]
+    if t_ms >= times[-1]:
+        return counts[-1]
     # The first sample at or after t_ms ends the segment, so an exact sample
     # time falls in the segment that ends there.
-    i = bisect_left(samples, t_ms, key=itemgetter(0))
-    (t0, b0), (t1, b1) = samples[i - 1], samples[i]
+    i = bisect_left(times, t_ms)
+    t0, t1 = times[i - 1], times[i]
+    b0, b1 = counts[i - 1], counts[i]
     return b0 + (b1 - b0) * (t_ms - t0) / (t1 - t0)
 
 
@@ -392,11 +392,12 @@ def _aggregate_over_overlap(records, method) -> tuple[float, tuple[float, float]
     for t in grid:
         total = 0.0
         for record, (start, _end) in zip(records, spans):
-            total += _interp_bytes(record.aggregate_trace.samples, t - start)
+            trace = record.aggregate_trace
+            total += _interp_bytes(trace.times, trace.counts, t - start)
         sums.append(total)
-    samples = tuple((t - overlap_start, b - sums[0]) for t, b in zip(grid, sums))
-    summed = ThroughputTrace(sample_interval=step, samples=samples,
-                             source=records[0].aggregate_trace.source)
+    summed = ThroughputTrace.from_columns(
+        step, [t - overlap_start for t in grid], [b - sums[0] for b in sums],
+        records[0].aggregate_trace.source)
     return metrics.estimate_throughput(summed, method), (overlap_start, overlap_end)
 
 

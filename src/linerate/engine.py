@@ -380,21 +380,18 @@ class Engine:
             worker.start()
 
         # One sampler walks nominal tick times on the shared clock; each tick
-        # snapshots every counter once so the aggregate is an exact sum.
+        # snapshots every counter once, so the aggregate is an exact sum.
         ticks = round(duration_s * 1000.0 / interval_ms)
-        per_conn_samples = [[(0.0, 0)] for _ in range(n)]
-        aggregate_samples = [(0.0, 0)]
+        times = [0.0]
+        snapshots = [[0] * n]
         for k in range(1, ticks + 1):
             if all(failed) and not any(opened):
                 break  # every connect failed: nothing is left to sample
             delay = (t0 + k * interval_ms / 1000.0) - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            snapshot = list(counters)
-            t_ms = k * interval_ms
-            for i in range(n):
-                per_conn_samples[i].append((t_ms, snapshot[i]))
-            aggregate_samples.append((t_ms, sum(snapshot)))
+            snapshots.append(list(counters))
+            times.append(k * interval_ms)
         stop.set()
 
         for worker in workers:
@@ -412,12 +409,11 @@ class Engine:
         if surviving < n / 2:
             flags.add(FLAG_DEGENERATE)
 
+        aggregate_trace = ThroughputTrace.from_columns(interval_ms, times, map(sum, snapshots),
+                                                       MEASURED)
         per_connection_traces = tuple(
-            ThroughputTrace(interval_ms, tuple(samples), source=MEASURED)
-            for samples in per_conn_samples
-        )
-        aggregate_trace = ThroughputTrace(interval_ms, tuple(aggregate_samples),
-                                          source=MEASURED)
+            ThroughputTrace.from_columns(interval_ms, aggregate_trace.times, column, MEASURED)
+            for column in zip(*snapshots))
         return RawTestRecord(
             spec=spec,
             per_connection_traces=per_connection_traces,

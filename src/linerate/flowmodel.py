@@ -26,7 +26,8 @@ drop reads, is not built for it.
 
 Each pass from a ledger to a checked trace happens once. A ledger is
 sampled with no call per sample (its times, positions and floors are one
-``map`` each), a trace validates its samples once when it is built, and its
+``map`` each), a trace holds a time and a byte column and validates each
+once (a trace built on another's time column shares it), and its
 interval-rate column (``interval_bps``) is computed once and cached, for
 check_rate_cap and every estimator. A single path is its own aggregate, so
 its ledger is built once.
@@ -39,7 +40,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, compress, islice, repeat
-from operator import add, gt, mul, truediv
+from operator import add, gt, le, lt, mul, truediv
 
 MSS_DEFAULT = 1500  # bytes per segment
 
@@ -126,25 +127,56 @@ class FlowState:
             raise ValueError("delivered and sent must be non-negative")
 
 
-@dataclass(frozen=True)
+class _Times(tuple):
+    """A time column a trace has validated; a trace built on it shares it as it is."""
+    __slots__ = ()
+
+
+@dataclass(frozen=True, init=False)
 class ThroughputTrace:
-    """Timestamped cumulative byte counts from one test, real or simulated."""
+    """Timestamped cumulative byte counts from one test: ``times`` (floats, ms since start)
+    and ``counts`` (ints measured, floats simulated); ``samples`` pairs them on each read."""
 
     sample_interval: float  # ms
-    samples: tuple[tuple[float, float], ...]  # (t ms since start, cumulative bytes)
+    times: tuple[float, ...] = field(init=False)
+    counts: tuple = field(init=False)
     source: str = SIMULATED
+    # An init field only so that dataclasses.replace passes the pairs on.
+    samples: tuple = field(default=property(lambda self: tuple(zip(self.times, self.counts))),
+                           repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.source not in (SIMULATED, MEASURED):
-            raise ValueError(f"unknown trace source {self.source!r}")
-        if self.sample_interval <= 0:
+    def __init__(self, sample_interval: float, samples, source: str = SIMULATED):
+        samples = tuple(samples)
+        times, counts = zip(*samples, strict=True) if samples else ((), ())
+        self._hold(sample_interval, times, counts, source)
+
+    @classmethod
+    def from_columns(cls, sample_interval: float, times, counts, source: str = SIMULATED):
+        """A trace of a time and a byte column; another trace's ``times`` is kept as it is."""
+        trace = cls.__new__(cls)
+        trace._hold(sample_interval, times, counts, source)
+        return trace
+
+    def _hold(self, sample_interval: float, times, counts, source: str):
+        if source not in (SIMULATED, MEASURED):
+            raise ValueError(f"unknown trace source {source!r}")
+        if sample_interval <= 0:
             raise ValueError("sample_interval must be > 0")
-        object.__setattr__(self, "samples", tuple((float(t), b) for t, b in self.samples))
-        for (t0, b0), (t1, b1) in zip(self.samples, self.samples[1:]):
-            if t1 <= t0:
-                raise ValueError(f"sample times must be strictly increasing ({t0} -> {t1})")
-            if b1 < b0:
-                raise ValueError(f"cumulative bytes must be non-decreasing ({b0} -> {b1})")
+        counts = tuple(counts)
+        unordered = any(map(lt, counts[1:], counts))
+        if type(times) is not _Times:
+            times = _Times(map(float, times))
+            unordered = unordered or any(map(le, times[1:], times))
+        if len(counts) != len(times):
+            raise ValueError("every byte column must be as long as the time column")
+        if unordered:  # name the first offending pair, its times checked first
+            for t0, t1, b0, b1 in zip(times, times[1:], counts, counts[1:]):
+                if t1 <= t0:
+                    raise ValueError(f"sample times must be strictly increasing ({t0} -> {t1})")
+                if b1 < b0:
+                    raise ValueError(f"cumulative bytes must be non-decreasing ({b0} -> {b1})")
+        self.__dict__.update(sample_interval=sample_interval, times=times, counts=counts,
+                             source=source)
 
     @cached_property
     def interval_bps(self) -> tuple[float, ...]:
@@ -153,9 +185,9 @@ class ThroughputTrace:
         Computed once per trace and cached; check_rate_cap and every estimator
         in ``metrics`` read it.
         """
-        samples = self.samples
+        times, counts = self.times, self.counts
         return tuple([8.0 * (b1 - b0) / ((t1 - t0) / 1000.0)
-                      for (t0, b0), (t1, b1) in zip(samples, samples[1:])])
+                      for t0, t1, b0, b1 in zip(times, times[1:], counts, counts[1:])])
 
     def check_rate_cap(self, cap_bps: float):
         """Raise if any inter-sample rate exceeds the physical cap by more than rounding."""
@@ -165,11 +197,11 @@ class ThroughputTrace:
 
     @property
     def duration_ms(self) -> float:
-        return self.samples[-1][0] - self.samples[0][0] if self.samples else 0.0
+        return self.times[-1] - self.times[0] if self.times else 0.0
 
     @property
     def total_bytes(self) -> float:
-        return self.samples[-1][1] - self.samples[0][1] if self.samples else 0.0
+        return self.counts[-1] - self.counts[0] if self.counts else 0.0
 
 
 def _drops_between(sent_before: float, sent_after: float, period: int | None) -> float:
@@ -414,7 +446,7 @@ class RoundLedger:
         counts = [bounds[lo] + (pos - lo) * (bounds[lo + 1] - bounds[lo])
                   for pos, lo in zip(positions, floors[:inside])]
         counts.extend(repeat(bounds[-1], len(times) - inside))
-        return ThroughputTrace(sample_interval=sample_interval, samples=tuple(zip(times, counts)))
+        return ThroughputTrace.from_columns(sample_interval, times, counts)
 
 
 def simulate_paths(

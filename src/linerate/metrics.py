@@ -12,7 +12,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from operator import ge, itemgetter
+from operator import ge
 
 from .flowmodel import ThroughputTrace
 
@@ -169,11 +169,11 @@ def jitter(rtts) -> float:
 def interval_rates(trace: ThroughputTrace) -> list[tuple[float, float]]:
     """Per-interval rates from a cumulative trace: (interval end ms, bits/s)."""
     _check_rates(trace)
-    return list(zip(map(itemgetter(0), trace.samples[1:]), trace.interval_bps))
+    return list(zip(trace.times[1:], trace.interval_bps))
 
 
 def _check_rates(trace: ThroughputTrace):
-    if len(trace.samples) < 2:
+    if len(trace.times) < 2:
         raise ValueError("a trace needs at least 2 samples to carry a rate")
 
 
@@ -203,8 +203,8 @@ def _weighted_mean(trace: ThroughputTrace, start: int) -> float:
     # from sample i to sample i + 1.
     total_bits = 0.0
     total_s = 0.0
-    prev_t = trace.samples[start][0]
-    for (t, _), r in zip(trace.samples[start + 1:], trace.interval_bps[start:]):
+    prev_t = trace.times[start]
+    for t, r in zip(trace.times[start + 1:], trace.interval_bps[start:]):
         dt = (t - prev_t) / 1000.0
         total_bits += r * dt
         total_s += dt
@@ -226,9 +226,7 @@ def _estimate(trace: ThroughputTrace, method: EstimationMethod, kind: str) -> fl
     values = trace.interval_bps
 
     if kind == FULL_AVERAGE:
-        t0, b0 = trace.samples[0]
-        t1, b1 = trace.samples[-1]
-        return 8.0 * (b1 - b0) / ((t1 - t0) / 1000.0)
+        return 8.0 * trace.total_bytes / (trace.duration_ms / 1000.0)
 
     if kind == STEADY_STATE:
         return _weighted_mean(trace, _steady_start(values, steady_threshold(method.steady_start)))

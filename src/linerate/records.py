@@ -36,7 +36,8 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from operator import itemgetter
+from itertools import repeat
+from operator import truediv
 from typing import ClassVar
 
 from . import flowmodel, metrics
@@ -110,27 +111,20 @@ def latency_from_dict(data: dict) -> LatencyStats:
                         received=data["received"])
 
 
-def _columns(trace: ThroughputTrace) -> tuple[tuple, tuple]:
-    """A trace's samples as a time column and a byte column."""
-    samples = trace.samples
-    return tuple(map(itemgetter(0), samples)), tuple(map(itemgetter(1), samples))
-
-
 def trace_table(aggregate: ThroughputTrace, per_connection) -> dict:
     """A record's traces as schema v2's ``raw.trace``: one time column, distinct byte columns.
 
     Every trace must share the aggregate's sample interval, source and
     sample times, as the engine's one sampler and the fluid model's equal
-    split always do; a record whose traces do not raises ValueError.  Each
-    trace object is split into columns once, and a byte column equal to an
+    split always do; a record whose traces do not raises ValueError.  The
+    stored columns are the traces' own, and a byte column equal to an
     earlier one is stored once.  Equal is ``==``, under which an int 5
     equals 5.0; the traces of one record never mix the two (measured counts
     are ints, simulated bytes floats).  The aggregate's column comes first.
     """
-    interval, source = aggregate.sample_interval, aggregate.source
-    times, counts = _columns(aggregate)
-    columns = [counts]
-    positions = {counts: 0}  # byte column -> its index
+    interval, source, times = aggregate.sample_interval, aggregate.source, aggregate.times
+    columns = [aggregate.counts]
+    positions = {aggregate.counts: 0}  # byte column -> its index
     known = {id(aggregate): 0}  # trace object -> its column's index
     indices = []
     for trace in per_connection:
@@ -138,12 +132,11 @@ def trace_table(aggregate: ThroughputTrace, per_connection) -> dict:
         if index is None:
             if trace.sample_interval != interval or trace.source != source:
                 raise ValueError("a record's traces must share one sample interval and source")
-            trace_times, counts = _columns(trace)
-            if trace_times != times:
+            if trace.times != times:
                 raise ValueError("a record's traces must share one time column")
-            index = known[id(trace)] = positions.setdefault(counts, len(columns))
+            index = known[id(trace)] = positions.setdefault(trace.counts, len(columns))
             if index == len(columns):
-                columns.append(counts)
+                columns.append(trace.counts)
         indices.append(index)
     return {
         "sample_interval": interval,
@@ -157,18 +150,16 @@ def trace_table(aggregate: ThroughputTrace, per_connection) -> dict:
 
 def traces_from_table(table: dict) -> tuple[ThroughputTrace, tuple[ThroughputTrace, ...]]:
     """(aggregate, per-connection traces) of a ``raw.trace``; one trace object per column."""
-    times = table["times"]
     columns = table["columns"]
-    if any(len(column) != len(times) for column in columns):
-        raise ValueError("every byte column must be as long as the time column")
     per_connection = table["per_connection"]
     for index in [table["aggregate"], *per_connection]:
         if type(index) is not int or not 0 <= index < len(columns):
             raise ValueError(f"trace column index {index!r} is not one of the record's columns")
-    # The trace normalizes (and validates) the pairs zip yields.
-    traces = [ThroughputTrace(sample_interval=table["sample_interval"],
-                              samples=zip(times, column), source=table["source"])
-              for column in columns]
+    # The first column's trace validates the time column; the others share it.
+    interval, source = table["sample_interval"], table["source"]
+    first = ThroughputTrace.from_columns(interval, table["times"], columns[0], source)
+    traces = [first] + [ThroughputTrace.from_columns(interval, first.times, column, source)
+                        for column in columns[1:]]
     return traces[table["aggregate"]], tuple(traces[index] for index in per_connection)
 
 
@@ -227,11 +218,7 @@ def trace_to_dict(trace: ThroughputTrace) -> dict:
 
 
 def trace_from_dict(data: dict) -> ThroughputTrace:
-    return ThroughputTrace(
-        sample_interval=data["sample_interval"],
-        samples=tuple((t, b) for t, b in data["samples"]),
-        source=data["source"],
-    )
+    return ThroughputTrace(data["sample_interval"], data["samples"], data["source"])
 
 
 def raw_to_v1_dict(raw: RawTestRecord) -> dict:
@@ -247,17 +234,17 @@ def raw_to_v1_dict(raw: RawTestRecord) -> dict:
 
 
 def _traces_from_dicts(dicts: list[dict]) -> tuple[ThroughputTrace, ...]:
-    # A trace equal to an earlier one of the same record decodes to that
-    # earlier object: a simulated v1 record's n per-connection traces are one
-    # trace written n times, so it is built and validated once. Equal is ==,
-    # as in trace_table.
-    decoded = []
+    # A trace equal to an earlier one of the record decodes to that object, so
+    # a simulated v1 record's n equal per-connection traces are built once. As
+    # in trace_table, traces are looked up by byte column, and equal is ==.
+    known = {}  # byte column -> (its stored dict, its trace)
     traces = []
     for data in dicts:
-        trace = next((known for seen, known in decoded if seen == data), None)
-        if trace is None:
+        counts = tuple(b for _, b in data["samples"])
+        seen, trace = known.get(counts, (None, None))
+        if seen != data:
             trace = trace_from_dict(data)
-            decoded.append((data, trace))
+            known[counts] = data, trace
         traces.append(trace)
     return tuple(traces)
 
@@ -414,10 +401,8 @@ def simulate_raw(spec: TestSpec, model: dict) -> RawTestRecord:
     aggregate = flowmodel.simulate_model(model, n, spec.duration, spec.sample_interval)
     # The model's flows are symmetric, so the exact per-connection answer is
     # an equal split of the aggregate: one frozen trace, repeated n times.
-    share = ThroughputTrace(
-        sample_interval=spec.sample_interval,
-        samples=tuple((t, b / n) for t, b in aggregate.samples),
-    )
+    share = ThroughputTrace.from_columns(spec.sample_interval, aggregate.times,
+                                         map(truediv, aggregate.counts, repeat(n)))
     return RawTestRecord(
         spec=spec,
         per_connection_traces=(share,) * n,

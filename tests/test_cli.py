@@ -97,9 +97,16 @@ class TestSimulatedRun:
         "link",                     # not key=value
         "link=nanmbps",             # NaN rate
         "link=100mbps,duration=inf",  # infinite time
+        "link=100mbps,duration=2000",  # a bare duration: 2000 ms or 2000 s?
     ])
     def test_bad_simulate_strings_are_config_errors(self, paths, bad):
         assert run_cli(paths, "run", "--simulate", bad) == cli.EXIT_CONFIG
+
+    def test_bare_simulated_duration_names_the_unit_it_needs(self):
+        with pytest.raises(ValueError, match="duration= needs a unit, such as 10s"):
+            cli.parse_simulate_spec("link=100mbps,duration=30")
+        assert cli.parse_simulate_spec("link=100mbps,duration=30s")["duration"] == 30.0
+        assert cli.parse_simulate_spec("link=100mbps,duration=1m")["duration"] == 60.0
 
     def test_infinite_duration_is_config_error(self, paths):
         assert run_cli(paths, "run", "--simulate", "link=100mbps",

@@ -580,7 +580,7 @@ class TestInterpolation:
         outside = [times[0] - 1.0, times[-1] + 1.0]
         drawn = data.draw(st.lists(st.floats(times[0] - 10.0, times[-1] + 10.0), max_size=20))
         for t in times + inside + outside + drawn:
-            assert co._interp_bytes(samples, t) == scanned_bytes(samples, t)
+            assert co._interp_bytes(*zip(*samples), t) == scanned_bytes(samples, t)
 
 
 def quiet_factory():

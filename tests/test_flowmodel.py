@@ -292,6 +292,46 @@ class TestThroughputTrace:
             ThroughputTrace(sample_interval=100, samples=samples)
         assert str(exc.value) == message
 
+    @settings(max_examples=150, deadline=None)
+    @given(trace=irregular_traces(min_samples=1))
+    def test_pairs_and_columns_build_equal_traces(self, trace):
+        pairs = trace.samples
+        built = ThroughputTrace.from_columns(trace.sample_interval, [t for t, _ in pairs],
+                                             [b for _, b in pairs], trace.source)
+        assert built == trace
+        assert built.samples == pairs
+        assert built.interval_bps == trace.interval_bps
+        assert (built.duration_ms, built.total_bytes) == (trace.duration_ms, trace.total_bytes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(times=st.lists(st.integers(0, 4), max_size=6), data=st.data())
+    def test_columns_raise_what_pairs_raise(self, times, data):
+        # Small drawn values make equal and decreasing neighbours common.
+        counts = data.draw(st.lists(st.one_of(st.integers(0, 3), st.floats(0.0, 3.0)),
+                                    min_size=len(times), max_size=len(times)))
+        from_pairs = error_of(lambda: ThroughputTrace(100, tuple(zip(times, counts))))
+        assert error_of(lambda: ThroughputTrace.from_columns(100, times, counts)) == from_pairs
+        if from_pairs is None:
+            assert ThroughputTrace.from_columns(100, times, counts) == \
+                ThroughputTrace(100, tuple(zip(times, counts)))
+
+    @pytest.mark.parametrize("samples", [((0, 0), (100, 5, 6)), ((0, 0), (100,)),
+                                         ((0, 0, 1), (100, 5, 6)), ((0,), (100,))])
+    def test_a_sample_that_is_not_a_pair_is_refused(self, samples):
+        with pytest.raises(ValueError):
+            ThroughputTrace(sample_interval=100, samples=samples)
+
+    def test_a_trace_built_on_another_shares_its_time_column(self):
+        trace = ThroughputTrace.from_columns(100, [0, 100, 200], [0, 10, 30], MEASURED)
+        assert trace.times == (0.0, 100.0, 200.0)
+        assert all(type(t) is float for t in trace.times)
+        half = ThroughputTrace.from_columns(100, trace.times, [0.0, 5.0, 15.0])
+        assert half.times is trace.times
+        assert error_of(lambda: ThroughputTrace.from_columns(100, trace.times, [0, 5, 4])) == \
+            "cumulative bytes must be non-decreasing (5 -> 4)"
+        assert error_of(lambda: ThroughputTrace.from_columns(100, trace.times, [0, 5])) == \
+            "every byte column must be as long as the time column"
+
     def test_rate_cap_names_the_first_interval_over_the_cap(self):
         # 1, 3 and 2 Gbit/s over 100 ms intervals, against a 1.5 Gbit/s cap.
         trace = ThroughputTrace(sample_interval=100, samples=(

@@ -235,20 +235,6 @@ def drawn_results(draw, sharing):
                        server=server, timestamp=draw(ESCAPED_TEXT.filter(bool)))
 
 
-@pytest.fixture
-def trace_encodings(monkeypatch):
-    """A list that grows by one for every trace split into columns for encoding."""
-    calls = []
-    columns = records._columns
-
-    def counting(trace):
-        calls.append(None)
-        return columns(trace)
-
-    monkeypatch.setattr(records, "_columns", counting)
-    return calls
-
-
 class TestCanonicalJson:
     def test_sorted_and_compact(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
@@ -390,15 +376,18 @@ class TestMeasurementResult:
             canonical_json(loop)
 
     @pytest.mark.parametrize("n_connections", [1, 16])
-    def test_encoding_cost_does_not_grow_with_connections(self, n_connections,
-                                                          trace_encodings):
-        # One repeated per-connection trace plus the aggregate, each split
-        # into columns once. At one connection the share's column equals
-        # the aggregate's, so the record stores one column.
+    def test_encoding_cost_does_not_grow_with_connections(self, n_connections):
+        # One repeated per-connection trace plus the aggregate, whose byte
+        # columns are stored as they are, not copied. At one connection the
+        # share's column equals the aggregate's, so the record stores one column.
         result = simulated_result(n_connections)
-        trace_encodings.clear()
+        raw = result.raw
+        stored = records.trace_table(raw.aggregate_trace, raw.per_connection_traces)
+        traces = (raw.aggregate_trace, *raw.per_connection_traces)
+        assert stored["times"] is raw.aggregate_trace.times
+        assert all(any(column is trace.counts for trace in traces)
+                   for column in stored["columns"])
         table = json.loads(result.to_json())["raw"]["trace"]
-        assert len(trace_encodings) == 2
         assert len(table["columns"]) == (1 if n_connections == 1 else 2)
         assert table["aggregate"] == 0
         assert table["per_connection"] == [0 if n_connections == 1 else 1] * n_connections
@@ -532,6 +521,14 @@ class TestSchemaV2:
         assert len({id(trace) for trace in loaded.raw.per_connection_traces}) == 1
         assert loaded.raw.per_connection_traces == copies
 
+    @pytest.mark.parametrize("make", [measured_result, lambda: simulated_result(4)],
+                             ids=["measured", "simulated"])
+    def test_loaded_traces_share_one_time_column(self, make):
+        raw = MeasurementResult.from_json(make().to_json()).raw
+        traces = (raw.aggregate_trace, *raw.per_connection_traces)
+        assert len({id(trace.counts) for trace in traces}) > 1
+        assert len({id(trace.times) for trace in traces}) == 1
+
     def test_single_connection_trace_is_the_aggregate_object(self):
         loaded = MeasurementResult.from_json(simulated_result(1).to_json())
         assert loaded.raw.per_connection_traces == (loaded.raw.aggregate_trace,)
@@ -644,6 +641,31 @@ class TestSchemaV1:
             assert result.to_json(records.SCHEMA_V1) == line
             assert result.raw.model is None
             assert recompute_report(result) == result.report
+
+    def test_equal_v1_traces_decode_to_one_object(self):
+        # The simulated lines' per-connection traces are one trace each; the
+        # measured line's are distinct.
+        loaded = ResultStore(V1_STORE).load()
+        assert [len({id(trace) for trace in result.raw.per_connection_traces})
+                for result in loaded] == [1, 1, 1, 1, len(loaded[4].raw.per_connection_traces)]
+        trace = {"sample_interval": 100.0, "source": MEASURED,
+                 "samples": [[0.0, 0], [100.0, 5]]}
+        later = {**trace, "samples": [[0.0, 0], [50.0, 5]]}  # equal bytes, other times
+        decoded = records._traces_from_dicts([trace, dict(trace), later])
+        assert decoded[0] is decoded[1]
+        assert decoded[2].times == (0.0, 50.0)
+
+    @pytest.mark.parametrize("sample", [[100.0], [100.0, 5, 6], 7],
+                             ids=["one-value", "three-values", "number"])
+    def test_a_v1_sample_that_is_not_a_pair_makes_a_line_corrupt(self, tmp_path, sample):
+        data = json.loads(v1_lines()[1])
+        data["raw"]["per_connection_traces"][1]["samples"][3] = sample
+        line = canonical_json(data)
+        assert records.verify_line(line) == ["corrupt"]
+        path = tmp_path / "results.jsonl"
+        path.write_text(line + "\n" + v1_lines()[0] + "\n")
+        assert [result.to_json(records.SCHEMA_V1) for result in ResultStore(path).load()] == \
+            [v1_lines()[0]]
 
     def test_v1_lines_followed_by_v2_appends_load_in_order(self, tmp_path):
         path = tmp_path / "results.jsonl"
