@@ -291,8 +291,9 @@ def cmd_report(args) -> int:
         print(records.canonical_json([b.to_dict() for b in blocks]))
         return EXIT_OK
     for block in blocks:
-        print(f"origin: {block.origin}   population {block.population}   "
-              f"included {block.included}   excluded {block.population - block.included}")
+        print(f"origin: {block.origin}   source: {', '.join(block.methodology['trace_sources'])}"
+              f"   population {block.population}   included {block.included}"
+              f"   excluded {block.population - block.included}")
         for flag, count in sorted(block.exclusions.items()):
             print(f"  excluded for {flag}: {count}")
         for name in records.THROUGHPUT_METRICS + records.QUALITY_METRICS:

@@ -411,9 +411,7 @@ class Engine:
 
         aggregate_trace = ThroughputTrace.from_columns(interval_ms, times, map(sum, snapshots),
                                                        MEASURED)
-        per_connection_traces = tuple(
-            ThroughputTrace.from_columns(interval_ms, aggregate_trace.times, column, MEASURED)
-            for column in zip(*snapshots))
+        per_connection_traces = tuple(map(aggregate_trace.with_counts, zip(*snapshots)))
         return RawTestRecord(
             spec=spec,
             per_connection_traces=per_connection_traces,

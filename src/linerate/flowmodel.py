@@ -27,7 +27,7 @@ drop reads, is not built for it.
 Each pass from a ledger to a checked trace happens once. A ledger is
 sampled with no call per sample (its times, positions and floors are one
 ``map`` each), a trace holds a time and a byte column and validates each
-once (a trace built on another's time column shares it), and its
+once (``with_counts`` builds a trace on another's checked times), and its
 interval-rate column (``interval_bps``) is computed once and cached, for
 check_rate_cap and every estimator. A single path is its own aggregate, so
 its ledger is built once.
@@ -127,11 +127,6 @@ class FlowState:
             raise ValueError("delivered and sent must be non-negative")
 
 
-class _Times(tuple):
-    """A time column a trace has validated; a trace built on it shares it as it is."""
-    __slots__ = ()
-
-
 @dataclass(frozen=True, init=False)
 class ThroughputTrace:
     """Timestamped cumulative byte counts from one test: ``times`` (floats, ms since start)
@@ -152,20 +147,23 @@ class ThroughputTrace:
 
     @classmethod
     def from_columns(cls, sample_interval: float, times, counts, source: str = SIMULATED):
-        """A trace of a time and a byte column; another trace's ``times`` is kept as it is."""
-        trace = cls.__new__(cls)
-        trace._hold(sample_interval, times, counts, source)
-        return trace
+        """A trace of a time and a byte column, each made a tuple and checked."""
+        return cls.__new__(cls)._hold(sample_interval, times, counts, source)
 
-    def _hold(self, sample_interval: float, times, counts, source: str):
+    def with_counts(self, counts) -> ThroughputTrace:
+        """A trace on this one's interval, source and ``times`` object; checks only ``counts``."""
+        return ThroughputTrace.__new__(ThroughputTrace)._hold(
+            self.sample_interval, self.times, counts, self.source, times_checked=True)
+
+    def _hold(self, sample_interval: float, times, counts, source: str, times_checked=False):
         if source not in (SIMULATED, MEASURED):
             raise ValueError(f"unknown trace source {source!r}")
         if sample_interval <= 0:
             raise ValueError("sample_interval must be > 0")
         counts = tuple(counts)
         unordered = any(map(lt, counts[1:], counts))
-        if type(times) is not _Times:
-            times = _Times(map(float, times))
+        if not times_checked:
+            times = tuple(map(float, times))
             unordered = unordered or any(map(le, times[1:], times))
         if len(counts) != len(times):
             raise ValueError("every byte column must be as long as the time column")
@@ -177,6 +175,7 @@ class ThroughputTrace:
                     raise ValueError(f"cumulative bytes must be non-decreasing ({b0} -> {b1})")
         self.__dict__.update(sample_interval=sample_interval, times=times, counts=counts,
                              source=source)
+        return self
 
     @cached_property
     def interval_bps(self) -> tuple[float, ...]:

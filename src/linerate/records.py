@@ -17,8 +17,10 @@ record's n equal per-connection traces are one column, and the bytes
 depend only on the values, not on which trace objects were shared.  A
 record's line is ``canonical_json(to_dict())``: one encoder call.
 
-Schema v1 lines still load.  v1 stored every trace as ``[t, bytes]`` pairs
-in full, the spec and flags twice (top level and ``raw``), a
+Schema v1 lines still load.  v1 is a pair layout of the same table: every
+trace is stored in full as ``[t, bytes]`` pairs, the time column zipped with
+its byte column, so a v1 line whose traces do not share one clock is
+corrupt.  v1 also stored the spec and flags twice (top level and ``raw``), a
 ``warmup_excluded`` flag in the spec and the methodology that no estimator
 reads and every run set to true, and ``started_at_monotonic``, a reading of
 one process's monotonic clock.  v2 drops all of these; the last stays on
@@ -64,10 +66,12 @@ QUALITY_METRICS = ("latency_ms", "jitter_ms", "loss_rate")
 
 # The checks verify_store makes, in the order it reports failures: a line
 # that does not load, a report, alternate estimate or methodology that its
-# method, spec and aggregate trace do not reproduce, a line that does not
+# method, spec and aggregate trace do not reproduce, a raw field that the
+# rest of the raw record does not derive (a measured aggregate column that is
+# not the int sum of its per-connection columns), a line that does not
 # re-encode to its own bytes, and a simulated record's raw data that its
 # spec and model inputs do not regenerate.
-VERIFY_CHECKS = ("corrupt", "report", "round_trip", "model")
+VERIFY_CHECKS = ("corrupt", "report", "derived", "round_trip", "model")
 
 # A simulated record's flag and target id, and its probes of the model's RTT.
 SIMULATED_FLAG = "simulated"
@@ -155,11 +159,10 @@ def traces_from_table(table: dict) -> tuple[ThroughputTrace, tuple[ThroughputTra
     for index in [table["aggregate"], *per_connection]:
         if type(index) is not int or not 0 <= index < len(columns):
             raise ValueError(f"trace column index {index!r} is not one of the record's columns")
-    # The first column's trace validates the time column; the others share it.
-    interval, source = table["sample_interval"], table["source"]
-    first = ThroughputTrace.from_columns(interval, table["times"], columns[0], source)
-    traces = [first] + [ThroughputTrace.from_columns(interval, first.times, column, source)
-                        for column in columns[1:]]
+    # The first column's trace checks the time column; the others share it.
+    first = ThroughputTrace.from_columns(table["sample_interval"], table["times"], columns[0],
+                                         table["source"])
+    traces = [first] + [first.with_counts(column) for column in columns[1:]]
     return traces[table["aggregate"]], tuple(traces[index] for index in per_connection)
 
 
@@ -208,52 +211,50 @@ def raw_from_dict(data: dict) -> RawTestRecord:
 
 # -- schema v1 ------------------------------------------------------------------
 
-def trace_to_dict(trace: ThroughputTrace) -> dict:
-    """A trace as schema v1 stores it; json writes the (t, bytes) tuples as arrays."""
-    return {
-        "sample_interval": trace.sample_interval,
-        "samples": trace.samples,
-        "source": trace.source,
-    }
-
-
-def trace_from_dict(data: dict) -> ThroughputTrace:
-    return ThroughputTrace(data["sample_interval"], data["samples"], data["source"])
-
-
 def raw_to_v1_dict(raw: RawTestRecord) -> dict:
-    """``raw`` as schema v1 stores it; ``raw.model`` has no place there."""
+    """``raw`` as schema v1 stores it; ``raw.model`` has no place there.
+
+    Each trace is ``[t, bytes]`` pairs: trace_table's time column is paired
+    with each of its distinct byte columns once.
+    """
+    table = trace_table(raw.aggregate_trace, raw.per_connection_traces)
+    traces = [{"sample_interval": table["sample_interval"], "source": table["source"],
+               "samples": tuple(zip(table["times"], column))} for column in table["columns"]]
     return {
         **_raw_fields(raw),
         # Every run set warmup_excluded, and no estimator read it.
         "spec": {**raw.spec.to_dict(), "warmup_excluded": True},
         "started_at_monotonic": raw.started_at_monotonic,
-        "per_connection_traces": [trace_to_dict(t) for t in raw.per_connection_traces],
-        "aggregate_trace": trace_to_dict(raw.aggregate_trace),
+        "per_connection_traces": [traces[index] for index in table["per_connection"]],
+        "aggregate_trace": traces[table["aggregate"]],
     }
 
 
-def _traces_from_dicts(dicts: list[dict]) -> tuple[ThroughputTrace, ...]:
-    # A trace equal to an earlier one of the record decodes to that object, so
-    # a simulated v1 record's n equal per-connection traces are built once. As
-    # in trace_table, traces are looked up by byte column, and equal is ==.
-    known = {}  # byte column -> (its stored dict, its trace)
-    traces = []
-    for data in dicts:
-        counts = tuple(b for _, b in data["samples"])
-        seen, trace = known.get(counts, (None, None))
-        if seen != data:
-            trace = trace_from_dict(data)
-            known[counts] = data, trace
-        traces.append(trace)
-    return tuple(traces)
+def _v1_trace_table(aggregate: dict, per_connection: list) -> dict:
+    """A v1 record's stored traces as the ``raw.trace`` table trace_table makes.
+
+    Every sample must be a pair and every trace on the aggregate's clock
+    (interval, source and times); equal byte columns (by ``==``) are one.
+    """
+    clocks, columns, indices = set(), {}, []  # columns: byte column -> its index
+    for data in [aggregate, *per_connection]:
+        samples = data["samples"]
+        times, counts = zip(*samples, strict=True) if samples else ((), ())
+        clocks.add((data["sample_interval"], data["source"], times))
+        indices.append(columns.setdefault(counts, len(columns)))
+    if len(clocks) != 1:
+        raise ValueError("a record's traces must share one sample interval, source and times")
+    [(interval, source, times)] = clocks
+    return {"sample_interval": interval, "source": source, "times": times,
+            "columns": list(columns), "aggregate": 0, "per_connection": indices[1:]}
 
 
 def raw_from_v1_dict(data: dict) -> RawTestRecord:
     spec = dict(data["spec"])
     spec.pop("warmup_excluded", None)
-    return _raw_record(data, spec, trace_from_dict(data["aggregate_trace"]),
-                       _traces_from_dicts(data["per_connection_traces"]),
+    aggregate, per_connection = traces_from_table(
+        _v1_trace_table(data["aggregate_trace"], data["per_connection_traces"]))
+    return _raw_record(data, spec, aggregate, per_connection,
                        started_at_monotonic=data["started_at_monotonic"])
 
 
@@ -401,8 +402,7 @@ def simulate_raw(spec: TestSpec, model: dict) -> RawTestRecord:
     aggregate = flowmodel.simulate_model(model, n, spec.duration, spec.sample_interval)
     # The model's flows are symmetric, so the exact per-connection answer is
     # an equal split of the aggregate: one frozen trace, repeated n times.
-    share = ThroughputTrace.from_columns(spec.sample_interval, aggregate.times,
-                                         map(truediv, aggregate.counts, repeat(n)))
+    share = aggregate.with_counts(map(truediv, aggregate.counts, repeat(n)))
     return RawTestRecord(
         spec=spec,
         per_connection_traces=(share,) * n,
@@ -424,6 +424,16 @@ def _derived_fields_hold(result: MeasurementResult) -> bool:
             and build_methodology(result.spec, method, trace.source) == result.methodology)
 
 
+def _raw_derivations_hold(raw: RawTestRecord) -> bool:
+    # The engine's sampler sums one snapshot of int counters per tick, so a
+    # measured aggregate is exactly the sum of its per-connection columns.
+    if raw.aggregate_trace.source != flowmodel.MEASURED:
+        return True
+    columns = [trace.counts for trace in raw.per_connection_traces]
+    return (all(type(count) is int for column in columns for count in column)
+            and tuple(map(sum, zip(*columns))) == raw.aggregate_trace.counts)
+
+
 def _holds(check) -> bool:
     # A check that cannot even be computed on a loaded record fails.
     try:
@@ -442,6 +452,8 @@ def verify_line(line: str) -> list[str]:
     failed = []
     if not _holds(lambda: _derived_fields_hold(result)):
         failed.append("report")
+    if not _holds(lambda: _raw_derivations_hold(result.raw)):
+        failed.append("derived")
     if result.to_json(data["schema_version"]) != line:
         failed.append("round_trip")
     if result.raw.model is not None and not _holds(
@@ -609,6 +621,7 @@ def aggregate_results(results, origin: str) -> AggregateReport:
     methodology = {
         "headline": sorted({r.methodology.get("headline", "") for r in group}),
         "methods": [json.loads(m) for m in methods],
+        "trace_sources": sorted({r.raw.aggregate_trace.source for r in group}),
         "exclusion_flags": list(EXCLUSION_FLAGS),
     }
     return AggregateReport(
@@ -622,9 +635,15 @@ def aggregate_results(results, origin: str) -> AggregateReport:
 
 
 def report_blocks(results) -> list[AggregateReport]:
-    """One aggregate per origin actually present; origins are never pooled."""
-    present = [o for o in ORIGINS if any(r.origin == o for r in results)]
-    return [aggregate_results(results, origin) for origin in present]
+    """One aggregate per (origin, trace source) present, sorted; none is pooled with another.
+
+    Model output and measurements of one origin are two blocks, each naming
+    its source in ``methodology["trace_sources"]``.
+    """
+    groups = {}
+    for result in results:
+        groups.setdefault((result.origin, result.raw.aggregate_trace.source), []).append(result)
+    return [aggregate_results(groups[key], key[0]) for key in sorted(groups)]
 
 
 # -- registry persistence --------------------------------------------------------

@@ -424,6 +424,22 @@ class TestReportCommand:
         assert [(b["origin"], b["population"]) for b in blocks] == [
             ("scheduled", 3), ("user", 2)]
 
+    def test_simulated_and_measured_results_are_separate_blocks(self, paths, responder, capsys):
+        # One simulated and one measured download, both on demand: pooled,
+        # model output and a loopback measurement would read as one population.
+        self.seed_store(paths, n_clean=1)
+        assert run_cli(paths, "run", "--server", "%s:%d" % responder.address,
+                       "--duration", "1") == cli.EXIT_OK
+        capsys.readouterr()
+        assert run_cli(paths, "report", "--format", "machine") == 0
+        blocks = json.loads(capsys.readouterr().out)
+        assert [(b["origin"], b["population"]) for b in blocks] == [("user", 1), ("user", 1)]
+        assert [b["methodology"]["trace_sources"] for b in blocks] == [["measured"], ["simulated"]]
+        assert run_cli(paths, "report") == 0
+        headers = [line.split("   population")[0]
+                   for line in capsys.readouterr().out.splitlines() if line.startswith("origin")]
+        assert headers == ["origin: user   source: measured", "origin: user   source: simulated"]
+
     def test_human_format_discloses_method(self, paths, capsys):
         self.seed_store(paths, n_clean=2)
         assert run_cli(paths, "report") == 0

@@ -1,5 +1,6 @@
 """Registry health, latency-ranked selection, scheduling, multi-destination runs."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -581,6 +582,21 @@ class TestInterpolation:
         drawn = data.draw(st.lists(st.floats(times[0] - 10.0, times[-1] + 10.0), max_size=20))
         for t in times + inside + outside + drawn:
             assert co._interp_bytes(*zip(*samples), t) == scanned_bytes(samples, t)
+
+    def test_summed_overlap_trace_holds_a_plain_time_column(self, monkeypatch):
+        summed = []
+        monkeypatch.setattr(co.metrics, "estimate_throughput",
+                            lambda trace, method: summed.append(trace) or 0.0)
+        trace = flowmodel.simulate_transfer(flowmodel.LinkModel(capacity=1e8, rtt=20.0), 2, 2.0)
+        record = engine_mod.RawTestRecord(
+            spec=engine_mod.TestSpec(target="h.example.net:7777", duration=2.0),
+            per_connection_traces=(trace,), aggregate_trace=trace,
+            latency=LatencyStats(rtts=(20.0,), sent=1, received=1), cross_traffic_bps=0.0,
+            flags=frozenset(), started_at_monotonic=100.0)
+        later = dataclasses.replace(record, started_at_monotonic=100.25)
+        co._aggregate_over_overlap([record, later], EstimationMethod())
+        [trace] = summed
+        assert type(trace.times) is tuple and all(type(t) is float for t in trace.times)
 
 
 def quiet_factory():

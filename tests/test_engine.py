@@ -448,6 +448,12 @@ class TestRunTest:
             assert total == sample_sum
             assert all(trace.samples[k][0] == t_ms for trace in record.per_connection_traces)
 
+    def test_every_trace_holds_the_aggregates_plain_time_column(self, responder):
+        record = run_loopback(responder, n_connections=3, duration=1.0)
+        times = record.aggregate_trace.times
+        assert type(times) is tuple and all(type(t) is float for t in times)
+        assert all(trace.times is times for trace in record.per_connection_traces)
+
     def test_trace_covers_requested_duration(self, responder):
         record = run_loopback(responder, n_connections=2, duration=1.5)
         assert record.aggregate_trace.duration_ms == pytest.approx(1500.0)

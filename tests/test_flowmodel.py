@@ -325,11 +325,12 @@ class TestThroughputTrace:
         trace = ThroughputTrace.from_columns(100, [0, 100, 200], [0, 10, 30], MEASURED)
         assert trace.times == (0.0, 100.0, 200.0)
         assert all(type(t) is float for t in trace.times)
-        half = ThroughputTrace.from_columns(100, trace.times, [0.0, 5.0, 15.0])
+        half = trace.with_counts([0.0, 5.0, 15.0])
         assert half.times is trace.times
-        assert error_of(lambda: ThroughputTrace.from_columns(100, trace.times, [0, 5, 4])) == \
+        assert (half.sample_interval, half.source) == (100, MEASURED)
+        assert error_of(lambda: trace.with_counts([0, 5, 4])) == \
             "cumulative bytes must be non-decreasing (5 -> 4)"
-        assert error_of(lambda: ThroughputTrace.from_columns(100, trace.times, [0, 5])) == \
+        assert error_of(lambda: trace.with_counts([0, 5])) == \
             "every byte column must be as long as the time column"
 
     def test_rate_cap_names_the_first_interval_over_the_cap(self):

@@ -252,10 +252,6 @@ class TestCanonicalJson:
 
 
 class TestConverters:
-    def test_trace_round_trip(self):
-        trace = random_trace(random.Random(1))
-        assert records.trace_from_dict(records.trace_to_dict(trace)) == trace
-
     def test_latency_round_trip(self):
         stats = LatencyStats(rtts=(1.5, 2.25, 3.125), sent=5, received=3)
         assert records.latency_from_dict(records.latency_to_dict(stats)) == stats
@@ -648,12 +644,11 @@ class TestSchemaV1:
         loaded = ResultStore(V1_STORE).load()
         assert [len({id(trace) for trace in result.raw.per_connection_traces})
                 for result in loaded] == [1, 1, 1, 1, len(loaded[4].raw.per_connection_traces)]
-        trace = {"sample_interval": 100.0, "source": MEASURED,
-                 "samples": [[0.0, 0], [100.0, 5]]}
-        later = {**trace, "samples": [[0.0, 0], [50.0, 5]]}  # equal bytes, other times
-        decoded = records._traces_from_dicts([trace, dict(trace), later])
-        assert decoded[0] is decoded[1]
-        assert decoded[2].times == (0.0, 50.0)
+        # A trace on another clock than the aggregate's makes the line corrupt.
+        data = json.loads(v1_lines()[4])
+        trace = data["raw"]["per_connection_traces"][1]
+        trace["samples"] = [[t + 1.0, b] for t, b in trace["samples"]]
+        assert records.verify_line(canonical_json(data)) == ["corrupt"]
 
     @pytest.mark.parametrize("sample", [[100.0], [100.0, 5, 6], 7],
                              ids=["one-value", "three-values", "number"])
@@ -666,6 +661,16 @@ class TestSchemaV1:
         path.write_text(line + "\n" + v1_lines()[0] + "\n")
         assert [result.to_json(records.SCHEMA_V1) for result in ResultStore(path).load()] == \
             [v1_lines()[0]]
+
+    @pytest.mark.parametrize("sharing", ["same", "distinct", "equal", "mixed"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_v1_line_decodes_to_a_record_that_encodes_like_the_original(self, sharing, data):
+        result = data.draw(drawn_results(sharing))
+        line = result.to_json(records.SCHEMA_V1)
+        loaded = MeasurementResult.from_json(line)
+        assert loaded.to_json(records.SCHEMA_V1) == line
+        assert loaded.to_json() == result.to_json()
 
     def test_v1_lines_followed_by_v2_appends_load_in_order(self, tmp_path):
         path = tmp_path / "results.jsonl"
@@ -685,6 +690,20 @@ class TestSchemaV1:
         # The v1 records re-encode as v2 lines that load to the same records.
         for result in loaded[:5]:
             stored_fields_equal(MeasurementResult.from_json(result.to_json()), result)
+
+
+@pytest.mark.parametrize("raw", [
+    lambda: records.simulate_raw(simulated_result(4).spec, simulated_result(4).raw.model),
+    lambda: MeasurementResult.from_json(simulated_result(4).to_json()).raw,
+    lambda: MeasurementResult.from_json(measured_result().to_json()).raw,
+    lambda: MeasurementResult.from_json(v1_lines()[1]).raw,
+    lambda: MeasurementResult.from_json(v1_lines()[4]).raw,
+], ids=["simulate_raw", "v2-simulated", "v2-measured", "v1-simulated", "v1-measured"])
+def test_a_records_traces_hold_one_plain_tuple_time_column(raw):
+    raw = raw()
+    times = raw.aggregate_trace.times
+    assert type(times) is tuple and all(type(t) is float for t in times)
+    assert all(trace.times is times for trace in raw.per_connection_traces)
 
 
 def every_kind_store(path) -> list[str]:
@@ -773,6 +792,22 @@ class TestVerify:
 
         rewrite_line(path, lines, 6, edit)
         assert records.verify_store(path) == (len(lines), 1, Counter(model=1))
+
+    @pytest.mark.parametrize("index", [4, 8], ids=["v1", "v2"])
+    def test_fails_on_a_measured_per_connection_count_edited_by_hand(self, tmp_path, index):
+        # A measured aggregate is the int sum of its per-connection columns.
+        path = tmp_path / "results.jsonl"
+        lines = every_kind_store(path)
+
+        def edit(data):
+            raw = data["raw"]
+            if "trace" in raw:
+                raw["trace"]["columns"][raw["trace"]["per_connection"][1]][5] += 1
+            else:
+                raw["per_connection_traces"][1]["samples"][5][1] += 1
+
+        rewrite_line(path, lines, index, edit)
+        assert records.verify_store(path) == (len(lines), 1, Counter(derived=1))
 
     def test_fails_on_probe_rtts_edited_with_their_report(self, tmp_path):
         # The report's latency is recomputed from the probe RTTs, so both are
@@ -1027,8 +1062,9 @@ class TestAggregation:
         results = [clean_result(rng, origin="scheduled") for _ in range(3)]
         results += [clean_result(rng, origin="user") for _ in range(2)]
         blocks = report_blocks(results)
-        assert [(b.origin, b.population) for b in blocks] == [
-            ("scheduled", 3), ("user", 2)]
+        assert [(b.origin, b.methodology["trace_sources"], b.population) for b in blocks] == [
+            ("scheduled", ["measured"], 2), ("scheduled", ["simulated"], 1),
+            ("user", ["simulated"], 2)]
 
     def test_single_origin_yields_single_block(self):
         blocks = report_blocks([clean_result()])
@@ -1038,7 +1074,7 @@ class TestAggregation:
         block = aggregate_results([clean_result(origin="user")], "scheduled")
         assert (block.population, block.included, block.exclusions) == (0, 0, {})
         assert all(summary is None for summary in block.metrics.values())
-        assert block.methodology == {"headline": [], "methods": [],
+        assert block.methodology == {"headline": [], "methods": [], "trace_sources": [],
                                      "exclusion_flags": list(records.EXCLUSION_FLAGS)}
 
     def test_empty_results_yield_no_blocks(self):
