@@ -44,8 +44,8 @@ from typing import ClassVar
 
 from . import flowmodel, metrics
 from .coordinator import Registry, ServerDescriptor
-from .engine import (FLAG_CROSS_TRAFFIC, FLAG_DEGENERATE, RawTestRecord, TestSpec,
-                     connection_flags)
+from .engine import (FLAG_CROSS_TRAFFIC, FLAG_CROSS_UNKNOWN, FLAG_DEGENERATE,
+                     FLAG_FEW_CONNECTIONS, RawTestRecord, TestSpec, connection_flags)
 from .flowmodel import ThroughputTrace
 from .metrics import EstimationMethod, LatencyStats, MetricReport
 
@@ -67,10 +67,12 @@ QUALITY_METRICS = ("latency_ms", "jitter_ms", "loss_rate")
 # The checks verify_store makes, in the order it reports failures: a line
 # that does not load, a report, alternate estimate or methodology that its
 # method, spec and aggregate trace do not reproduce, a raw field that the
-# rest of the raw record does not derive (a measured aggregate column that is
-# not the int sum of its per-connection columns), a line that does not
-# re-encode to its own bytes, and a simulated record's raw data that its
-# spec and model inputs do not regenerate.
+# rest of the raw record does not derive (a connection-count or
+# unknown-cross-traffic flag that the spec or cross-traffic figure
+# contradicts, or a measured aggregate column that is not the int sum of its
+# per-connection columns), a line that does not re-encode to its own bytes,
+# and a simulated record's raw data that its spec and model inputs do not
+# regenerate.
 VERIFY_CHECKS = ("corrupt", "report", "derived", "round_trip", "model")
 
 # A simulated record's flag and target id, and its probes of the model's RTT.
@@ -425,6 +427,11 @@ def _derived_fields_hold(result: MeasurementResult) -> bool:
 
 
 def _raw_derivations_hold(raw: RawTestRecord) -> bool:
+    # Every writer, v1 included, flags a test by its connection count alone,
+    # and flags cross traffic unknown exactly when it has no figure for it.
+    if (raw.flags & {FLAG_FEW_CONNECTIONS} != connection_flags(raw.spec.n_connections)
+            or (FLAG_CROSS_UNKNOWN in raw.flags) != (raw.cross_traffic_bps is None)):
+        return False
     # The engine's sampler sums one snapshot of int counters per tick, so a
     # measured aggregate is exactly the sum of its per-connection columns.
     if raw.aggregate_trace.source != flowmodel.MEASURED:

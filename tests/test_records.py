@@ -809,6 +809,24 @@ class TestVerify:
         rewrite_line(path, lines, index, edit)
         assert records.verify_store(path) == (len(lines), 1, Counter(derived=1))
 
+    @pytest.mark.parametrize("line,failed", [
+        (lambda: v1_lines()[4], ["derived"]),
+        (lambda: simulated_result(4).to_json(), ["derived", "model"]),
+    ], ids=["v1-measured", "v2-simulated"])
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw.update(flags=sorted(set(raw["flags"]) ^ {"below_recommended_connections"})),
+        lambda raw: raw.update(flags=sorted(set(raw["flags"]) ^ {"cross_traffic_unknown"})),
+        lambda raw: raw.update(cross_traffic_bps=None),
+    ], ids=["connection-flag-flipped", "unknown-flag-flipped", "cross-traffic-dropped"])
+    def test_fails_on_a_flag_its_raw_fields_contradict(self, line, failed, edit):
+        # below_recommended_connections follows from the connection count, and
+        # cross_traffic_unknown is set exactly when cross_traffic_bps is null.
+        data = json.loads(line())
+        edit(data["raw"])
+        if "flags" in data:  # v1 stores the flags a second time, at the top level
+            data["flags"] = data["raw"]["flags"]
+        assert records.verify_line(canonical_json(data)) == failed
+
     def test_fails_on_probe_rtts_edited_with_their_report(self, tmp_path):
         # The report's latency is recomputed from the probe RTTs, so both are
         # edited; a simulated record's probes see the model's base RTT.

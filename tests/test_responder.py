@@ -1,8 +1,11 @@
 """Responder behavior over real loopback sockets."""
 
 import os
+import signal
 import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
 import zlib
@@ -574,3 +577,23 @@ class TestMain:
                 responder_mod.main(["--listen", "127.0.0.1:%d" % holder.getsockname()[1]])
             assert exit_info.value.code == 2
             assert open_fds() <= before
+
+    def test_module_run_imports_once_and_exits_zero_on_sigint(self):
+        # runpy warns when the package import has already loaded the module it
+        # is about to run as __main__; -W error turns that warning into exit 1.
+        src = os.path.dirname(os.path.dirname(responder_mod.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+        child = subprocess.Popen(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "linerate.responder",
+             "--listen", "127.0.0.1:0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            line = child.stdout.readline()
+            assert line.startswith("listening on "), (line, child.stderr.read())
+            child.send_signal(signal.SIGINT)
+            assert child.wait(timeout=2) == 0, child.stderr.read()
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+            child.stderr.close()
