@@ -25,7 +25,7 @@ from .engine import (
     TestRefusedError,
     UnreachableTargetError,
 )
-from .flowmodel import LinkModel, ThroughputTrace, simulate_paths
+from .flowmodel import LinkModel, ThroughputTrace, sample_times, simulate_paths
 
 OUTCOME_OK = "ok"
 OUTCOME_UNDERPERFORMED = "underperformed"
@@ -38,7 +38,7 @@ HEALTH_RESTORE_STREAK = 10  # consecutive ok outcomes that restore a removed ser
 
 PEAK_WINDOW_DEFAULT = ("19:00", "23:00")
 IDLE_GAP_FACTOR = 2  # idle time between tests, in test durations
-MAX_DESTINATIONS_DEFAULT = 4
+MAX_DESTINATIONS = 4
 FLAG_PARTIAL = "partial_destinations"
 
 PROBES_PER_CANDIDATE_MIN = 3
@@ -383,27 +383,24 @@ def _aggregate_over_overlap(records, method) -> tuple[float, tuple[float, float]
         raise MultiDestFailedError({"overlap": "tests never ran simultaneously"})
 
     step = min(r.aggregate_trace.sample_interval for r in records)
-    n_points = math.floor((overlap_end - overlap_start) / step)
-    if n_points < 1:
+    times = sample_times(overlap_end - overlap_start, step)
+    if len(times) < 2:
         raise MultiDestFailedError({"overlap": "overlap shorter than one sample"})
-    grid = [overlap_start + k * step for k in range(n_points + 1)]
 
     sums = []
-    for t in grid:
+    for t in times:
         total = 0.0
         for record, (start, _end) in zip(records, spans):
             trace = record.aggregate_trace
-            total += _interp_bytes(trace.times, trace.counts, t - start)
+            total += _interp_bytes(trace.times, trace.counts, overlap_start + t - start)
         sums.append(total)
-    summed = ThroughputTrace.from_columns(
-        step, [t - overlap_start for t in grid], [b - sums[0] for b in sums],
-        records[0].aggregate_trace.source)
+    summed = ThroughputTrace.from_columns(step, times, [b - sums[0] for b in sums],
+                                          records[0].aggregate_trace.source)
     return metrics.estimate_throughput(summed, method), (overlap_start, overlap_end)
 
 
 def run_multi_destination(specs, method: metrics.EstimationMethod | None = None,
-                          engine_factory=Engine,
-                          max_destinations: int = MAX_DESTINATIONS_DEFAULT) -> MultiDestResult:
+                          engine_factory=Engine) -> MultiDestResult:
     """Run one test per destination concurrently and combine the results.
 
     A destination that refuses (``TestRefusedError``) or is unreachable
@@ -419,9 +416,9 @@ def run_multi_destination(specs, method: metrics.EstimationMethod | None = None,
     foreign, so the records are not returned.
     """
     specs = list(specs)
-    if not 2 <= len(specs) <= max_destinations:
+    if not 2 <= len(specs) <= MAX_DESTINATIONS:
         raise ValueError(
-            f"need between 2 and {max_destinations} destinations, got {len(specs)}")
+            f"need between 2 and {MAX_DESTINATIONS} destinations, got {len(specs)}")
     keys = [spec.target_id or spec.target for spec in specs]
     if len(set(keys)) != len(keys):
         raise ValueError("destinations must be distinct")

@@ -22,7 +22,7 @@ import uuid
 from dataclasses import dataclass, field
 
 from . import protocol, units
-from .flowmodel import MEASURED, ThroughputTrace
+from .flowmodel import MEASURED, ThroughputTrace, sample_times
 from .metrics import LatencyStats
 
 log = logging.getLogger(__name__)
@@ -341,17 +341,17 @@ class Engine:
         opened = [False] * n
         failed = [False] * n
         wire = [0] * n  # own bytes on counted interfaces; None when unreadable
-        stop = threading.Event()
         ring = protocol.data_ring() if spec.direction == "upload" else None
-        duration_s = spec.duration
         interval_ms = spec.sample_interval
+        times = sample_times(spec.duration * 1000.0, interval_ms)
 
         # The responder's window started at HELLO, so ours starts as the
         # handshake returns; connection set-up falls inside both windows.
-        # Cross traffic is counted over the same window.
+        # Cross traffic is counted over the same window, and the transfer
+        # ends at the last sample.
         counted_at_t0 = self.read_counters()
         t0 = time.monotonic()
-        deadline = t0 + duration_s
+        deadline = t0 + times[-1] / 1000.0
 
         def move_bytes(index):
             # A connect that fails loses the connection. After that, EOF is
@@ -366,7 +366,7 @@ class Engine:
                         protocol.send_frame(sock, protocol.START_DATA, spec.nonce,
                                             protocol.pack_start_data(index))
                         sock.settimeout(0.2)
-                        protocol.pump(sock, ring, deadline, stop, counters, index)
+                        protocol.pump(sock, ring, deadline, counters, index)
                     finally:
                         if counted:
                             wire[index] = _read_wire_bytes(sock)
@@ -379,20 +379,16 @@ class Engine:
         for worker in workers:
             worker.start()
 
-        # One sampler walks nominal tick times on the shared clock; each tick
+        # One sampler walks the nominal sample times on the shared clock; each
         # snapshots every counter once, so the aggregate is an exact sum.
-        ticks = round(duration_s * 1000.0 / interval_ms)
-        times = [0.0]
         snapshots = [[0] * n]
-        for k in range(1, ticks + 1):
+        for t_ms in times[1:]:
             if all(failed) and not any(opened):
                 break  # every connect failed: nothing is left to sample
-            delay = (t0 + k * interval_ms / 1000.0) - time.monotonic()
+            delay = (t0 + t_ms / 1000.0) - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
             snapshots.append(list(counters))
-            times.append(k * interval_ms)
-        stop.set()
 
         for worker in workers:
             worker.join(timeout=5.0)

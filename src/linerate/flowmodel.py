@@ -416,6 +416,13 @@ def _append_sums(boundaries: list[float], deltas: list[float], held: int):
         boundaries.extend(islice(held_sums, 1, None))
 
 
+def sample_times(duration_ms: float, sample_interval: float) -> list[float]:
+    """The sample grid of every test, simulated or measured, and of an overlap sum:
+    ``k * sample_interval`` ms for each k from 0 while that is within ``duration_ms``."""
+    return list(map(mul, range(math.floor(duration_ms / sample_interval) + 1),
+                    repeat(sample_interval)))
+
+
 @dataclass
 class RoundLedger:
     """Cumulative delivered bytes at each round boundary, for resampling."""
@@ -437,8 +444,7 @@ class RoundLedger:
         bisection.
         """
         bounds = self.boundaries
-        times = list(map(mul, range(math.floor(duration_ms / sample_interval) + 1),
-                         repeat(sample_interval)))
+        times = sample_times(duration_ms, sample_interval)
         positions = list(map(truediv, times, repeat(self.rtt)))
         floors = list(map(math.floor, positions))
         inside = bisect_left(floors, len(bounds) - 1)

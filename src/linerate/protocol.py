@@ -10,7 +10,10 @@ Frame layout on the wire:
 Control connections speak frames for their whole lifetime.  Data connections
 send a single START_DATA frame to bind themselves to a session, then carry a
 raw byte stream with no further framing.  Both ends move that stream through
-``pump``: the engine and the responder send and receive with the same loop.
+``pump``: the engine and the responder send and receive with the same loop,
+and a data connection ends at its deadline, at EOF or on a socket error.
+Shutting a socket down wakes a ``pump`` blocked on it at once, which is how a
+responder that stops ends its data connections.
 Every sender in a process sends from one ring, ``data_ring``, drawn once.
 On Linux, ``pump`` keeps the payload in the kernel: a sender sends from the
 ring's in-memory file with ``os.sendfile``, and a receiver passes
@@ -213,9 +216,8 @@ def data_ring() -> Ring:
 _IN_KERNEL = sys.platform == "linux" and hasattr(os, "memfd_create")
 
 
-def pump(sock, ring, deadline: float, stop, counts: list, index: int,
-         offset: int = 0) -> None:
-    """Move the raw stream on one data connection until deadline, stop or EOF.
+def pump(sock, ring, deadline: float, counts: list, index: int, offset: int = 0) -> None:
+    """Move the raw stream on one data connection until its deadline or EOF.
 
     With a ``ring`` (a ``Ring``), send from it starting ``offset`` bytes into
     its period, wrapping at the period, so the stream is the pool repeated
@@ -226,15 +228,16 @@ def pump(sock, ring, deadline: float, stop, counts: list, index: int,
     counts and frees each chunk without copying it into the buffer (tcp(7)).
     Elsewhere the sender ``send``s ring slices and the receiver's flags are
     0.  Each call's count is added to ``counts[index]`` at once, because
-    another thread may read it live.  ``stop`` is a ``threading.Event``.  A
-    socket timeout only retries the stop and deadline test; any other OSError
+    another thread may read it live.  A socket timeout only retries the
+    deadline test, so a call returns within one timeout of its deadline; any
+    other OSError, such as the one a socket shut down mid-send raises,
     propagates, and what moved before it stays counted.
     """
     if ring is not None:
         if _IN_KERNEL:
-            _sendfile_ring(sock, ring, offset, deadline, stop, counts, index)
+            _sendfile_ring(sock, ring, offset, deadline, counts, index)
             return
-        while not stop.is_set() and time.monotonic() < deadline:
+        while time.monotonic() < deadline:
             try:
                 sent = sock.send(ring.view[offset : offset + CHUNK_BYTES])
             except TimeoutError:
@@ -244,7 +247,7 @@ def pump(sock, ring, deadline: float, stop, counts: list, index: int,
         return
     buf = bytearray(CHUNK_BYTES)
     flags = socket.MSG_TRUNC if _IN_KERNEL else 0
-    while not stop.is_set() and time.monotonic() < deadline:
+    while time.monotonic() < deadline:
         try:
             got = sock.recv_into(buf, CHUNK_BYTES, flags)
         except TimeoutError:
@@ -258,12 +261,12 @@ def pump(sock, ring, deadline: float, stop, counts: list, index: int,
 # sendfile with an offset leaves the file's position alone.  A socket with a
 # timeout is non-blocking underneath, so os.sendfile raises BlockingIOError at
 # once where send would wait.  The loop then waits up to that timeout, as
-# send does, before testing stop and the deadline again.
+# send does, before testing the deadline again.
 
-def _sendfile_ring(sock, ring, offset, deadline, stop, counts, index):
+def _sendfile_ring(sock, ring, offset, deadline, counts, index):
     writable = select.poll()
     writable.register(sock, select.POLLOUT)
-    while not stop.is_set() and time.monotonic() < deadline:
+    while time.monotonic() < deadline:
         try:
             sent = os.sendfile(sock.fileno(), ring.fd, offset, CHUNK_BYTES)
         except BlockingIOError:

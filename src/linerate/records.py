@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import repeat
-from operator import truediv
+from operator import mul, truediv
 from typing import ClassVar
 
 from . import flowmodel, metrics
@@ -67,7 +67,8 @@ QUALITY_METRICS = ("latency_ms", "jitter_ms", "loss_rate")
 # The checks verify_store makes, in the order it reports failures: a line
 # that does not load, a report, alternate estimate or methodology that its
 # method, spec and aggregate trace do not reproduce, a raw field that the
-# rest of the raw record does not derive (a connection-count or
+# rest of the raw record does not derive (a trace interval other than the
+# spec's, a time other than k * interval, a connection-count or
 # unknown-cross-traffic flag that the spec or cross-traffic figure
 # contradicts, or a measured aggregate column that is not the int sum of its
 # per-connection columns), a line that does not re-encode to its own bytes,
@@ -427,18 +428,23 @@ def _derived_fields_hold(result: MeasurementResult) -> bool:
 
 
 def _raw_derivations_hold(raw: RawTestRecord) -> bool:
-    # Every writer, v1 included, flags a test by its connection count alone,
+    # Every writer, v1 included, samples every spec.sample_interval ms at
+    # exactly k * sample_interval, flags a test by its connection count alone,
     # and flags cross traffic unknown exactly when it has no figure for it.
-    if (raw.flags & {FLAG_FEW_CONNECTIONS} != connection_flags(raw.spec.n_connections)
+    trace = raw.aggregate_trace
+    interval = trace.sample_interval
+    if (interval != raw.spec.sample_interval
+            or trace.times != tuple(map(mul, range(len(trace.times)), repeat(interval)))
+            or raw.flags & {FLAG_FEW_CONNECTIONS} != connection_flags(raw.spec.n_connections)
             or (FLAG_CROSS_UNKNOWN in raw.flags) != (raw.cross_traffic_bps is None)):
         return False
-    # The engine's sampler sums one snapshot of int counters per tick, so a
+    # The engine's sampler sums one snapshot of int counters per sample, so a
     # measured aggregate is exactly the sum of its per-connection columns.
-    if raw.aggregate_trace.source != flowmodel.MEASURED:
+    if trace.source != flowmodel.MEASURED:
         return True
-    columns = [trace.counts for trace in raw.per_connection_traces]
+    columns = [share.counts for share in raw.per_connection_traces]
     return (all(type(count) is int for column in columns for count in column)
-            and tuple(map(sum, zip(*columns))) == raw.aggregate_trace.counts)
+            and tuple(map(sum, zip(*columns))) == trace.counts)
 
 
 def _holds(check) -> bool:

@@ -97,7 +97,7 @@ class Responder:
 
     def stop(self):
         # shutdown(), not close(), wakes a thread blocked in accept, recv or
-        # send on the socket at once.
+        # send on the socket at once; a data connection's pump ends there.
         with self._lock:
             self._stop.set()
             conns = dict(self._conns)
@@ -299,7 +299,7 @@ class Responder:
         ring = protocol.data_ring() if session.direction == "download" else None
         offset = int.from_bytes(nonce, "big") % protocol.POOL_BYTES
         try:
-            protocol.pump(conn, ring, session.deadline, self._stop, counts, 0, offset)
+            protocol.pump(conn, ring, session.deadline, counts, 0, offset)
         except OSError:
             pass  # the peer went away; what moved before that still counts
         duration_ms = int((time.monotonic() - started) * 1000)
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # unresolvable, wrong address family or in use
         parser.error(f"cannot listen on {args.listen}: {exc}")
     print(f"listening on {responder.address[0]}:{responder.address[1]} "
-          f"(max {responder.max_tests} concurrent tests)")
+          f"(max {responder.max_tests} concurrent tests)", flush=True)
     try:
         while True:
             time.sleep(3600)

@@ -584,19 +584,32 @@ class TestInterpolation:
             assert co._interp_bytes(*zip(*samples), t) == scanned_bytes(samples, t)
 
     def test_summed_overlap_trace_holds_a_plain_time_column(self, monkeypatch):
-        summed = []
-        monkeypatch.setattr(co.metrics, "estimate_throughput",
-                            lambda trace, method: summed.append(trace) or 0.0)
-        trace = flowmodel.simulate_transfer(flowmodel.LinkModel(capacity=1e8, rtt=20.0), 2, 2.0)
-        record = engine_mod.RawTestRecord(
-            spec=engine_mod.TestSpec(target="h.example.net:7777", duration=2.0),
-            per_connection_traces=(trace,), aggregate_trace=trace,
-            latency=LatencyStats(rtts=(20.0,), sent=1, received=1), cross_traffic_bps=0.0,
-            flags=frozenset(), started_at_monotonic=100.0)
-        later = dataclasses.replace(record, started_at_monotonic=100.25)
-        co._aggregate_over_overlap([record, later], EstimationMethod())
-        [trace] = summed
+        trace = summed_overlap_trace(monkeypatch, 100.0, 100.25)
         assert type(trace.times) is tuple and all(type(t) is float for t in trace.times)
+
+    def test_summed_overlap_trace_is_sampled_at_whole_steps(self, monkeypatch):
+        # The later test starts 67.18... ms in, where (start + k * step) - start
+        # is not k * step for k = 1 and 5.
+        trace = summed_overlap_trace(monkeypatch, 0.0, 0.06718212205620061)
+        assert trace.times == tuple(k * 100.0 for k in range(len(trace.times)))
+        assert len(trace.times) == 20  # the 1932.8 ms overlap holds 19 whole steps
+
+
+def summed_overlap_trace(monkeypatch, started, later_started):
+    """The trace _aggregate_over_overlap sums for two 2 s simulated tests."""
+    summed = []
+    monkeypatch.setattr(co.metrics, "estimate_throughput",
+                        lambda trace, method: summed.append(trace) or 0.0)
+    trace = flowmodel.simulate_transfer(flowmodel.LinkModel(capacity=1e8, rtt=20.0), 2, 2.0)
+    record = engine_mod.RawTestRecord(
+        spec=engine_mod.TestSpec(target="h.example.net:7777", duration=2.0),
+        per_connection_traces=(trace,), aggregate_trace=trace,
+        latency=LatencyStats(rtts=(20.0,), sent=1, received=1), cross_traffic_bps=0.0,
+        flags=frozenset(), started_at_monotonic=started)
+    later = dataclasses.replace(record, started_at_monotonic=later_started)
+    co._aggregate_over_overlap([record, later], EstimationMethod())
+    [summed_trace] = summed
+    return summed_trace
 
 
 def quiet_factory():

@@ -9,7 +9,7 @@ import types
 import pytest
 
 from linerate import engine as engine_mod
-from linerate import metrics, protocol
+from linerate import flowmodel, metrics, protocol, records
 from linerate.engine import (
     Engine,
     RawTestRecord,
@@ -459,6 +459,19 @@ class TestRunTest:
         assert record.aggregate_trace.duration_ms == pytest.approx(1500.0)
         assert record.aggregate_trace.sample_interval == 100.0
         assert len(record.aggregate_trace.samples) == 16  # t=0 plus 15 ticks
+
+    @pytest.mark.parametrize("duration,interval", [(1.06, 100.0), (1.0, 600.0)])
+    def test_transfer_ends_at_its_last_sample_like_its_simulated_twin(
+            self, responder, duration, interval):
+        # Neither duration is a whole number of intervals: the last sample is
+        # the last multiple of the interval inside the duration, not past it.
+        record = run_loopback(responder, n_connections=2, duration=duration,
+                              sample_interval=interval)
+        times = record.aggregate_trace.times
+        assert list(times) == flowmodel.sample_times(duration * 1000.0, interval)
+        assert times[-1] <= duration * 1000.0
+        model = flowmodel.model_inputs(flowmodel.LinkModel(capacity=1e9, rtt=1.0))
+        assert records.simulate_raw(record.spec, model).aggregate_trace.times == times
 
     def test_wall_clock_is_time_bounded(self, responder):
         started = time.monotonic()

@@ -196,13 +196,13 @@ def reset(sock):
     sock.close()
 
 
-def pump_in_thread(sock, ring, deadline, stop, counts):
+def pump_in_thread(sock, ring, deadline, counts, index=0, offset=0):
     """Start pump on a thread; the list it returns gets what pump raised."""
     raised = []
 
     def run():
         try:
-            protocol.pump(sock, ring, deadline, stop, counts, 0)
+            protocol.pump(sock, ring, deadline, counts, index, offset)
         except OSError as exc:
             raised.append(exc)
 
@@ -223,7 +223,7 @@ def receive_until_eof(near, far):
         writer.start()
         near.settimeout(0.05)
         started = time.monotonic()
-        protocol.pump(near, None, started + 20.0, threading.Event(), counts, 0)
+        protocol.pump(near, None, started + 20.0, counts, 0)
         assert time.monotonic() - started < 10.0  # returned at EOF, not the deadline
         writer.join(timeout=5.0)
         assert counts == [1_000_003]
@@ -239,12 +239,10 @@ class TestPump:
         ring = small_ring
         pool = bytes(ring.view[: ring.period])
         left, right = socket.socketpair()
-        sent, stop = [0, 0], threading.Event()
+        sent = [0, 0]
         left.settimeout(0.05)
-        sender = threading.Thread(target=protocol.pump,
-                                  args=(left, ring, time.monotonic() + 30.0, stop, sent, 1))
         try:
-            sender.start()
+            sender, _raised = pump_in_thread(left, ring, time.monotonic() + 30.0, sent, 1)
             nbytes = 3 * len(pool) + 1
             blob = bytearray()
             right.settimeout(0.5)
@@ -254,13 +252,12 @@ class TestPump:
                     blob += right.recv(nbytes - len(blob))
                 except TimeoutError:
                     pass
-            stop.set()
+            right.shutdown(socket.SHUT_RDWR)  # the sender's next send fails
             sender.join(timeout=5.0)
             assert not sender.is_alive()
             assert blob == (pool * 4)[:nbytes]
             assert sent[0] == 0 and sent[1] >= nbytes
         finally:
-            stop.set()
             left.close()
             right.close()
 
@@ -271,18 +268,16 @@ class TestPump:
         pool = bytes(ring.view[: ring.period])
         for offset in (ring.period - protocol.CHUNK_BYTES + 1, ring.period - 1):
             left, right = socket.socketpair()
-            sent, stop = [0], threading.Event()
+            sent = [0]
             left.settimeout(0.05)
-            sender = threading.Thread(target=protocol.pump,
-                                      args=(left, ring, time.monotonic() + 30.0, stop,
-                                            sent, 0, offset))
+            sender, _raised = pump_in_thread(left, ring, time.monotonic() + 30.0, sent,
+                                             offset=offset)
             try:
-                sender.start()
                 right.settimeout(10.0)
                 nbytes = 2 * protocol.CHUNK_BYTES + 1
                 assert protocol.recv_exact(right, nbytes) == (pool * 3)[offset : offset + nbytes]
             finally:
-                stop.set()
+                right.shutdown(socket.SHUT_RDWR)  # the sender's next send fails
                 sender.join(timeout=5.0)
                 left.close()
                 right.close()
@@ -297,44 +292,42 @@ class TestPump:
 
     def test_receiver_opens_no_descriptor_of_its_own(self, open_fds):
         near, far = tcp_pair()
-        counts, stop = [0], threading.Event()
+        counts = [0]
         try:
             before = open_fds()  # the two sockets are already open
             near.settimeout(0.05)
-            receiver, raised = pump_in_thread(near, None, time.monotonic() + 30.0, stop,
-                                              counts)
+            receiver, raised = pump_in_thread(near, None, time.monotonic() + 30.0, counts)
             far.sendall(b"z" * 100_000)
             give_up = time.monotonic() + 10.0
             while counts[0] < 100_000 and time.monotonic() < give_up:
                 time.sleep(0.01)
             during = open_fds()  # read while pump is still receiving
-            stop.set()
+            far.shutdown(socket.SHUT_RDWR)  # the receiver reads EOF
             receiver.join(timeout=5.0)
             assert not receiver.is_alive() and raised == []
             assert counts == [100_000]
             assert during <= before
         finally:
-            stop.set()
             near.close()
             far.close()
 
-    def test_sender_whose_peer_never_reads_returns_soon_after_stop(self, open_fds, small_ring):
+    def test_sender_whose_peer_never_reads_returns_within_one_timeout_of_the_deadline(
+            self, open_fds, small_ring):
         ring = small_ring
         before = open_fds()
         left, right = socket.socketpair()
-        counts, stop = [0], threading.Event()
+        counts = [0]
         try:
             left.settimeout(0.2)
-            sender, raised = pump_in_thread(left, ring, time.monotonic() + 30.0, stop, counts)
-            time.sleep(0.5)  # long enough to fill both socket buffers
-            stop.set()
-            stopped = time.monotonic()
+            # Long enough to fill both socket buffers.
+            deadline = time.monotonic() + 0.5
+            sender, raised = pump_in_thread(left, ring, deadline, counts)
             sender.join(timeout=5.0)
+            late = time.monotonic() - deadline
             assert not sender.is_alive()
-            assert time.monotonic() - stopped < 1.0
+            assert 0.0 <= late < 0.2 + 0.15  # one timeout, plus scheduling slack
             assert raised == [] and counts[0] > 0
         finally:
-            stop.set()
             left.close()
             right.close()
         assert open_fds() <= before
@@ -348,7 +341,7 @@ class TestPump:
             right.settimeout(0.2)
             deadline = time.monotonic() + 0.5
             cpu = time.thread_time()
-            protocol.pump(right, None, deadline, threading.Event(), counts, 0)
+            protocol.pump(right, None, deadline, counts, 0)
             late = time.monotonic() - deadline
             assert 0.0 <= late < 0.2 + 0.15  # one timeout, plus scheduling slack
             assert time.thread_time() - cpu < 0.25  # it waited, it did not spin
@@ -362,10 +355,10 @@ class TestPump:
         ring = small_ring
         before = open_fds()
         near, far = tcp_pair()
-        counts, stop = [0], threading.Event()
+        counts = [0]
         try:
             near.settimeout(0.05)
-            sender, raised = pump_in_thread(near, ring, time.monotonic() + 30.0, stop, counts)
+            sender, raised = pump_in_thread(near, ring, time.monotonic() + 30.0, counts)
             far.settimeout(5.0)
             received = len(protocol.recv_exact(far, 100_000))
             reset(far)
@@ -374,7 +367,6 @@ class TestPump:
             assert len(raised) == 1 and isinstance(raised[0], OSError)
             assert counts[0] >= received
         finally:
-            stop.set()
             near.close()
             far.close()
         assert open_fds() <= before
@@ -382,11 +374,10 @@ class TestPump:
     def test_receiver_reset_by_its_peer_raises_and_keeps_its_count(self, open_fds):
         before = open_fds()
         near, far = tcp_pair()
-        counts, stop = [0], threading.Event()
+        counts = [0]
         try:
             near.settimeout(0.05)
-            receiver, raised = pump_in_thread(near, None, time.monotonic() + 30.0, stop,
-                                              counts)
+            receiver, raised = pump_in_thread(near, None, time.monotonic() + 30.0, counts)
             far.sendall(b"z" * 100_000)
             give_up = time.monotonic() + 10.0
             while counts[0] < 100_000 and time.monotonic() < give_up:
@@ -397,7 +388,6 @@ class TestPump:
             assert len(raised) == 1 and isinstance(raised[0], OSError)
             assert counts == [100_000]
         finally:
-            stop.set()
             near.close()
             far.close()
         assert open_fds() <= before

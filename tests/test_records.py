@@ -140,8 +140,11 @@ def simulated_result(n_connections, direction="download", link=200e6, rtt=20.0,
                        timestamp="2026-01-02T03:04:05+00:00")
 
 
-def measured_result() -> MeasurementResult:
-    """A hand-built measured record: int byte counts, a distinct trace per connection."""
+def measured_result(duration=2.0) -> MeasurementResult:
+    """A hand-built measured record: int byte counts, a distinct trace per connection.
+
+    Its traces hold 21 samples, 0 to 2000 ms, whatever the spec's ``duration``.
+    """
     per_connection = tuple(
         ThroughputTrace(sample_interval=100.0, source=MEASURED, samples=tuple(
             (100 * k, (c + 1) * 1_000 * k * k + 7 * c * k) for k in range(21)))
@@ -150,7 +153,7 @@ def measured_result() -> MeasurementResult:
         (100 * k, sum(trace.samples[k][1] for trace in per_connection)) for k in range(21)))
     raw = RawTestRecord(
         spec=engine_mod.TestSpec(target="198.51.100.7:7777", direction="upload",
-                                 duration=2.0, n_connections=3, sample_interval=100.0,
+                                 duration=duration, n_connections=3, sample_interval=100.0,
                                  target_id="srv-7", nonce=bytes(range(16, 32))),
         per_connection_traces=per_connection,
         aggregate_trace=aggregate,
@@ -826,6 +829,37 @@ class TestVerify:
         if "flags" in data:  # v1 stores the flags a second time, at the top level
             data["flags"] = data["raw"]["flags"]
         assert records.verify_line(canonical_json(data)) == failed
+
+    @pytest.mark.parametrize("line,failed", [
+        (lambda: v1_lines()[4], ["derived"]),
+        (lambda: measured_result().to_json(), ["derived"]),
+        (lambda: simulated_result(4).to_json(), ["derived", "model"]),
+    ], ids=["v1-measured", "v2-measured", "v2-simulated"])
+    def test_fails_on_a_sample_interval_edited_by_hand(self, line, failed):
+        # No estimator reads the interval; the spec's says what it must be.
+        # A v1 line stores it in every trace, which must share one clock.
+        data = json.loads(line())
+        raw = data["raw"]
+        tables = ([raw["trace"]] if "trace" in raw
+                  else [raw["aggregate_trace"], *raw["per_connection_traces"]])
+        for table in tables:
+            table["sample_interval"] = 50.0
+        assert records.verify_line(canonical_json(data)) == failed
+
+    @pytest.mark.parametrize("line,failed", [
+        (lambda: measured_result().to_json(), ["derived"]),
+        (lambda: simulated_result(4).to_json(), ["report", "derived", "model"]),
+    ], ids=["v2-measured", "v2-simulated"])
+    def test_fails_on_a_sample_time_off_its_multiple_of_the_interval(self, line, failed):
+        # The measured line's report and alternate estimates do not move.
+        data = json.loads(line())
+        data["raw"]["trace"]["times"][3] += 0.5
+        assert records.verify_line(canonical_json(data)) == failed
+
+    def test_passes_on_a_measured_line_sampled_past_its_duration(self):
+        # Engines before sample_times rounded duration / interval, so a 1.95 s
+        # test sampled every 100 ms stored its last sample at 2000 ms.
+        assert records.verify_line(measured_result(duration=1.95).to_json()) == []
 
     def test_fails_on_probe_rtts_edited_with_their_report(self, tmp_path):
         # The report's latency is recomputed from the probe RTTs, so both are

@@ -1,6 +1,7 @@
 """Responder behavior over real loopback sockets."""
 
 import os
+import select
 import signal
 import socket
 import statistics
@@ -577,6 +578,26 @@ class TestMain:
                 responder_mod.main(["--listen", "127.0.0.1:%d" % holder.getsockname()[1]])
             assert exit_info.value.code == 2
             assert open_fds() <= before
+
+    def test_listening_line_reaches_a_pipe_at_once_without_unbuffered_output(self):
+        # A supervisor that listens on port 0 reads the port from this line.
+        src = os.path.dirname(os.path.dirname(responder_mod.__file__))
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        child = subprocess.Popen(
+            [sys.executable, "-m", "linerate.responder", "--listen", "127.0.0.1:0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            readable, _, _ = select.select([child.stdout], [], [], 2.0)
+            assert readable, "no line within 2 s"
+            assert child.stdout.readline().startswith("listening on 127.0.0.1:")
+            child.send_signal(signal.SIGINT)
+            assert child.wait(timeout=2) == 0, child.stderr.read()
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+            child.stderr.close()
 
     def test_module_run_imports_once_and_exits_zero_on_sigint(self):
         # runpy warns when the package import has already loaded the module it
