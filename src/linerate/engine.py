@@ -51,8 +51,9 @@ WIRE_HEADER_BYTES = {socket.AF_INET: 14 + 20 + 32, socket.AF_INET6: 14 + 40 + 32
 FLAG_CROSS_TRAFFIC = "cross_traffic_detected"
 FLAG_CROSS_UNKNOWN = "cross_traffic_unknown"
 FLAG_DEGENERATE = "degenerate_trace"
-# No longer set: raw.server_load carries the load. Kept because older stored
-# records carry the flag and the benchmark's flag check names it.
+# No longer set: raw.server_load carries the load. Engines that wrote schema
+# v1 set it on every measured record, so `verify` allows it on a v1 line, and
+# on no v2 line; the benchmark's flag check names it too.
 FLAG_SERVER_LOAD = "server_load_reported"
 FLAG_FEW_CONNECTIONS = "below_recommended_connections"
 
@@ -300,7 +301,7 @@ class Engine:
         if spec.direction == "upload":
             # The process's data ring is drawn while the probes sleep: the
             # draw releases the GIL, and _transfer waits for it if it runs late.
-            threading.Thread(target=protocol.data_ring, daemon=True).start()
+            protocol.draw_data_ring_soon()
         latency = self.probe_latency(spec.host_port, count=PROBE_COUNT_DEFAULT)
 
         control, server_load = self._handshake(spec)

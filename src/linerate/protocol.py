@@ -14,14 +14,18 @@ raw byte stream with no further framing.  Both ends move that stream through
 and a data connection ends at its deadline, at EOF or on a socket error.
 Shutting a socket down wakes a ``pump`` blocked on it at once, which is how a
 responder that stops ends its data connections.
-Every sender in a process sends from one ring, ``data_ring``, drawn once.
-On Linux, ``pump`` keeps the payload in the kernel: a sender sends from the
-ring's in-memory file with ``os.sendfile``, and a receiver passes
-``MSG_TRUNC`` to ``recv_into``, with which TCP frees the received bytes
-instead of copying them out (tcp(7), since Linux 2.4).  Elsewhere it sends
-ring slices and receives into a buffer.  The choice is made once, at import.
+Every sender in a process sends from one ring, ``data_ring``, drawn once, on
+a thread of its own that ``draw_data_ring_soon`` starts before the first
+test needs it.  On Linux the ring's bytes are held once, in an in-memory
+file, and its ``view`` is a read-only map of that file.  There ``pump`` keeps
+the payload in the kernel: a sender sends from the ring's file with
+``os.sendfile``, and a receiver passes ``MSG_TRUNC`` to ``recv_into``, with
+which TCP frees the received bytes instead of copying them out (tcp(7),
+since Linux 2.4).  Elsewhere it sends ring slices and receives into a
+buffer.  The choice is made once, at import.
 """
 
+import mmap
 import os
 import select
 import socket
@@ -163,7 +167,11 @@ class Ring(NamedTuple):
     below ``period``, ``view[offset : offset + CHUNK_BYTES]`` is the next
     chunk of the pool repeated cyclically, so a sender reads each chunk from
     one offset and never joins two at the wrap.  ``fd`` is an in-memory file
-    holding ``view``, written once; None without ``os.memfd_create``.
+    holding those bytes, written once, and ``view`` is a read-only map of it,
+    so the bytes are in memory once.  ``fd`` is the map's own descriptor: it
+    closes with the map when the last reference to the ring goes, and no
+    caller closes it.  Without ``os.memfd_create``, ``fd`` is None and
+    ``view`` views a ``bytes``.
     """
 
     view: memoryview
@@ -175,24 +183,43 @@ class Ring(NamedTuple):
 
 
 def ring(pool: bytes) -> Ring:
-    """``pool`` laid out for ``pump``; its ``fd``, if any, is the caller's to close."""
-    view = memoryview(pool + pool[:CHUNK_BYTES])
-    fd = None
+    """``pool`` laid out for ``pump``, in an in-memory file wherever the platform has one.
+
+    The pool and its head go to the file as they are, so no 4.25 MiB copy is
+    made while holding the GIL: the writes and the map release it.
+    """
+    if not hasattr(os, "memfd_create"):
+        return Ring(memoryview(pool + pool[:CHUNK_BYTES]), None)
     # Made wherever the platform can, whichever path ``pump`` takes.
-    if hasattr(os, "memfd_create"):
-        fd = os.memfd_create("linerate-ring", os.MFD_CLOEXEC)
+    fd = os.memfd_create("linerate-ring", os.MFD_CLOEXEC)
+    try:
+        stat = os.fstat(fd)
+        for part in (memoryview(pool), memoryview(pool)[:CHUNK_BYTES]):
+            while part:
+                part = part[os.write(fd, part) :]
+        mapped = mmap.mmap(fd, len(pool) + CHUNK_BYTES, prot=mmap.PROT_READ)
+    finally:
+        os.close(fd)
+    return Ring(memoryview(mapped), _descriptor_of(stat))
+
+
+def _descriptor_of(file: os.stat_result) -> int:
+    # ``mmap.mmap`` maps a duplicate of the descriptor it is given and holds
+    # it until the map closes, so once the memfd's own descriptor is closed
+    # the map's is the file's only one; no other code opens the file.
+    for name in os.listdir("/proc/self/fd"):
         try:
-            rest = view
-            while rest:
-                rest = rest[os.write(fd, rest) :]
-        except OSError:
-            os.close(fd)
-            raise
-    return Ring(view, fd)
+            if os.path.samestat(os.fstat(int(name)), file):
+                return int(name)
+        except OSError:  # closed since it was listed (the listing's own is)
+            pass
+    raise OSError("the ring's map holds no descriptor")
 
 
 _data_ring_lock = threading.Lock()
 _data_ring = None
+_drawing_lock = threading.Lock()
+_drawing = None  # the thread draw_data_ring_soon started, kept to be joined
 
 
 def data_ring() -> Ring:
@@ -200,14 +227,31 @@ def data_ring() -> Ring:
 
     Its bytes need only resist compression, so every sender in the process,
     the engine's uploads and the responder's downloads alike, shares it, and
-    its memfd stays open for the life of the process.  The first call draws
-    it, which takes tens of ms; a call made meanwhile waits for that draw.
+    its 4.25 MiB file stays open for the life of the process.  The first call
+    draws it, which takes tens of ms; a call made meanwhile, such as one
+    racing ``draw_data_ring_soon``'s thread, waits for that draw.
     """
     global _data_ring
     with _data_ring_lock:
         if _data_ring is None:
             _data_ring = ring(os.urandom(POOL_BYTES))
         return _data_ring
+
+
+def draw_data_ring_soon() -> None:
+    """Start drawing this process's ring on a daemon thread, and return at once.
+
+    A process starts at most one such thread, and none once its ring is
+    drawn.  A responder calls it as it accepts a client, an engine as an
+    upload starts: their latency probes give the draw time to finish before
+    the first sender needs the ring.
+    """
+    global _drawing
+    with _drawing_lock:
+        if _data_ring is None and _drawing is None:
+            _drawing = threading.Thread(target=data_ring, name="linerate-data-ring",
+                                        daemon=True)
+            _drawing.start()
 
 
 # Made once, from the platform: off Linux, or without ``os.memfd_create``,

@@ -45,7 +45,8 @@ from typing import ClassVar
 from . import flowmodel, metrics
 from .coordinator import Registry, ServerDescriptor
 from .engine import (FLAG_CROSS_TRAFFIC, FLAG_CROSS_UNKNOWN, FLAG_DEGENERATE,
-                     FLAG_FEW_CONNECTIONS, RawTestRecord, TestSpec, connection_flags)
+                     FLAG_FEW_CONNECTIONS, FLAG_SERVER_LOAD, RawTestRecord, TestSpec,
+                     connection_flags)
 from .flowmodel import ThroughputTrace
 from .metrics import EstimationMethod, LatencyStats, MetricReport
 
@@ -70,7 +71,9 @@ QUALITY_METRICS = ("latency_ms", "jitter_ms", "loss_rate")
 # rest of the raw record does not derive (a trace interval other than the
 # spec's, a time other than k * interval, a connection-count or
 # unknown-cross-traffic flag that the spec or cross-traffic figure
-# contradicts, or a measured aggregate column that is not the int sum of its
+# contradicts, a simulated flag on a measured trace or missing from a
+# simulated one, a measured line's flag that no engine of its schema sets,
+# or a measured aggregate column that is not the int sum of its
 # per-connection columns), a line that does not re-encode to its own bytes,
 # and a simulated record's raw data that its spec and model inputs do not
 # regenerate.
@@ -79,6 +82,12 @@ VERIFY_CHECKS = ("corrupt", "report", "derived", "round_trip", "model")
 # A simulated record's flag and target id, and its probes of the model's RTT.
 SIMULATED_FLAG = "simulated"
 SIMULATED_PROBES = 5
+
+# Every flag an engine sets on a measured record, by the schema it wrote:
+# the engines that wrote v1 also set FLAG_SERVER_LOAD.
+MEASURED_FLAGS = {SCHEMA_VERSION: frozenset({FLAG_FEW_CONNECTIONS, FLAG_CROSS_TRAFFIC,
+                                             FLAG_CROSS_UNKNOWN, FLAG_DEGENERATE})}
+MEASURED_FLAGS[SCHEMA_V1] = MEASURED_FLAGS[SCHEMA_VERSION] | {FLAG_SERVER_LOAD}
 
 
 class UnknownSchemaError(Exception):
@@ -427,23 +436,26 @@ def _derived_fields_hold(result: MeasurementResult) -> bool:
             and build_methodology(result.spec, method, trace.source) == result.methodology)
 
 
-def _raw_derivations_hold(raw: RawTestRecord) -> bool:
+def _raw_derivations_hold(raw: RawTestRecord, schema_version: int) -> bool:
     # Every writer, v1 included, samples every spec.sample_interval ms at
     # exactly k * sample_interval, flags a test by its connection count alone,
-    # and flags cross traffic unknown exactly when it has no figure for it.
+    # flags cross traffic unknown exactly when it has no figure for it, and
+    # flags a record simulated exactly when its traces are.
     trace = raw.aggregate_trace
     interval = trace.sample_interval
     if (interval != raw.spec.sample_interval
             or trace.times != tuple(map(mul, range(len(trace.times)), repeat(interval)))
             or raw.flags & {FLAG_FEW_CONNECTIONS} != connection_flags(raw.spec.n_connections)
-            or (FLAG_CROSS_UNKNOWN in raw.flags) != (raw.cross_traffic_bps is None)):
+            or (FLAG_CROSS_UNKNOWN in raw.flags) != (raw.cross_traffic_bps is None)
+            or (SIMULATED_FLAG in raw.flags) != (trace.source == flowmodel.SIMULATED)):
         return False
-    # The engine's sampler sums one snapshot of int counters per sample, so a
-    # measured aggregate is exactly the sum of its per-connection columns.
     if trace.source != flowmodel.MEASURED:
         return True
+    # The engine's sampler sums one snapshot of int counters per sample, so a
+    # measured aggregate is exactly the sum of its per-connection columns.
     columns = [share.counts for share in raw.per_connection_traces]
-    return (all(type(count) is int for column in columns for count in column)
+    return (raw.flags <= MEASURED_FLAGS[schema_version]
+            and all(type(count) is int for column in columns for count in column)
             and tuple(map(sum, zip(*columns))) == trace.counts)
 
 
@@ -465,7 +477,7 @@ def verify_line(line: str) -> list[str]:
     failed = []
     if not _holds(lambda: _derived_fields_hold(result)):
         failed.append("report")
-    if not _holds(lambda: _raw_derivations_hold(result.raw)):
+    if not _holds(lambda: _raw_derivations_hold(result.raw, data["schema_version"])):
         failed.append("derived")
     if result.to_json(data["schema_version"]) != line:
         failed.append("round_trip")

@@ -143,6 +143,11 @@ class Responder:
                     return
                 self._conns[conn] = thread
                 thread.start()
+            # A linerate client probes for about 180 ms before its HELLO, far
+            # longer than a draw takes, so the ring is ready by its first
+            # download. Started after the handler, the draw does not delay the
+            # client's first echo.
+            protocol.draw_data_ring_soon()
 
     def _handle_connection(self, conn):
         session = None
@@ -238,10 +243,11 @@ class Responder:
         if session is None:
             self._refuse_quietly(conn, nonce, refuse_reason)
             return None
-        # The process's first download draws the data ring, which takes tens
-        # of ms. Drawn before the ack, it is ready when the client's window
-        # opens; the session's window opens after it. Later downloads find it
-        # drawn. start() draws nothing, so an upload-only responder never does.
+        # The process's ring has been drawing since this client connected and
+        # is drawn by now, unless the client skipped its probes; then this
+        # waits for the draw, so the ring is ready when the client's window
+        # opens. The session's window opens after it. start() draws nothing,
+        # so a responder no client reaches holds no ring.
         if session.direction == "download":
             protocol.data_ring()
         session.deadline = time.monotonic() + session.duration_ms / 1000.0

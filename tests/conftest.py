@@ -38,26 +38,33 @@ def small_ring():
     """A ``protocol.ring`` whose period is not a multiple of the chunk size.
 
     Built before the test body, so a descriptor count taken in it includes
-    the ring's memfd, which is closed after the test.
+    the ring's memfd, which closes with the ring after the test.
     """
-    ring = protocol.ring(os.urandom(protocol.CHUNK_BYTES + 12_345))
-    yield ring
-    if ring.fd is not None:
-        os.close(ring.fd)
+    return protocol.ring(os.urandom(protocol.CHUNK_BYTES + 12_345))
+
+
+def join_data_ring_draw():
+    drawing = protocol._drawing
+    if drawing is not None:
+        drawing.join(timeout=10.0)
+        assert not drawing.is_alive()
 
 
 @pytest.fixture
 def fresh_data_ring(monkeypatch):
-    """An undrawn process ring for the test; the one drawn in it is closed after.
+    """An undrawn process ring for the test; the one drawn in it is dropped after.
 
+    A background draw of the process ring is joined before the test, and one
+    started in it is joined after, before the process ring is put back: a
+    draw that ended later would put its ring in the place of the one put back.
     Ask for it before any in-process responder, so the responder stops, and
-    its senders with it, before the ring's memfd is closed.
+    its senders with it, before the test's ring is dropped.
     """
+    join_data_ring_draw()
     monkeypatch.setattr(protocol, "_data_ring", None)
+    monkeypatch.setattr(protocol, "_drawing", None)
     yield
-    drawn = protocol._data_ring
-    if drawn is not None and drawn.fd is not None:
-        os.close(drawn.fd)
+    join_data_ring_draw()
 
 
 @pytest.fixture

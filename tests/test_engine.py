@@ -723,6 +723,24 @@ class TestRunTest:
         assert len(senders) == 3
         assert all(ring is protocol.data_ring() for ring in senders)
 
+    def test_three_uploads_start_one_draw_thread(self, fresh_data_ring, responder,
+                                                 monkeypatch):
+        # The in-process responder's accepts ask for the draw too.
+        draws = []
+        thread = threading.Thread
+
+        def recording(*args, **kwargs):
+            if kwargs.get("target") is protocol.data_ring:
+                draws.append(None)
+            return thread(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", recording)
+        for _ in range(3):
+            record = run_loopback(responder, direction="upload", duration=0.3,
+                                  n_connections=1)
+            assert record.aggregate_trace.total_bytes > 0
+        assert len(draws) == 1
+
     def test_upload_ring_drawn_on_another_thread_during_the_probes(
             self, fresh_data_ring, responder, monkeypatch):
         drawn_on, drawing = [], threading.Event()

@@ -1,6 +1,7 @@
 """Frame codec round-trips and malformed-input rejection."""
 
 import io
+import mmap
 import os
 import socket
 import struct
@@ -181,6 +182,60 @@ def test_concurrent_first_calls_draw_one_data_ring(fresh_data_ring, monkeypatch)
     assert len(rings[0].view) == protocol.POOL_BYTES + protocol.CHUNK_BYTES
     if rings[0].fd is not None:  # the memfd holds the same bytes
         assert os.pread(rings[0].fd, len(rings[0].view) + 1, 0) == rings[0].view
+
+
+def test_background_draws_start_one_thread_per_process(fresh_data_ring, monkeypatch):
+    started = []
+    thread = threading.Thread
+
+    def recording(*args, **kwargs):
+        started.append(kwargs.get("target"))
+        return thread(*args, **kwargs)
+
+    monkeypatch.setattr(protocol.threading, "Thread", recording)
+    callers = [thread(target=protocol.draw_data_ring_soon) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    protocol._drawing.join(timeout=10.0)
+    assert not protocol._drawing.is_alive()
+    protocol.draw_data_ring_soon()  # and none once the ring is drawn
+    assert started == [protocol.data_ring]
+    assert protocol._data_ring is not None
+
+
+@pytest.mark.skipif(not hasattr(os, "memfd_create"), reason="no os.memfd_create")
+def test_ring_view_is_a_read_only_map_of_its_memfd(small_ring):
+    view = small_ring.view
+    assert view.readonly and type(view.obj) is mmap.mmap
+    assert len(view) == protocol.CHUNK_BYTES + 12_345 + protocol.CHUNK_BYTES
+    assert os.pread(small_ring.fd, len(view) + 1, 0) == view
+    assert view[-protocol.CHUNK_BYTES :] == view[: protocol.CHUNK_BYTES]
+    if os.path.isdir("/proc/self/fd"):  # the map's descriptor is the file's only one
+        file = os.fstat(small_ring.fd)
+        same = 0
+        for name in os.listdir("/proc/self/fd"):
+            try:
+                same += os.path.samestat(os.fstat(int(name)), file)
+            except OSError:
+                pass
+        assert same == 1
+
+
+def test_ring_without_memfd_is_a_view_of_bytes(monkeypatch):
+    monkeypatch.delattr(os, "memfd_create", raising=False)
+    pool = os.urandom(protocol.CHUNK_BYTES + 12_345)
+    ring = protocol.ring(pool)
+    assert ring.fd is None and type(ring.view.obj) is bytes
+    assert ring.view == pool + pool[: protocol.CHUNK_BYTES]
+    assert ring.period == len(pool)
 
 
 def tcp_pair() -> tuple[socket.socket, socket.socket]:

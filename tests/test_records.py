@@ -716,7 +716,8 @@ def every_kind_store(path) -> list[str]:
     for result in (simulated_result(1), simulated_result(4, "upload"),
                    simulated_result(16, link=10e9, rtt=2.0, duration=10.0),
                    measured_result(),
-                   clean_result(flags=frozenset({"cross_traffic_detected"}))):
+                   # Its traces are simulated, which every writer flags.
+                   clean_result(flags=frozenset({"cross_traffic_detected", "simulated"}))):
         store.append(result)
     with open(path, encoding="utf-8") as fh:
         return fh.read().splitlines()
@@ -875,17 +876,41 @@ class TestVerify:
         rewrite_line(path, lines, 5, edit)
         assert records.verify_store(path) == (len(lines), 1, Counter(model=1))
 
-    @pytest.mark.parametrize("flags", [
-        ["below_recommended_connections", "cross_traffic_detected", "simulated"],
-        ["below_recommended_connections"],
+    @pytest.mark.parametrize("flags,failed", [
+        (["below_recommended_connections", "cross_traffic_detected", "simulated"],
+         Counter(model=1)),
+        # A simulated trace is flagged simulated, model inputs or none.
+        (["below_recommended_connections"], Counter(derived=1, model=1)),
     ], ids=["added", "removed"])
-    def test_fails_on_simulated_flags_edited_by_hand(self, tmp_path, flags):
+    def test_fails_on_simulated_flags_edited_by_hand(self, tmp_path, flags, failed):
         path = tmp_path / "results.jsonl"
         lines = every_kind_store(path)
         assert json.loads(lines[5])["raw"]["flags"] == ["below_recommended_connections",
                                                          "simulated"]
         rewrite_line(path, lines, 5, lambda data: data["raw"].update(flags=flags))
-        assert records.verify_store(path) == (len(lines), 1, Counter(model=1))
+        assert records.verify_store(path) == (len(lines), 1, failed)
+
+    @pytest.mark.parametrize("line", [lambda: v1_lines()[4], lambda: measured_result().to_json()],
+                             ids=["v1-measured", "v2-measured"])
+    @pytest.mark.parametrize("flag", ["simulated", "made_up"])
+    def test_fails_on_a_flag_no_engine_sets_on_a_measured_line(self, line, flag):
+        data = json.loads(line())
+        data["raw"]["flags"] = sorted(data["raw"]["flags"] + [flag])
+        if "flags" in data:  # v1 stores the flags a second time, at the top level
+            data["flags"] = data["raw"]["flags"]
+        assert records.verify_line(canonical_json(data)) == ["derived"]
+
+    @pytest.mark.parametrize("line,failed", [
+        (lambda: v1_lines()[4], []),
+        (lambda: measured_result().to_json(), ["derived"]),
+    ], ids=["v1-measured", "v2-measured"])
+    def test_server_load_flag_passes_on_a_v1_measured_line_only(self, line, failed):
+        # The engines that wrote v1 set it on every measured record.
+        data = json.loads(line())
+        data["raw"]["flags"] = sorted(data["raw"]["flags"] + [engine_mod.FLAG_SERVER_LOAD])
+        if "flags" in data:
+            data["flags"] = data["raw"]["flags"]
+        assert records.verify_line(canonical_json(data)) == failed
 
     def test_counts_lines_that_do_not_load_or_re_encode(self, tmp_path):
         path = tmp_path / "results.jsonl"

@@ -450,6 +450,42 @@ class TestServeData:
         assert first_chunk() != first_chunk()
 
 
+class TestDataRingDraw:
+    @staticmethod
+    def count_draws(monkeypatch) -> list:
+        draws, urandom = [], protocol.os.urandom
+
+        def counting(size):
+            if size >= DATA_POOL_BYTES:  # not the 16-byte nonces
+                draws.append(size)
+            return urandom(size)
+
+        monkeypatch.setattr(protocol.os, "urandom", counting)
+        return draws
+
+    def test_start_draws_nothing(self, fresh_data_ring, monkeypatch):
+        draws = self.count_draws(monkeypatch)
+        with Responder("127.0.0.1", 0):
+            time.sleep(0.2)
+        assert draws == []
+        assert protocol._drawing is None and protocol._data_ring is None
+
+    def test_a_client_that_only_echoes_gets_the_ring_drawn(self, fresh_data_ring,
+                                                           monkeypatch):
+        draws = self.count_draws(monkeypatch)
+        with Responder("127.0.0.1", 0) as server:
+            with open_control(server.address) as sock:
+                echo_round_trip(sock)
+            deadline = time.monotonic() + 10.0
+            while protocol._drawing is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert protocol._drawing is not None
+            protocol._drawing.join(timeout=10.0)
+            assert not protocol._drawing.is_alive()
+        assert draws == [DATA_POOL_BYTES]
+        assert protocol._data_ring is not None
+
+
 class TestAdmissionStorm:
     def test_sixteen_concurrent_hellos_two_slots(self):
         with Responder("127.0.0.1", 0, max_tests=2) as server:
