@@ -13,7 +13,6 @@ import math
 import random
 import threading
 import time
-from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
@@ -25,7 +24,7 @@ from .engine import (
     TestRefusedError,
     UnreachableTargetError,
 )
-from .flowmodel import LinkModel, ThroughputTrace, sample_times, simulate_paths
+from .flowmodel import LinkModel, ThroughputTrace, resample, sample_times, simulate_paths
 
 OUTCOME_OK = "ok"
 OUTCOME_UNDERPERFORMED = "underperformed"
@@ -246,11 +245,13 @@ def select_server(candidates, probes_per_candidate: int = PROBES_PER_CANDIDATE_D
 
 
 def _parse_hhmm(text: str) -> int:
+    # Minutes since midnight of "hh:mm" (or "hh"); 24:00 is the day's end.
     hours, _, minutes = text.partition(":")
-    value = int(hours) * 60 + int(minutes or 0)
-    if not 0 <= value <= 24 * 60:
+    minutes = minutes or "0"
+    if not (hours.isdigit() and minutes.isdigit() and int(minutes) < 60
+            and int(hours) * 60 + int(minutes) <= 24 * 60):
         raise ValueError(f"time of day out of range: {text!r}")
-    return value
+    return int(hours) * 60 + int(minutes)
 
 
 @dataclass(frozen=True)
@@ -356,22 +357,14 @@ class MultiDestResult:
         object.__setattr__(self, "failures", tuple(self.failures))
 
 
-def _interp_bytes(times, counts, t_ms: float) -> float:
-    """Cumulative bytes at a time between samples, linearly interpolated."""
-    if t_ms <= times[0]:
-        return counts[0]
-    if t_ms >= times[-1]:
-        return counts[-1]
-    # The first sample at or after t_ms ends the segment, so an exact sample
-    # time falls in the segment that ends there.
-    i = bisect_left(times, t_ms)
-    t0, t1 = times[i - 1], times[i]
-    b0, b1 = counts[i - 1], counts[i]
-    return b0 + (b1 - b0) * (t_ms - t0) / (t1 - t0)
-
-
 def _aggregate_over_overlap(records, method) -> tuple[float, tuple[float, float]]:
-    """Sum traces over the window where every test was running, then estimate."""
+    """Sum traces over the window where every test was running, then estimate.
+
+    Every trace is on its grid, ``k * sample_interval`` from its test's
+    start, so ``flowmodel.resample`` reads each at the sum's times shifted
+    to that start (never negative: the overlap opens at the latest start).
+    Tests that started together on one interval sum to their column sums.
+    """
     base_ms = min(r.started_at_monotonic for r in records) * 1000.0
     spans = []
     for record in records:
@@ -387,13 +380,12 @@ def _aggregate_over_overlap(records, method) -> tuple[float, tuple[float, float]
     if len(times) < 2:
         raise MultiDestFailedError({"overlap": "overlap shorter than one sample"})
 
-    sums = []
-    for t in times:
-        total = 0.0
-        for record, (start, _end) in zip(records, spans):
-            trace = record.aggregate_trace
-            total += _interp_bytes(trace.times, trace.counts, overlap_start + t - start)
-        sums.append(total)
+    sums = [0.0] * len(times)
+    for record, (start, _end) in zip(records, spans):
+        trace = record.aggregate_trace
+        read = resample(trace.counts, trace.sample_interval,
+                        [overlap_start + t - start for t in times])
+        sums = [total + value for total, value in zip(sums, read)]
     summed = ThroughputTrace.from_columns(step, times, [b - sums[0] for b in sums],
                                           records[0].aggregate_trace.source)
     return metrics.estimate_throughput(summed, method), (overlap_start, overlap_end)

@@ -24,10 +24,11 @@ round makes is the one stepping would make. A lossless path never drops, so
 the running count of segments sent, which only the search for the next
 drop reads, is not built for it.
 
-Each pass from a ledger to a checked trace happens once. A ledger is
-sampled with no call per sample (its times, positions and floors are one
-``map`` each), a trace holds a time and a byte column and validates each
-once (``with_counts`` builds a trace on another's checked times), and its
+Counts are held at ``k * step`` (``grid``: a ledger's step is the rtt, a
+trace's its interval), and ``resample`` alone reads them at other times,
+with no call per time. Each pass from a ledger to a checked trace happens
+once: a trace holds a time and a byte column and validates each once
+(``with_counts`` builds a trace on another's checked times), and its
 interval-rate column (``interval_bps``) is computed once and cached, for
 check_rate_cap and every estimator. A single path is its own aggregate, so
 its ledger is built once.
@@ -416,11 +417,33 @@ def _append_sums(boundaries: list[float], deltas: list[float], held: int):
         boundaries.extend(islice(held_sums, 1, None))
 
 
+def grid(count: int, step: float) -> list[float]:
+    """``k * step`` for each k below ``count``: the one rule for the times of every trace.
+    Pass a trace's length; ``times[-1] / step`` need not round to its last k."""
+    return list(map(mul, range(count), repeat(step)))
+
+
 def sample_times(duration_ms: float, sample_interval: float) -> list[float]:
     """The sample grid of every test, simulated or measured, and of an overlap sum:
     ``k * sample_interval`` ms for each k from 0 while that is within ``duration_ms``."""
-    return list(map(mul, range(math.floor(duration_ms / sample_interval) + 1),
-                    repeat(sample_interval)))
+    return grid(math.floor(duration_ms / sample_interval) + 1, sample_interval)
+
+
+def resample(counts, step: float, times) -> list:
+    """Cumulative ``counts`` held at ``k * step``, read at increasing ``times`` >= 0.
+
+    Linear between held counts (delivery is fluid), exact on the grid, and
+    the last count at or past it. Positions ``t / step`` and their floors
+    are one ``map`` each; the floors increase, so the held run past the
+    last count is found by bisection and the rest is one inline pass.
+    """
+    positions = list(map(truediv, times, repeat(step)))
+    floors = list(map(math.floor, positions))
+    inside = bisect_left(floors, len(counts) - 1)
+    values = [counts[lo] + (pos - lo) * (counts[lo + 1] - counts[lo])
+              for pos, lo in zip(positions, floors[:inside])]
+    values.extend(repeat(counts[-1], len(positions) - inside))
+    return values
 
 
 @dataclass
@@ -431,27 +454,11 @@ class RoundLedger:
     boundaries: list[float] = field(default_factory=lambda: [0.0])
 
     def sample(self, sample_interval: float, duration_ms: float) -> ThroughputTrace:
-        """The ledger as a trace sampled every ``sample_interval`` ms up to ``duration_ms``.
-
-        Delivery is fluid within a round, so a sample interpolates linearly
-        between the boundaries of the round it falls in, which keeps
-        inter-sample rates at or below capacity; a sample at or past the last
-        boundary holds the ledger's final count. The sample times, their
-        positions ``t / rtt`` in rounds and the floors of those are one
-        ``map`` each over all samples, and the interpolation one inline pass,
-        with no call per sample. Sample times increase, so the floors do too,
-        and the samples past the last round are one trailing run found by
-        bisection.
-        """
-        bounds = self.boundaries
+        """The ledger as a trace sampled every ``sample_interval`` ms up to ``duration_ms``:
+        its boundaries, held at ``k * rtt``, resampled, so no rate exceeds capacity."""
         times = sample_times(duration_ms, sample_interval)
-        positions = list(map(truediv, times, repeat(self.rtt)))
-        floors = list(map(math.floor, positions))
-        inside = bisect_left(floors, len(bounds) - 1)
-        counts = [bounds[lo] + (pos - lo) * (bounds[lo + 1] - bounds[lo])
-                  for pos, lo in zip(positions, floors[:inside])]
-        counts.extend(repeat(bounds[-1], len(times) - inside))
-        return ThroughputTrace.from_columns(sample_interval, times, counts)
+        return ThroughputTrace.from_columns(sample_interval, times,
+                                            resample(self.boundaries, self.rtt, times))
 
 
 def simulate_paths(

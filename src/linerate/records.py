@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import repeat
-from operator import mul, truediv
+from operator import truediv
 from typing import ClassVar
 
 from . import flowmodel, metrics
@@ -444,7 +444,7 @@ def _raw_derivations_hold(raw: RawTestRecord, schema_version: int) -> bool:
     trace = raw.aggregate_trace
     interval = trace.sample_interval
     if (interval != raw.spec.sample_interval
-            or trace.times != tuple(map(mul, range(len(trace.times)), repeat(interval)))
+            or list(trace.times) != flowmodel.grid(len(trace.times), interval)
             or raw.flags & {FLAG_FEW_CONNECTIONS} != connection_flags(raw.spec.n_connections)
             or (FLAG_CROSS_UNKNOWN in raw.flags) != (raw.cross_traffic_bps is None)
             or (SIMULATED_FLAG in raw.flags) != (trace.source == flowmodel.SIMULATED)):

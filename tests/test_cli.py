@@ -8,7 +8,7 @@ from datetime import date, datetime, timedelta
 
 import pytest
 
-from linerate import cli, protocol, records
+from linerate import cli, protocol, records, units
 from linerate.coordinator import Schedule, generate_schedule
 from linerate.engine import Engine
 from linerate.records import MeasurementResult, ResultStore
@@ -381,10 +381,15 @@ class TestScheduling:
         assert code == cli.EXIT_CONFIG
         assert started == []
 
-    def test_bad_peak_window_is_config_error(self, paths):
-        code = run_cli(paths, "schedule", "--tests-per-day", "4",
-                       "--peak-window", "19:00", "--simulate", "link=10mbps")
-        assert code == cli.EXIT_CONFIG
+    def test_bad_peak_window_is_config_error(self, paths, monkeypatch):
+        started = []
+        monkeypatch.setattr(cli, "run_scheduled",
+                            lambda *args, **kwargs: started.append(args) or (0, 0))
+        for window in ("19:00", "19:75-23:00", "19:00-24:30"):
+            code = run_cli(paths, "schedule", "--tests-per-day", "4",
+                           "--peak-window", window, "--simulate", "link=10mbps")
+            assert code == cli.EXIT_CONFIG == 2, window
+        assert started == []
 
 
 class TestReportCommand:
@@ -573,6 +578,20 @@ class TestSimulateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["aggregate"]["steady_state"] == pytest.approx(800e6, rel=0.05)
         assert len(payload["destinations"]) == 2
+
+    def test_multi_destination_human_output_formats_the_machine_rates(self, paths, capsys):
+        argv = ("simulate", "--access", "1gbps", "--destinations", "400mbps,300mbps,500mbps",
+                "--duration", "2")
+        assert run_cli(paths, *argv, "--format", "machine") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert run_cli(paths, *argv) == 0
+        rate = units.format_rate
+        assert capsys.readouterr().out.splitlines() == [
+            f"destination {i}: cap {rate(dest['capacity_bps'])} -> "
+            f"{rate(dest['steady_state_bps'])}"
+            for i, dest in enumerate(payload["destinations"])
+        ] + [f"aggregate: {rate(payload['aggregate']['steady_state'])} "
+             f"(access {rate(payload['access_bps'])})"]
 
     def test_simulate_without_model_flags_is_config_error(self, paths):
         assert run_cli(paths, "simulate") == cli.EXIT_CONFIG

@@ -1,10 +1,10 @@
 """Registry health, latency-ranked selection, scheduling, multi-destination runs."""
 
-import dataclasses
 import itertools
 import math
 import random
 import socket
+import sys
 import threading
 from datetime import date, datetime, timedelta
 
@@ -360,6 +360,18 @@ class TestScheduleGeneration:
         with pytest.raises(ValueError):
             Schedule(tests_per_day=4, peak_window=("23:00", "19:00"))
 
+    @pytest.mark.parametrize("window", [
+        ("19:75", "23:00"), ("19:-5", "23:00"), ("-1:90", "23:00"), ("19:00", "23:60"),
+        ("19:00", "24:01"), ("19:00", "25:00"), ("7 pm", "23:00"),
+    ], ids="-".join)
+    def test_times_outside_a_day_are_refused(self, window):
+        with pytest.raises(ValueError, match="time of day"):
+            Schedule(tests_per_day=4, peak_window=window)
+
+    def test_midnight_ends_a_window(self):
+        schedule = Schedule(tests_per_day=4, peak_window=("19", "24:00"))
+        assert schedule.peak_minutes == (19 * 60, 24 * 60)
+
     def test_split_counts(self):
         times = self.starts(Schedule(tests_per_day=4, seed=3))
         peak = [t for t in times if 19 * 3600 <= self.seconds_of_day(t) < 23 * 3600]
@@ -557,7 +569,7 @@ class TestMultiDestinationSimulation:
 
 
 def scanned_bytes(samples, t_ms):
-    """The linear scan that co._interp_bytes replaced, kept as its reference."""
+    """Cumulative bytes at t_ms by a linear scan of (time, bytes) samples: the reference."""
     if t_ms <= samples[0][0]:
         return samples[0][1]
     if t_ms >= samples[-1][0]:
@@ -568,21 +580,40 @@ def scanned_bytes(samples, t_ms):
     return samples[-1][1]
 
 
-class TestInterpolation:
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_matches_the_linear_scan(self, data):
-        gaps = data.draw(st.lists(st.floats(min_value=1e-3, max_value=1e3), max_size=30))
-        added = data.draw(st.lists(st.floats(min_value=0.0, max_value=1e9),
-                                   min_size=len(gaps), max_size=len(gaps)))
-        times = list(itertools.accumulate(gaps, initial=data.draw(st.floats(-1e3, 1e3))))
-        samples = tuple(zip(times, itertools.accumulate(added, initial=0.0)))
-        inside = [(t0 + t1) / 2 for t0, t1 in zip(times, times[1:])]
-        outside = [times[0] - 1.0, times[-1] + 1.0]
-        drawn = data.draw(st.lists(st.floats(times[0] - 10.0, times[-1] + 10.0), max_size=20))
-        for t in times + inside + outside + drawn:
-            assert co._interp_bytes(*zip(*samples), t) == scanned_bytes(samples, t)
+def overlap_record(trace, started):
+    """A record of one destination's test: ``trace`` from ``started`` s on the shared clock."""
+    return engine_mod.RawTestRecord(
+        spec=engine_mod.TestSpec(target="h.example.net:7777",
+                                 duration=max(1.0, trace.duration_ms / 1000.0),
+                                 sample_interval=trace.sample_interval),
+        per_connection_traces=(trace,), aggregate_trace=trace,
+        latency=LatencyStats(rtts=(20.0,), sent=1, received=1), cross_traffic_bps=0.0,
+        flags=frozenset(), started_at_monotonic=started)
 
+
+def summed_trace(monkeypatch, records):
+    """The trace _aggregate_over_overlap sums for ``records`` and hands to the estimator."""
+    summed = []
+    monkeypatch.setattr(co.metrics, "estimate_throughput",
+                        lambda trace, method: summed.append(trace) or 0.0)
+    co._aggregate_over_overlap(records, EstimationMethod())
+    [trace] = summed
+    return trace
+
+
+def summed_overlap_trace(monkeypatch, started, later_started):
+    """The trace _aggregate_over_overlap sums for two 2 s simulated tests."""
+    trace = flowmodel.simulate_transfer(flowmodel.LinkModel(capacity=1e8, rtt=20.0), 2, 2.0)
+    return summed_trace(monkeypatch, [overlap_record(trace, started),
+                                      overlap_record(trace, later_started)])
+
+
+def grid_trace(interval, counts):
+    return flowmodel.ThroughputTrace.from_columns(
+        interval, [k * interval for k in range(len(counts))], counts)
+
+
+class TestInterpolation:
     def test_summed_overlap_trace_holds_a_plain_time_column(self, monkeypatch):
         trace = summed_overlap_trace(monkeypatch, 100.0, 100.25)
         assert type(trace.times) is tuple and all(type(t) is float for t in trace.times)
@@ -594,22 +625,75 @@ class TestInterpolation:
         assert trace.times == tuple(k * 100.0 for k in range(len(trace.times)))
         assert len(trace.times) == 20  # the 1932.8 ms overlap holds 19 whole steps
 
+    def test_tests_started_together_sum_their_columns(self, monkeypatch):
+        # Each time of the sum is a sample time of both traces, so each is read
+        # exactly. Interpolating to the end of the segment there instead gives
+        # 0.2 + (0.9 - 0.2) * 1.0 and 0.4 + (1.7 - 0.4) * 1.0, each an ulp off.
+        columns = [(0.1, 0.2, 0.9, 1.5), (0.3, 0.4, 1.7, 2.0)]
+        records = [overlap_record(grid_trace(100.0, counts), 7.5) for counts in columns]
+        sums = [sum(column) for column in zip(*columns)]
+        trace = summed_trace(monkeypatch, records)
+        assert trace.times == (0.0, 100.0, 200.0, 300.0)
+        assert trace.counts == tuple(total - sums[0] for total in sums)
 
-def summed_overlap_trace(monkeypatch, started, later_started):
-    """The trace _aggregate_over_overlap sums for two 2 s simulated tests."""
-    summed = []
-    monkeypatch.setattr(co.metrics, "estimate_throughput",
-                        lambda trace, method: summed.append(trace) or 0.0)
-    trace = flowmodel.simulate_transfer(flowmodel.LinkModel(capacity=1e8, rtt=20.0), 2, 2.0)
-    record = engine_mod.RawTestRecord(
-        spec=engine_mod.TestSpec(target="h.example.net:7777", duration=2.0),
-        per_connection_traces=(trace,), aggregate_trace=trace,
-        latency=LatencyStats(rtts=(20.0,), sent=1, received=1), cross_traffic_bps=0.0,
-        flags=frozenset(), started_at_monotonic=started)
-    later = dataclasses.replace(record, started_at_monotonic=later_started)
-    co._aggregate_over_overlap([record, later], EstimationMethod())
-    [summed_trace] = summed
-    return summed_trace
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_scanned_sum_at_the_shifted_times(self, data):
+        records = []
+        for _ in range(data.draw(st.integers(2, 4))):
+            interval = data.draw(st.sampled_from([50.0, 100.0, 250.0]))
+            size = data.draw(st.integers(21, 60))  # at least 1 s, so they overlap
+            if data.draw(st.booleans()):
+                added = st.lists(st.integers(0, 10**10), min_size=size - 1, max_size=size - 1)
+            else:
+                added = st.lists(st.floats(0.0, 1e10), min_size=size - 1, max_size=size - 1)
+            counts = list(itertools.accumulate(data.draw(added), initial=0))
+            started = 1000.0 + data.draw(st.floats(0.0, 0.5))
+            records.append(overlap_record(grid_trace(interval, counts), started))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            trace = summed_trace(monkeypatch, records)
+
+        base_ms = min(r.started_at_monotonic for r in records) * 1000.0
+        starts = [r.started_at_monotonic * 1000.0 - base_ms for r in records]
+        totals = []
+        for t in trace.times:
+            total = 0.0
+            for record, start in zip(records, starts):
+                total += scanned_bytes(record.aggregate_trace.samples, max(starts) + t - start)
+            totals.append(total)
+        # u is the unit roundoff, N the longest trace's length and M the sum of
+        # the final counts, which bounds every count, increment and sum. At a
+        # shifted time t both reads approximate the exact interpolant L of
+        # (k * interval, count k). resample's position t / interval is within
+        # u * N of exact, and L moves at most M per position, so it is off by
+        # u * N * M, plus 3 u M for its difference, product and sum. The scan
+        # interpolates between fl(k * interval), each within u * N intervals
+        # of its grid point (u * N * M again); its t - t0 and t1 - t0 are
+        # exact (Sterbenz), and its division, difference, product and sum add
+        # 4 u M. Two sums of at most 4 terms from 0.0 differ by a further
+        # 2 * 3 u M, so the totals differ by (2N + 13) u M. Each side subtracts
+        # its first total and rounds once more: 2 (2N + 13) u M + 2 u M. The
+        # bound rounds that up to absorb the terms in u squared.
+        u = sys.float_info.epsilon / 2
+        longest = max(len(r.aggregate_trace.counts) for r in records)
+        final = sum(r.aggregate_trace.counts[-1] for r in records)
+        bound = (4 * longest + 32) * u * final
+        for got, total in zip(trace.counts, totals):
+            assert abs(got - (total - totals[0])) <= bound
+
+    def test_tests_that_never_ran_together_are_refused(self, monkeypatch):
+        trace = grid_trace(100.0, range(0, 2100, 100))
+        records = [overlap_record(trace, 10.0), overlap_record(trace, 13.0)]
+        with pytest.raises(MultiDestFailedError) as refused:
+            summed_trace(monkeypatch, records)
+        assert refused.value.failures == {"overlap": "tests never ran simultaneously"}
+
+    def test_an_overlap_shorter_than_one_sample_is_refused(self, monkeypatch):
+        trace = grid_trace(100.0, range(0, 2100, 100))
+        records = [overlap_record(trace, 10.0), overlap_record(trace, 11.95)]
+        with pytest.raises(MultiDestFailedError) as refused:
+            summed_trace(monkeypatch, records)
+        assert refused.value.failures == {"overlap": "overlap shorter than one sample"}
 
 
 def quiet_factory():

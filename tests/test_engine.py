@@ -130,12 +130,14 @@ class ResetMidTransferServer:
                 while True:
                     kind, _n, _p = protocol.recv_frame(conn)
                     if kind == protocol.DONE:
-                        protocol.send_frame(conn, protocol.DONE, nonce,
-                                            protocol.pack_done_summary([]))
+                        self._answer_done(conn, nonce)
             elif kind == protocol.START_DATA:
                 self._serve_data(conn)
         except (ConnectionError, OSError):
             pass
+
+    def _answer_done(self, conn, nonce):
+        protocol.send_frame(conn, protocol.DONE, nonce, protocol.pack_done_summary([]))
 
     def _serve_data(self, conn):
         conn.sendall(b"\x42" * 65536)
@@ -151,9 +153,23 @@ class ResetMidTransferServer:
 
 
 class ExactBytesServer(ResetMidTransferServer):
-    """Sends exactly DATA_BYTES on every data connection, then closes cleanly."""
+    """Sends exactly DATA_BYTES on every data connection, then closes cleanly.
+
+    With ``answer_done`` false it closes the control connection on DONE
+    instead of answering it.
+    """
 
     DATA_BYTES = 3 * 1024 * 1024 + 12345
+
+    def __init__(self, answer_done=True):
+        self.answer_done = answer_done
+        super().__init__()
+
+    def _answer_done(self, conn, nonce):
+        if self.answer_done:
+            super()._answer_done(conn, nonce)
+        else:
+            conn.close()
 
     def _serve_data(self, conn):
         conn.sendall(bytes(self.DATA_BYTES))
@@ -201,11 +217,13 @@ class NoDataServer:
 class BadAnswerServer:
     """Echoes probes and answers a HELLO with one given frame. One thread.
 
+    The answer carries the HELLO's nonce, or ``nonce`` when one is given.
     ``control_closed`` is set when the connection that got the answer reads EOF.
     """
 
-    def __init__(self, kind, payload):
+    def __init__(self, kind, payload, nonce=None):
         self._answer = (kind, payload)
+        self._nonce = nonce
         self.control_closed = threading.Event()
         self._listener = socket.socket()
         self._listener.bind(("127.0.0.1", 0))
@@ -229,7 +247,8 @@ class BadAnswerServer:
                         if kind == protocol.ECHO:
                             protocol.send_frame(conn, protocol.ECHO_REPLY, nonce, payload)
                         elif kind == protocol.HELLO:
-                            protocol.send_frame(conn, self._answer[0], nonce, self._answer[1])
+                            protocol.send_frame(conn, self._answer[0], self._nonce or nonce,
+                                                self._answer[1])
                             answered = True
                 except ConnectionError:
                     if answered:
@@ -534,6 +553,19 @@ class TestRunTest:
         finally:
             server.close()
 
+    def test_ack_for_another_test_is_a_refusal_and_closes_the_control(self):
+        server = BadAnswerServer(protocol.HELLO_ACK, protocol.pack_load(1, 8),
+                                 nonce=b"\x02" * protocol.NONCE_LEN)
+        try:
+            spec = engine_mod.TestSpec(target=server.address, duration=1.0,
+                                       nonce=b"\x01" * protocol.NONCE_LEN)
+            with pytest.raises(engine_mod.TestRefusedError) as excinfo:
+                quiet_engine().run_test(spec)
+            assert excinfo.value.reason == "bad_params"
+            assert server.control_closed.wait(timeout=5.0)
+        finally:
+            server.close()
+
     def test_unreachable_target_raises(self):
         eng = quiet_engine()
         spec = engine_mod.TestSpec(target=f"127.0.0.1:{free_port()}", duration=1.0)
@@ -679,13 +711,20 @@ class TestRunTest:
         assert record.aggregate_trace.samples[1][1] > 0
 
     def test_own_bytes_are_exactly_the_bytes_moved(self):
-        server = ExactBytesServer()
+        self.check_exact_bytes(ExactBytesServer())
+
+    def test_control_closed_instead_of_done_loses_only_the_summary(self):
+        # The summary is advisory: the record stands, with its byte counts.
+        self.check_exact_bytes(ExactBytesServer(answer_done=False))
+
+    def check_exact_bytes(self, server):
         try:
             record = quiet_engine().run_test(
                 engine_mod.TestSpec(target=server.address, duration=1.0, n_connections=3),
             )
         finally:
             server.close()
+        assert (record.server_summary is None) == (not server.answer_done)
         finals = [trace.samples[-1][1] for trace in record.per_connection_traces]
         assert finals == [ExactBytesServer.DATA_BYTES] * 3
         assert sum(finals) == record.aggregate_trace.total_bytes
