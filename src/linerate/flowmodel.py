@@ -9,10 +9,10 @@ all n and the path delivers n times what it does. A run of drop-free rounds
 is computed instead of stepped, up to the next scheduled drop or the end of
 the test: each window grows by one segment a round until it sits at its
 bdp, and once every window does, each round repeats the last exactly and is
-appended without being computed. What is left to step is drop rounds, the
-round after each, and slow start, so the cost scales with those, not with
-the rounds or with n. Identical inputs always produce identical traces,
-which is what makes the throughput estimators testable at desk scale.
+appended without being computed. What is left to step is drop rounds and
+slow start, so the cost scales with those, not with the rounds or with n.
+Identical inputs always produce identical traces, which is what makes the
+throughput estimators testable at desk scale.
 
 A run is computed without a per-round ``min``. Its windows never decrease,
 so each ``min`` the round loop takes (a window capped at the bdp, a share
@@ -271,19 +271,21 @@ def _drop_free_rounds(sents: list[float], period: int) -> int:
     return bisect_right(sents, mark, lo=1, key=lambda s: math.floor(s / period)) - 1
 
 
-def _ramp(states: list[tuple], sents: list[float], sends: list[float], bdps: list[float],
-          periods: list, mss: list[int], n_connections: int, access_bdp: float,
+def _ramp(states: list[tuple], sents: list[float], bdps: list[float], periods: list,
+          mss: list[int], n_connections: int, access_bdp: float,
           limit: int) -> tuple[int, int, list[tuple], list[float], list[list[float]], list[float]]:
     """Up to ``limit`` drop-free rounds of paths that grow by one segment per round.
 
-    Every path is either in congestion avoidance with no loss round pending
-    or at a fixed point of _step (a window pinned at its bdp, even in slow
-    start). Until some path drops a segment, whatever its share, _step
-    delivers what such a path sends, keeps its phase and ssthresh, and sets
-    ``cwnd = min(min(cwnd, bdp) + 1.0, bdp)`` (floored at 1), which leaves a
-    pinned window where it is. Each other quantity of a round is computed
-    for all rounds at once, with the operands of simulate_paths' loop in its
-    order, so each float is the one the loop makes. The loop's ``min`` calls
+    Every path is either in congestion avoidance, a loss round pending or
+    not, or at a fixed point of _step (a window pinned at its bdp, even in
+    slow start). Until some path drops a segment, whatever its share, _step
+    delivers what such a path sends, keeps its phase and ssthresh, clears a
+    pending loss round and sets ``cwnd = min(min(cwnd, bdp) + 1.0, bdp)``
+    (floored at 1), which leaves a pinned window where it is. So a path's
+    state after a run of one round or more is its new window, its ssthresh,
+    its phase and ``loss_rounds`` 0. Each other quantity of a round is
+    computed for all rounds at once, with the operands of simulate_paths'
+    loop in its order, so each float is the one the loop makes. The loop's ``min`` calls
     are not made round by round: each takes a monotone sequence and so
     switches sides once, at a split found by bisection.
 
@@ -311,9 +313,10 @@ def _ramp(states: list[tuple], sents: list[float], sends: list[float], bdps: lis
     every window sits at its bdp: each round after it gets the same
     windows, shares and scale, so it repeats that round exactly and is held,
     not computed; only a lossy path's ``sent`` is summed over held rounds.
-    The lookahead is bounded by those stops, estimated from ``sends`` (each
-    path's last send); a run they cut short is resumed by the loop, so they
-    size the work and never change the result.
+    The lookahead is bounded by those stops, estimated from each path's
+    next send at a share the access link does not scale; a run they cut
+    short is resumed by the loop, so they size the work and never change
+    the result.
 
     Returns (rounds, held, states, sents, per-path deltas, round totals)
     after the run: the deltas and totals of ``rounds`` computed rounds,
@@ -323,8 +326,10 @@ def _ramp(states: list[tuple], sents: list[float], sends: list[float], bdps: lis
     # below exact; where they pin later, the run is not held and is resumed.
     all_pinned = max(math.ceil(bdp - min(state[0], bdp)) for state, bdp in zip(states, bdps))
     built = min(limit, all_pinned + 1)
-    for sent, send, period in zip(sents, sends, periods):
-        built = _lookahead(sent, send, period, built)
+    for state, sent, bdp, period in zip(states, sents, bdps, periods):
+        window = min(state[0], bdp)
+        built = _lookahead(sent, window * min(1.0, bdp / (n_connections * window)), period,
+                           built)
     cwnds, splits = [], []
     for state, bdp in zip(states, bdps):
         path_cwnds = list(accumulate(repeat(1.0, built), initial=min(state[0], bdp)))
@@ -376,7 +381,7 @@ def _ramp(states: list[tuple], sents: list[float], sends: list[float], bdps: lis
     totals = deltas[0]
     for path_deltas in deltas[1:]:
         totals = list(map(add, totals, path_deltas))
-    states = [(max(path_cwnds[rounds], 1.0),) + state[1:]
+    states = [(max(path_cwnds[rounds], 1.0), state[1], state[2], 0)
               for path_cwnds, state in zip(cwnds, states)]
     return rounds, held, states, sents, deltas, totals
 
@@ -479,19 +484,20 @@ def simulate_paths(
     segments. A single link is one path behind an uncapped access link.
 
     Runs: when a round leaves every path either unchanged (a window pinned
-    at its bdp) or in congestion avoidance with no loss round pending, the
-    windows grow by one segment a round, capped at the bdp, until the first
-    round whose ``sent`` crosses the next multiple of some path's loss
-    period (on lossless paths, to the end of the test). _ramp computes those
-    rounds for every path at once, making each float the loop makes, up to
-    the first round in which every window sits at its bdp; the rounds after
-    it repeat its per-path and total deltas exactly and are appended with
-    the same float sums.
+    at its bdp) or in congestion avoidance, the windows grow by one segment
+    a round, capped at the bdp, until the first round whose ``sent``
+    crosses the next multiple of some path's loss period (on lossless
+    paths, to the end of the test). _ramp computes those rounds for every
+    path at once, making each float the loop makes, up to the first round
+    in which every window sits at its bdp; the rounds after it repeat its
+    per-path and total deltas exactly and are appended with the same float
+    sums.
 
     So the ledgers are bit-identical to stepping every round. The rounds
-    still stepped are the drop rounds, the round after each, and slow start:
-    the cost scales with those, not with the number of rounds, and n enters
-    only through each flow's share.
+    still stepped are the drop rounds and slow start: a drop leaves its path
+    in congestion avoidance with a loss round pending, and the run that
+    follows starts at once. The cost scales with those rounds, not with the
+    number of rounds, and n enters only through each flow's share.
 
     A single path's aggregate is the path itself: each round's total starts
     from 0.0 and ``0.0 + x == x``, so its ledger would repeat the path's
@@ -509,7 +515,6 @@ def simulate_paths(
     mss = [link.mss for link in links]
     states = [(initial.cwnd, initial.ssthresh, initial.phase, initial.loss_rounds)] * len(links)
     sents = [initial.sent] * len(links)
-    delivered = [0.0] * len(links)
     ledgers = [RoundLedger(rtt=rtt) for _ in links]
     multi = len(links) > 1
     total_ledger = RoundLedger(rtt=rtt) if multi else ledgers[0]
@@ -534,11 +539,11 @@ def simulate_paths(
         ramp = True
         for i in range(len(links)):
             state = states[i]
-            states[i], sents[i], delivered[i] = _step(
+            states[i], sents[i], delivered = _step(
                 state, sents[i], initial.initial_cwnd, bdps[i], periods[i],
                 shares[i] * access_scale)
-            ramp = ramp and (states[i] == state or states[i][2:] == (CONGESTION_AVOIDANCE, 0))
-            delta = n_connections * delivered[i] * mss[i]
+            ramp = ramp and (states[i] == state or states[i][2] == CONGESTION_AVOIDANCE)
+            delta = n_connections * delivered * mss[i]
             path_bytes = boundaries[i]
             path_bytes.append(path_bytes[-1] + delta)
             round_total += delta
@@ -546,10 +551,8 @@ def simulate_paths(
             total_bytes.append(total_bytes[-1] + round_total)
 
         if ramp and rounds:
-            # No path dropped a segment this round (a drop leaves a loss
-            # round pending or a timeout), so each delivered what it sent.
             ramped, held, states, sents, deltas, totals = _ramp(
-                states, sents, delivered, bdps, periods, mss, n_connections, access_bdp, rounds)
+                states, sents, bdps, periods, mss, n_connections, access_bdp, rounds)
             rounds -= ramped + held
             for path_bytes, path_deltas in zip(boundaries, deltas):
                 _append_sums(path_bytes, path_deltas, held)

@@ -16,16 +16,15 @@ Shutting a socket down wakes a ``pump`` blocked on it at once, which is how a
 responder that stops ends its data connections.
 Every sender in a process sends from one ring, ``data_ring``, drawn once, on
 a thread of its own that ``draw_data_ring_soon`` starts before the first
-test needs it.  On Linux the ring's bytes are held once, in an in-memory
-file, and its ``view`` is a read-only map of that file.  There ``pump`` keeps
-the payload in the kernel: a sender sends from the ring's file with
-``os.sendfile``, and a receiver passes ``MSG_TRUNC`` to ``recv_into``, with
-which TCP frees the received bytes instead of copying them out (tcp(7),
-since Linux 2.4).  Elsewhere it sends ring slices and receives into a
-buffer.  The choice is made once, at import.
+test needs it.  On Linux ``pump`` keeps the payload in the kernel: the ring
+is an in-memory file, which a sender sends from with ``os.sendfile``, and a
+receiver passes ``MSG_TRUNC`` to ``recv_into``, with which TCP frees the
+received bytes instead of copying them out (tcp(7), since Linux 2.4).
+Elsewhere the ring is a ``bytes``, a sender sends its slices and a receiver
+receives into a buffer.  One switch, ``_IN_KERNEL``, set once at import,
+picks both the ring's form and ``pump``'s path.
 """
 
-import mmap
 import os
 import select
 import socket
@@ -33,7 +32,6 @@ import struct
 import sys
 import threading
 import time
-from typing import NamedTuple
 
 PROTOCOL_VERSION = 1
 
@@ -160,60 +158,42 @@ def send_frame(sock, kind: int, nonce: bytes, payload: bytes = b"") -> None:
     sock.sendall(encode_frame(kind, nonce, payload))
 
 
-class Ring(NamedTuple):
-    """What ``pump`` sends from: a pool laid out by ``ring``, and its memfd.
+# Made once, from the platform: off Linux, or without ``os.memfd_create``,
+# the ring is a ``bytes`` and ``pump`` sends its slices and receives without
+# ``MSG_TRUNC``, which other systems do not define as a discard for TCP.
+_IN_KERNEL = sys.platform == "linux" and hasattr(os, "memfd_create")
 
-    ``view`` is the pool followed by its first CHUNK_BYTES.  For every offset
-    below ``period``, ``view[offset : offset + CHUNK_BYTES]`` is the next
-    chunk of the pool repeated cyclically, so a sender reads each chunk from
-    one offset and never joins two at the wrap.  ``fd`` is an in-memory file
-    holding those bytes, written once, and ``view`` is a read-only map of it,
-    so the bytes are in memory once.  ``fd`` is the map's own descriptor: it
-    closes with the map when the last reference to the ring goes, and no
-    caller closes it.  Without ``os.memfd_create``, ``fd`` is None and
-    ``view`` views a ``bytes``.
+
+class Ring:
+    """What ``pump`` sends from: ``pool`` followed by its first CHUNK_BYTES.
+
+    For every offset below ``period``, the pool's length, the CHUNK_BYTES
+    from that offset are the next chunk of the pool repeated cyclically, so
+    a sender reads each chunk from one offset and never joins two at the
+    wrap.  Where ``pump`` keeps the payload in the kernel (``_IN_KERNEL``),
+    those bytes are an in-memory file and ``fd`` is its one descriptor: the
+    pool and its head are written to it as they are, so no 4.25 MiB copy is
+    made while holding the GIL, and no other copy is kept.  The ring closes
+    ``fd`` when it is dropped; no caller closes it.  Elsewhere ``fd`` is
+    None and ``view`` views a ``bytes`` of those bytes.
     """
 
-    view: memoryview
-    fd: int | None
+    fd = None
 
-    @property
-    def period(self) -> int:
-        return len(self.view) - CHUNK_BYTES
-
-
-def ring(pool: bytes) -> Ring:
-    """``pool`` laid out for ``pump``, in an in-memory file wherever the platform has one.
-
-    The pool and its head go to the file as they are, so no 4.25 MiB copy is
-    made while holding the GIL: the writes and the map release it.
-    """
-    if not hasattr(os, "memfd_create"):
-        return Ring(memoryview(pool + pool[:CHUNK_BYTES]), None)
-    # Made wherever the platform can, whichever path ``pump`` takes.
-    fd = os.memfd_create("linerate-ring", os.MFD_CLOEXEC)
-    try:
-        stat = os.fstat(fd)
+    def __init__(self, pool: bytes):
+        self.period = len(pool)
+        if not _IN_KERNEL:
+            self.view = memoryview(pool + pool[:CHUNK_BYTES])
+            return
+        # Held by the ring at once, so a failed write drops and closes it.
+        self.fd = os.memfd_create("linerate-ring", os.MFD_CLOEXEC)
         for part in (memoryview(pool), memoryview(pool)[:CHUNK_BYTES]):
             while part:
-                part = part[os.write(fd, part) :]
-        mapped = mmap.mmap(fd, len(pool) + CHUNK_BYTES, prot=mmap.PROT_READ)
-    finally:
-        os.close(fd)
-    return Ring(memoryview(mapped), _descriptor_of(stat))
+                part = part[os.write(self.fd, part) :]
 
-
-def _descriptor_of(file: os.stat_result) -> int:
-    # ``mmap.mmap`` maps a duplicate of the descriptor it is given and holds
-    # it until the map closes, so once the memfd's own descriptor is closed
-    # the map's is the file's only one; no other code opens the file.
-    for name in os.listdir("/proc/self/fd"):
-        try:
-            if os.path.samestat(os.fstat(int(name)), file):
-                return int(name)
-        except OSError:  # closed since it was listed (the listing's own is)
-            pass
-    raise OSError("the ring's map holds no descriptor")
+    def __del__(self):
+        if self.fd is not None:
+            os.close(self.fd)
 
 
 _data_ring_lock = threading.Lock()
@@ -223,7 +203,7 @@ _drawing = None  # the thread draw_data_ring_soon started, kept to be joined
 
 
 def data_ring() -> Ring:
-    """This process's ring: ``os.urandom(POOL_BYTES)`` laid out by ``ring``, once.
+    """This process's ring: a ``Ring`` of ``os.urandom(POOL_BYTES)``, drawn once.
 
     Its bytes need only resist compression, so every sender in the process,
     the engine's uploads and the responder's downloads alike, shares it, and
@@ -234,7 +214,7 @@ def data_ring() -> Ring:
     global _data_ring
     with _data_ring_lock:
         if _data_ring is None:
-            _data_ring = ring(os.urandom(POOL_BYTES))
+            _data_ring = Ring(os.urandom(POOL_BYTES))
         return _data_ring
 
 
@@ -252,12 +232,6 @@ def draw_data_ring_soon() -> None:
             _drawing = threading.Thread(target=data_ring, name="linerate-data-ring",
                                         daemon=True)
             _drawing.start()
-
-
-# Made once, from the platform: off Linux, or without ``os.memfd_create``,
-# ``pump`` sends ring slices and receives without ``MSG_TRUNC``, which other
-# systems do not define as a discard for TCP.
-_IN_KERNEL = sys.platform == "linux" and hasattr(os, "memfd_create")
 
 
 def pump(sock, ring, deadline: float, counts: list, index: int, offset: int = 0) -> None:

@@ -26,7 +26,8 @@ def pump_path(request, monkeypatch):
     ``kernel`` sends with ``os.sendfile`` from the ring's memfd and receives with
     ``MSG_TRUNC``, which TCP takes as "discard" (tcp(7)); it is skipped off
     Linux or without ``os.memfd_create``.  ``portable`` forces the ``send``
-    loop and ``recv_into`` with flags 0.
+    loop and ``recv_into`` with flags 0.  The flag also picks the form of a
+    ring built after it, so a sender needs a ring built in the test.
     """
     if request.param == "kernel" and not protocol._IN_KERNEL:
         pytest.skip("not Linux, or no os.memfd_create")
@@ -35,12 +36,29 @@ def pump_path(request, monkeypatch):
 
 @pytest.fixture
 def small_ring():
-    """A ``protocol.ring`` whose period is not a multiple of the chunk size.
+    """A ``protocol.Ring`` whose period is not a multiple of the chunk size.
 
-    Built before the test body, so a descriptor count taken in it includes
-    the ring's memfd, which closes with the ring after the test.
+    Built before the test body, and after ``pump_path`` where a test asks
+    for both, so its form is the one that path sends from.  A descriptor
+    count taken in the test includes the ring's memfd, which the ring
+    closes when it is dropped after the test.
     """
-    return protocol.ring(os.urandom(protocol.CHUNK_BYTES + 12_345))
+    return protocol.Ring(os.urandom(protocol.CHUNK_BYTES + 12_345))
+
+
+@pytest.fixture
+def ring_bytes():
+    """A function giving what a ``protocol.Ring`` holds: its pool, then the pool's head.
+
+    A ring on the kernel path is read from its memfd with ``os.pread``, one
+    byte past its end, so a longer file shows; any other through its ``view``.
+    """
+    def read(ring) -> bytes:
+        if ring.fd is None:
+            return bytes(ring.view)
+        return os.pread(ring.fd, ring.period + protocol.CHUNK_BYTES + 1, 0)
+
+    return read
 
 
 def join_data_ring_draw():
@@ -58,7 +76,9 @@ def fresh_data_ring(monkeypatch):
     started in it is joined after, before the process ring is put back: a
     draw that ended later would put its ring in the place of the one put back.
     Ask for it before any in-process responder, so the responder stops, and
-    its senders with it, before the test's ring is dropped.
+    its senders with it, before the test's ring is dropped, and after
+    ``pump_path``, so the ring drawn in the test has the form that path
+    sends from.
     """
     join_data_ring_draw()
     monkeypatch.setattr(protocol, "_data_ring", None)

@@ -334,6 +334,47 @@ class TestScheduling:
         assert len(stored) == 8
         assert all(r.origin == "scheduled" for r in stored)
 
+    @pytest.mark.parametrize("failure", [
+        cli.NoServersError("no usable server"),
+        cli.TestRefusedError("at_capacity"),
+        cli.UnreachableTargetError("no answer"),
+    ], ids=["no-servers", "refused", "unreachable"])
+    def test_failed_firing_is_logged_and_the_next_still_stores(
+            self, paths, monkeypatch, caplog, capsys, failure):
+        day = date(2026, 4, 1)
+        clock = FakeClock(datetime(2026, 4, 1, 0, 0))
+        real_run_scheduled, real_run_one = cli.run_scheduled, cli._run_one
+        stored_before_each = []
+
+        def run_on_fake_clock(schedule, days, runner, **kwargs):
+            def record(when):
+                stored_before_each.append(len(ResultStore(paths["store"]).load()))
+                runner(when)
+            return real_run_scheduled(schedule, days, record, now_fn=clock,
+                                      sleep_fn=clock.sleep, start_day=day, **kwargs)
+
+        def first_fails(*args):
+            if len(stored_before_each) == 1:
+                raise failure
+            return real_run_one(*args)
+
+        monkeypatch.setattr(cli, "run_scheduled", run_on_fake_clock)
+        monkeypatch.setattr(cli, "_run_one", first_fails)
+        with caplog.at_level(logging.WARNING, logger=cli.log.name):
+            code = run_cli(paths, "schedule", "--tests-per-day", "2", "--duration", "600",
+                           "--seed", "5", "--simulate", "link=100mbps")
+        assert code == cli.EXIT_OK
+        # The failed first firing appended nothing; the second stored its record.
+        assert stored_before_each == [0, 0]
+        stored = ResultStore(paths["store"]).load()
+        assert len(stored) == 1 and stored[0].origin == "scheduled"
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "failed" in warnings[0].getMessage() and str(failure) in warnings[0].getMessage()
+        # A failed firing still counts as fired.
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "fired 2 of 2 scheduled runs over 1 day(s)"
+
     def test_schedule_is_spaced_by_the_simulated_duration(self, paths, monkeypatch):
         started = []
         monkeypatch.setattr(cli, "run_scheduled",

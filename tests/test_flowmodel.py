@@ -499,12 +499,13 @@ class TestPathModel:
         # then grows one segment per round and halves at each drop: a
         # sawtooth between about 80 and 160 segments. Its 286 rounds send
         # about 34,000 segments and so cross 3 multiples of the 10,000-segment
-        # loss period. Each crossing steps 2 rounds: the drop and the round
-        # after it, which starts with a loss round pending. The ramps between
-        # them are computed, not stepped. (On a link that limits the flows,
-        # n changes each flow's share, so its drops, and so the cost.)
+        # loss period. Each crossing steps 1 round, the drop; the ramp after
+        # it starts with a loss round pending, which its first round clears.
+        # The ramps between drops are computed, not stepped. (On a link that
+        # limits the flows, n changes each flow's share, so its drops, and so
+        # the cost.)
         link = LinkModel(capacity=1e11, rtt=7.0, loss_rate=1e-4)
-        stepped = 3 + 3 * 2
+        stepped = 3 + 3
         for n in (1, 64):
             step_calls.clear()
             simulate_transfer(link, n, 2)
@@ -599,12 +600,12 @@ class TestPathModel:
         # Lossless: 3 doubling rounds, then one ramp up to the bdp (1666.7
         # segments) that holds it to the end; the bound has a round to spare.
         (0.0, 3 + 1),
-        # 3 doubling rounds, then 2 stepped rounds per drop: the drop and the
-        # round after it, which starts with a loss round pending. The link
-        # carries at most a bdp per round, so each of the 16 flows sends at
-        # most 104.2 segments a round, 520,833 over the 5000 rounds: at most
-        # 52 crossings of the 10,000-segment loss period.
-        (1e-4, 3 + 2 * 52),
+        # 3 doubling rounds, then 1 stepped round per drop: the ramp after a
+        # drop starts with its loss round pending. The link carries at most
+        # a bdp per round, so each of the 16 flows sends at most 104.2
+        # segments a round, 520,833 over the 5000 rounds: at most 52
+        # crossings of the 10,000-segment loss period.
+        (1e-4, 3 + 52),
     ])
     def test_ten_gigabit_link_bit_identical_to_stepping_every_round(
             self, step_calls, loss, most_steps):
@@ -622,9 +623,9 @@ class TestPathModel:
         assert links[0].bdp_segments == 200.0 and links[0].loss_period == 1550
         initial = FlowState(cwnd=50.0, ssthresh=50.0, phase=CONGESTION_AVOIDANCE)
         got = flowmodel.simulate_paths(links, 1, 60_000.0, initial=initial)
-        # The first round, then 2 rounds per drop: in 60 rounds ``sent``
+        # The first round, then 1 round per drop: in 60 rounds ``sent``
         # crosses 1550 and 3100 (windows 37, 38, ... after the first halving).
-        assert len(step_calls) == 1 + 2 * 2
+        assert len(step_calls) == 1 + 2
         want = stepped_ledgers(links, 1, 60_000.0, initial=initial)
         assert ledger_lists(got) == want
         deltas = [b - a for a, b in zip(want[1], want[1][1:])]
@@ -651,12 +652,13 @@ class TestPathModel:
         # the 12th round at the bdp takes ``sent`` past 5000, a drop round.
         # The window halves to 50 and the cycle repeats (the next drop at
         # 10,000). Each cycle is one run, ramp and pinned rounds together:
-        # 1 stepped round, then 2 per drop (the drop and the round after).
+        # 1 stepped round, then 1 per drop (the drop; the run after it starts
+        # with its loss round pending).
         links = [LinkModel(capacity=100 * 12000, rtt=1000.0, loss_rate=1 / 5000)]
         assert links[0].bdp_segments == 100.0 and links[0].loss_period == 5000
         initial = FlowState(cwnd=50.0, ssthresh=50.0, phase=CONGESTION_AVOIDANCE)
         got = flowmodel.simulate_paths(links, 1, 130_000.0, initial=initial)
-        assert len(step_calls) == 1 + 2 * 2
+        assert len(step_calls) == 1 + 2
         want = stepped_ledgers(links, 1, 130_000.0, initial=initial)
         assert ledger_lists(got) == want
         deltas = [b - a for a, b in zip(want[1], want[1][1:])]

@@ -1,10 +1,10 @@
 """Frame codec round-trips and malformed-input rejection."""
 
 import io
-import mmap
 import os
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -155,7 +155,7 @@ class TestPayloadCodecs:
             protocol.direction_code("sideways")
 
 
-def test_concurrent_first_calls_draw_one_data_ring(fresh_data_ring, monkeypatch):
+def test_concurrent_first_calls_draw_one_data_ring(fresh_data_ring, monkeypatch, ring_bytes):
     draws, rings = [], []
     urandom = protocol.os.urandom
 
@@ -179,9 +179,10 @@ def test_concurrent_first_calls_draw_one_data_ring(fresh_data_ring, monkeypatch)
     assert not any(caller.is_alive() for caller in callers)
     assert draws == [protocol.POOL_BYTES]
     assert len(rings) == 8 and all(ring is rings[0] for ring in rings)
-    assert len(rings[0].view) == protocol.POOL_BYTES + protocol.CHUNK_BYTES
-    if rings[0].fd is not None:  # the memfd holds the same bytes
-        assert os.pread(rings[0].fd, len(rings[0].view) + 1, 0) == rings[0].view
+    held = ring_bytes(rings[0])
+    assert rings[0].period == protocol.POOL_BYTES
+    assert len(held) == protocol.POOL_BYTES + protocol.CHUNK_BYTES
+    assert held[protocol.POOL_BYTES :] == held[: protocol.CHUNK_BYTES]
 
 
 def test_background_draws_start_one_thread_per_process(fresh_data_ring, monkeypatch):
@@ -211,28 +212,47 @@ def test_background_draws_start_one_thread_per_process(fresh_data_ring, monkeypa
     assert protocol._data_ring is not None
 
 
-@pytest.mark.skipif(not hasattr(os, "memfd_create"), reason="no os.memfd_create")
-def test_ring_view_is_a_read_only_map_of_its_memfd(small_ring):
-    view = small_ring.view
-    assert view.readonly and type(view.obj) is mmap.mmap
-    assert len(view) == protocol.CHUNK_BYTES + 12_345 + protocol.CHUNK_BYTES
-    assert os.pread(small_ring.fd, len(view) + 1, 0) == view
-    assert view[-protocol.CHUNK_BYTES :] == view[: protocol.CHUNK_BYTES]
-    if os.path.isdir("/proc/self/fd"):  # the map's descriptor is the file's only one
-        file = os.fstat(small_ring.fd)
-        same = 0
-        for name in os.listdir("/proc/self/fd"):
-            try:
-                same += os.path.samestat(os.fstat(int(name)), file)
-            except OSError:
-                pass
-        assert same == 1
+def descriptors_on(file: os.stat_result) -> int:
+    """How many of this process's open descriptors are on ``file``."""
+    same = 0
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            same += os.path.samestat(os.fstat(int(name)), file)
+        except OSError:  # closed since it was listed (the listing's own is)
+            pass
+    return same
+
+
+@pytest.mark.skipif(not protocol._IN_KERNEL, reason="not Linux, or no os.memfd_create")
+def test_ring_is_its_memfd_under_one_descriptor():
+    pool = os.urandom(protocol.CHUNK_BYTES + 12_345)
+    ring = protocol.Ring(pool)
+    assert not hasattr(ring, "view")  # no other copy of the bytes is kept
+    assert ring.period == len(pool)
+    assert os.pread(ring.fd, len(pool) + protocol.CHUNK_BYTES + 1, 0) == \
+        pool + pool[: protocol.CHUNK_BYTES]
+    if os.path.isdir("/proc/self/fd"):
+        file = os.fstat(ring.fd)
+        assert descriptors_on(file) == 1
+        del ring
+        assert descriptors_on(file) == 0  # closed when the ring was dropped
+
+
+def test_rings_dropped_at_interpreter_exit_close_without_a_word():
+    # The process ring lives in a module global to the end, and a ring in
+    # ``__main__`` too: both are dropped as the interpreter tears down.
+    code = ("from linerate import protocol; ring = protocol.Ring(b'x' * 100); "
+            "protocol.data_ring()")
+    src = os.path.dirname(os.path.dirname(protocol.__file__))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60.0)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 def test_ring_without_memfd_is_a_view_of_bytes(monkeypatch):
-    monkeypatch.delattr(os, "memfd_create", raising=False)
+    monkeypatch.setattr(protocol, "_IN_KERNEL", False)
     pool = os.urandom(protocol.CHUNK_BYTES + 12_345)
-    ring = protocol.ring(pool)
+    ring = protocol.Ring(pool)
     assert ring.fd is None and type(ring.view.obj) is bytes
     assert ring.view == pool + pool[: protocol.CHUNK_BYTES]
     assert ring.period == len(pool)
@@ -289,10 +309,10 @@ def receive_until_eof(near, far):
 
 @pytest.mark.usefixtures("pump_path")
 class TestPump:
-    def test_sent_stream_is_the_ring_period_repeated(self, small_ring):
+    def test_sent_stream_is_the_ring_period_repeated(self, small_ring, ring_bytes):
         # The period is whatever the ring holds beyond its trailing chunk.
         ring = small_ring
-        pool = bytes(ring.view[: ring.period])
+        pool = ring_bytes(ring)[: ring.period]
         left, right = socket.socketpair()
         sent = [0, 0]
         left.settimeout(0.05)
@@ -316,11 +336,11 @@ class TestPump:
             left.close()
             right.close()
 
-    def test_sent_stream_starts_at_its_offset(self, small_ring):
+    def test_sent_stream_starts_at_its_offset(self, small_ring, ring_bytes):
         # Offsets just before the wrap: the first chunk reads into the ring's
         # trailing copy, and later ones from the pool's start.
         ring = small_ring
-        pool = bytes(ring.view[: ring.period])
+        pool = ring_bytes(ring)[: ring.period]
         for offset in (ring.period - protocol.CHUNK_BYTES + 1, ring.period - 1):
             left, right = socket.socketpair()
             sent = [0]

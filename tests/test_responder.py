@@ -372,8 +372,10 @@ class TestServeData:
         compressed = zlib.compress(block, 9)
         assert len(compressed) > 0.99 * len(block)
 
+    # The ring is drawn in the test, in the form the pump path sends from.
     @pytest.mark.usefixtures("pump_path")
-    def test_download_stream_is_the_session_pool_repeated(self, responder):
+    def test_download_stream_is_the_session_pool_repeated(self, fresh_data_ring, responder,
+                                                          ring_bytes):
         # Past the end of the pool and one chunk beyond: every send slices the
         # process ring from the session's offset, so a wrong offset at the wrap
         # would corrupt the stream.
@@ -384,11 +386,11 @@ class TestServeData:
             with open_data(responder.address, nonce, index=0) as data:
                 data.settimeout(10.0)
                 got = protocol.recv_exact(data, nbytes)
-        pool = bytes(protocol.data_ring().view[:DATA_POOL_BYTES])
+        pool = ring_bytes(protocol.data_ring())[:DATA_POOL_BYTES]
         start = int.from_bytes(nonce, "big") % DATA_POOL_BYTES
         assert got == (pool * 3)[start : start + nbytes]
 
-    def test_every_ring_slice_is_the_pool_repeated(self, responder):
+    def test_every_ring_slice_is_the_pool_repeated(self, responder, ring_bytes):
         # On loopback every send is a full chunk, so a stream crosses the wrap
         # only where its start puts it; partial sends on real links stop
         # anywhere.  A session's nonce sets its start, so start sessions at the
@@ -402,7 +404,7 @@ class TestServeData:
                 with open_data(responder.address, nonce, index=0) as data:
                     data.settimeout(10.0)
                     got = protocol.recv_exact(data, chunk)
-            pool = bytes(protocol.data_ring().view[:DATA_POOL_BYTES])
+            pool = ring_bytes(protocol.data_ring())[:DATA_POOL_BYTES]
             assert got == (pool + pool)[offset : offset + chunk]
 
     def test_one_ring_memfd_per_process(self, responder):
@@ -547,6 +549,82 @@ class TestUnknownKind:
             kind, _nonce, payload = protocol.recv_frame(sock)
             assert kind == protocol.REFUSE
             assert protocol.unpack_refuse(payload) == protocol.REASON_BAD_PARAMS
+
+
+class TestRefusalsThatChangeNothing:
+    """A HELLO or START_DATA of the wrong length, or a START_DATA too late for its session:
+    each is refused as bad params, touches no session, and its handler ends with its
+    connection."""
+
+    @pytest.fixture
+    def threads_settle(self):
+        # The process ring is drawn first, so no draw thread starts in the test.
+        protocol.data_ring()
+        before = set(threading.enumerate())
+        yield
+        deadline = time.monotonic() + 5.0
+        while not set(threading.enumerate()) <= before and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert set(threading.enumerate()) <= before
+
+    @staticmethod
+    def assert_refused_as_bad_params(sock, nonce):
+        kind, got_nonce, payload = protocol.recv_frame(sock)
+        assert (kind, got_nonce) == (protocol.REFUSE, nonce)
+        assert protocol.unpack_refuse(payload) == protocol.REASON_BAD_PARAMS
+
+    def test_hello_whose_payload_is_the_wrong_length(self, responder, threads_settle):
+        nonce = new_nonce()
+        hello = protocol.pack_hello("download", 2_000, 1)
+        with open_control(responder.address) as control:
+            assert say_hello(control, nonce, duration_ms=10_000)[0] == protocol.HELLO_ACK
+            session = responder._sessions[nonce]
+            before = responder.active_tests()
+            for payload in (hello[:-1], hello + b"\0"):
+                with open_control(responder.address) as sock:
+                    other = new_nonce()
+                    protocol.send_frame(sock, protocol.HELLO, other, payload)
+                    self.assert_refused_as_bad_params(sock, other)
+                    assert other not in responder._sessions
+            assert responder.active_tests() == before
+            assert session.attached_connections == 0
+
+    def test_start_data_whose_payload_is_the_wrong_length(self, responder, threads_settle):
+        nonce = new_nonce()
+        start = protocol.pack_start_data(0)
+        with open_control(responder.address) as control:
+            assert say_hello(control, nonce, direction="upload",
+                             duration_ms=10_000)[0] == protocol.HELLO_ACK
+            session = responder._sessions[nonce]
+            before = responder.active_tests()
+            for payload in (start[:-1], start + b"\0"):
+                with socket.create_connection(responder.address, timeout=10.0) as data:
+                    protocol.send_frame(data, protocol.START_DATA, nonce, payload)
+                    self.assert_refused_as_bad_params(data, nonce)
+                    assert data.recv(1) == b""  # the responder closed it
+            assert responder.active_tests() == before
+            assert session.attached_connections == 0
+            assert fetch_summary(control, nonce) == []
+
+    def test_start_data_past_the_deadline_of_a_session_not_yet_reaped(
+            self, responder, threads_settle):
+        nonce = new_nonce()
+        with open_control(responder.address) as control:
+            assert say_hello(control, nonce, direction="upload",
+                             duration_ms=1)[0] == protocol.HELLO_ACK
+            session = responder._sessions[nonce]
+            time.sleep(0.05)
+            # Past its deadline, but well inside the grace before it is reaped.
+            assert session.deadline < time.monotonic()
+            before = responder.active_tests()
+            assert before == 1
+            with socket.create_connection(responder.address, timeout=10.0) as data:
+                protocol.send_frame(data, protocol.START_DATA, nonce,
+                                    protocol.pack_start_data(0))
+                self.assert_refused_as_bad_params(data, nonce)
+                assert data.recv(1) == b""  # the responder closed it
+            assert responder.active_tests() == before
+            assert session.attached_connections == 0
 
 
 class TestStop:
