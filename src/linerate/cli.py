@@ -134,18 +134,13 @@ def emit_result(result: records.MeasurementResult, fmt: str, store_path: str,
 
 
 def _record_outcomes(registry_path: str, outcomes: dict):
-    """Apply {server id: outcome} to the registry file as it is now.
-
-    Loaded just before saving, not when the caller started, so an update
-    another process saved meanwhile survives.
-    """
-    registry = records.load_registry(registry_path)
-    for server_id, outcome in outcomes.items():
-        try:
-            registry.update_health(server_id, outcome)
-        except KeyError:
-            pass  # server was removed from the file mid-run; nothing to update
-    records.save_registry(registry_path, registry)
+    """Apply {server id: outcome} to the registry file as it is now, under its lock."""
+    with records.updating_registry(registry_path) as registry:
+        for server_id, outcome in outcomes.items():
+            try:
+                registry.update_health(server_id, outcome)
+            except KeyError:
+                pass  # server was removed from the file mid-run; nothing to update
 
 
 def _resolve_target(args):
@@ -248,12 +243,15 @@ def cmd_schedule(args) -> int:
     generate_schedule(schedule, datetime.now().date(), test_duration_s=duration)
 
     store = records.ResultStore(args.store)
+    failed = 0
 
     def fire(when):
+        nonlocal failed
         try:
             result = _run_one(args, settings, records.ORIGIN_SCHEDULED)
         except (NoServersError, TestRefusedError, UnreachableTargetError) as exc:
             log.warning("scheduled run at %s failed: %s", when.isoformat(), exc)
+            failed += 1
             return
         store.append(result)
         if args.format == "machine":
@@ -263,7 +261,9 @@ def cmd_schedule(args) -> int:
             print(f"{when.isoformat()}  {_format_optional_rate(headline)}")
 
     fired, missed = run_scheduled(schedule, args.days, fire, test_duration_s=duration)
-    print(f"fired {fired} of {fired + missed} scheduled runs over {args.days} day(s)")
+    # A firing that failed stored nothing, so it is not counted as fired.
+    print(f"fired {fired - failed} of {fired + missed} scheduled runs over {args.days} day(s)"
+          f", {failed} failed")
     return EXIT_OK
 
 
@@ -317,8 +317,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_servers(args) -> int:
-    registry = records.load_registry(args.registry)
     if args.servers_cmd == "list":
+        registry = records.load_registry(args.registry)
         if len(registry) == 0:
             print("registry is empty")
             return EXIT_OK
@@ -331,24 +331,26 @@ def cmd_servers(args) -> int:
     if args.servers_cmd == "add":
         host, port = units.parse_address(args.target)
         capacity = units.parse_rate(args.capacity) if args.capacity else None
-        registry.add(ServerDescriptor(id=args.id, host=host, port=port,
-                                      declared_location=args.location,
-                                      network=args.network, capacity_hint=capacity))
-        records.save_registry(args.registry, registry)
+        server = ServerDescriptor(id=args.id, host=host, port=port,
+                                  declared_location=args.location,
+                                  network=args.network, capacity_hint=capacity)
+        with records.updating_registry(args.registry) as registry:
+            registry.add(server)
         print(f"added {args.id}")
         return EXIT_OK
 
     if args.servers_cmd == "remove":
-        try:
-            registry.remove(args.id)
-        except KeyError:
-            raise ValueError(f"no server with id {args.id!r}") from None
-        records.save_registry(args.registry, registry)
+        with records.updating_registry(args.registry) as registry:
+            try:
+                registry.remove(args.id)
+            except KeyError:
+                raise ValueError(f"no server with id {args.id!r}") from None
         print(f"removed {args.id}")
         return EXIT_OK
 
     # probe: rank the candidate pool by measured RTT and persist the outcomes
-    pool = coordinator.candidate_pool(registry, args.location, args.candidates)
+    pool = coordinator.candidate_pool(records.load_registry(args.registry), args.location,
+                                      args.candidates)
     engine = Engine()
     outcomes = {}
     measured = {}

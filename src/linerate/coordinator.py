@@ -145,7 +145,8 @@ def apply_outcome(server: ServerDescriptor, outcome: str) -> ServerDescriptor:
 
 
 class Registry:
-    """Id-keyed server collection; all mutation is serialized."""
+    """Id-keyed server collection; mutation is serialized within one process
+    (``records.updating_registry`` serializes changes to its file across processes)."""
 
     def __init__(self, servers=()):
         self._lock = threading.Lock()
@@ -180,13 +181,6 @@ class Registry:
             updated = apply_outcome(self._servers[server_id], outcome)
             self._servers[server_id] = updated
             return updated
-
-
-def replay_outcomes(registry: Registry, outcome_log) -> Registry:
-    """Re-apply an append-only (server_id, outcome) log; deterministic."""
-    for server_id, outcome in outcome_log:
-        registry.update_health(server_id, outcome)
-    return registry
 
 
 def candidate_pool(registry: Registry, client_hint: str, k: int) -> list[ServerDescriptor]:

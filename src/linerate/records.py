@@ -28,6 +28,7 @@ one process's monotonic clock.  v2 drops all of these; the last stays on
 re-encodes to its v1 bytes with ``to_json(SCHEMA_V1)``.
 """
 
+import contextlib
 import fcntl
 import json
 import logging
@@ -507,6 +508,22 @@ def verify_store(path) -> tuple[int, int, Counter]:
     return checked, failing, failures
 
 
+@contextlib.contextmanager
+def _locked(path: str, flags: int):
+    """``path`` opened with ``flags`` (created, with its directory, if missing)
+    and held under an exclusive ``flock``, which binds this one open of the
+    file, so it excludes other opens in this process too; closing releases it."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    fd = os.open(path, flags | os.O_CREAT, 0o666)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield fd
+    finally:
+        os.close(fd)
+
+
 class ResultStore:
     """Append-only newline-delimited record file.
 
@@ -522,17 +539,9 @@ class ResultStore:
 
     def append(self, result: MeasurementResult):
         line = memoryview((result.to_json() + "\n").encode("utf-8"))
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-        try:
-            # Closing the descriptor releases the lock.
-            fcntl.flock(fd, fcntl.LOCK_EX)
+        with _locked(self.path, os.O_WRONLY | os.O_APPEND) as fd:
             while line:
                 line = line[os.write(fd, line):]
-        finally:
-            os.close(fd)
 
     def load(self) -> list[MeasurementResult]:
         return _read_json_lines(self.path, MeasurementResult.from_json, "record")
@@ -686,16 +695,13 @@ def load_registry(path) -> Registry:
 
 
 def save_registry(path, registry: Registry):
-    """Rewrite the server file atomically (write-then-rename).
+    """Rewrite the server file, in its existing directory, atomically (write-then-rename).
 
-    Each save writes its own temp file beside the target, so processes that
-    save at once never share one; the last rename wins.
+    A reader sees the whole old or the whole new file.  Saves do not exclude
+    each other, so change the file through ``updating_registry``.
     """
     path = str(path)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=parent or os.curdir,
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or os.curdir,
                                prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with open(fd, "w", encoding="utf-8") as fh:
@@ -705,3 +711,17 @@ def save_registry(path, registry: Registry):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def updating_registry(path):
+    """The registry at ``path``, saved if the block ends without an error.
+
+    Load, block and save hold an exclusive ``flock`` on ``<path>.lock``, so
+    concurrent updates queue and none is lost.  Keep network I/O out of the block.
+    """
+    path = str(path)
+    with _locked(path + ".lock", os.O_RDONLY):
+        registry = load_registry(path)
+        yield registry
+        save_registry(path, registry)

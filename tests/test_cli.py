@@ -2,7 +2,10 @@
 
 import json
 import logging
+import multiprocessing
+import os
 import socket
+import threading
 import time
 from datetime import date, datetime, timedelta
 
@@ -162,6 +165,24 @@ class TestMeasuredRun:
         assert stored[0].spec.target_id == "local-1"
         registry = records.load_registry(paths["registry"])
         assert registry.get("local-1").health == ("ok",)
+
+    def test_server_removed_while_it_is_measured(self, paths, responder, monkeypatch):
+        host, port = responder.address
+        run_cli(paths, "servers", "add", "local-1", f"{host}:{port}")
+        run_test = Engine.run_test
+
+        def run_test_while_removed(self, *args, **kwargs):
+            # A `servers remove` in another process, while the test measures.
+            assert run_cli(paths, "servers", "remove", "local-1") == 0
+            return run_test(self, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "run_test", run_test_while_removed)
+        code = run_cli(paths, "run", "--duration", "1.0", "--connections", "2")
+        assert code == 0
+        [stored] = ResultStore(paths["store"]).load()
+        assert stored.server.id == "local-1"
+        # The run's outcome has no server left to update, and adds none back.
+        assert len(records.load_registry(paths["registry"])) == 0
 
     def test_no_servers_exit_code(self, paths):
         assert run_cli(paths, "run", "--location", "nowhere") == cli.EXIT_NO_SERVERS
@@ -371,9 +392,9 @@ class TestScheduling:
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "failed" in warnings[0].getMessage() and str(failure) in warnings[0].getMessage()
-        # A failed firing still counts as fired.
+        # A failed firing stored nothing, so it is counted apart, not as fired.
         assert capsys.readouterr().out.splitlines()[-1] == \
-            "fired 2 of 2 scheduled runs over 1 day(s)"
+            "fired 1 of 2 scheduled runs over 1 day(s), 1 failed"
 
     def test_schedule_is_spaced_by_the_simulated_duration(self, paths, monkeypatch):
         started = []
@@ -559,7 +580,12 @@ class TestServersCommand:
         assert len(records.load_registry(paths["registry"])) == 0
 
     def test_remove_unknown_is_config_error(self, paths):
+        run_cli(paths, "servers", "add", "a-1", "a.example.net:7777")
+        saved = os.stat(paths["registry"])
         assert run_cli(paths, "servers", "remove", "ghost") == cli.EXIT_CONFIG
+        # Nothing was saved: a save replaces the file with a new one.
+        assert os.stat(paths["registry"]).st_ino == saved.st_ino
+        assert [s.id for s in records.load_registry(paths["registry"])] == ["a-1"]
 
     def test_probe_selects_and_persists_outcomes(self, paths, responder, capsys):
         host, port = responder.address
@@ -593,6 +619,74 @@ class TestServersCommand:
         registry = records.load_registry(paths["registry"])
         assert registry.get("a-live").health == ("ok",)
         assert registry.get("b-other").health == ("underperformed",)
+
+
+SERVER_ADDERS = 4
+ADDS_PER_ADDER = 10
+
+
+def add_servers(registry_path, adder, start):
+    """Worker process: wait for the other adders, then add servers one `servers add` at a time."""
+    start.wait(timeout=60)
+    for k in range(ADDS_PER_ADDER):
+        code = cli.main(["--registry", registry_path, "servers", "add", f"s{adder}-{k}",
+                         f"127.0.0.1:{17900 + k}"])
+        if code != cli.EXIT_OK:
+            raise SystemExit(code)
+
+
+class TestConcurrentRegistryUpdates:
+    def test_update_saved_between_another_updates_load_and_save_survives(
+            self, paths, monkeypatch):
+        # A `servers probe` records its outcome while a `run` records its own:
+        # the probe's update loads the registry, and the run's lands before
+        # the probe's save. Each opens its own lock file description, so the
+        # two threads exclude each other as two processes would.
+        run_cli(paths, "servers", "add", "a-run", "a.example.net:7777")
+        run_cli(paths, "servers", "add", "b-probe", "b.example.net:7777")
+        load = records.load_registry
+        loaded, run_recorded = threading.Event(), threading.Event()
+
+        def load_then_pause(path):
+            registry = load(path)
+            if not loaded.is_set():
+                loaded.set()
+                # Unless something holds it back, the run's update saves now.
+                run_recorded.wait(timeout=0.5)
+            return registry
+
+        def record_run():
+            cli._record_outcomes(paths["registry"], {"a-run": "ok"})
+            run_recorded.set()
+
+        monkeypatch.setattr(records, "load_registry", load_then_pause)
+        probe = threading.Thread(target=cli._record_outcomes,
+                                 args=(paths["registry"], {"b-probe": "unreachable"}))
+        probe.start()
+        assert loaded.wait(timeout=10)
+        run = threading.Thread(target=record_run)
+        run.start()
+        for thread in (probe, run):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        registry = load(paths["registry"])
+        assert registry.get("a-run").health == ("ok",)
+        assert registry.get("b-probe").health == ("unreachable",)
+
+    def test_concurrent_adds_from_processes_keep_every_server(self, paths):
+        ctx = multiprocessing.get_context("spawn")
+        start = ctx.Barrier(SERVER_ADDERS)
+        adders = [ctx.Process(target=add_servers, args=(paths["registry"], adder, start))
+                  for adder in range(SERVER_ADDERS)]
+        for adder in adders:
+            adder.start()
+        for adder in adders:
+            adder.join(timeout=60)
+            if adder.is_alive():
+                adder.kill()
+        assert [adder.exitcode for adder in adders] == [0] * SERVER_ADDERS
+        assert sorted(s.id for s in records.load_registry(paths["registry"])) == sorted(
+            f"s{adder}-{k}" for adder in range(SERVER_ADDERS) for k in range(ADDS_PER_ADDER))
 
 
 class TestSimulateCommand:

@@ -1249,6 +1249,19 @@ class TestRegistryPersistence:
         loaded = load_registry(path)
         assert [s.id for s in loaded] == ["b"]
 
+    def test_update_saves_only_a_block_that_ends_without_an_error(self, tmp_path, open_fds):
+        path = tmp_path / "new" / "servers.jsonl"
+        before = open_fds()
+        with records.updating_registry(path) as registry:
+            registry.add(ServerDescriptor(id="a", host="h", port=1))
+        with pytest.raises(KeyError):
+            with records.updating_registry(path) as registry:
+                registry.add(ServerDescriptor(id="b", host="h", port=2))
+                registry.remove("ghost")
+        assert open_fds() == before  # the lock's descriptor closed on both exits
+        assert [s.id for s in load_registry(path)] == ["a"]
+        assert sorted(os.listdir(path.parent)) == ["servers.jsonl", "servers.jsonl.lock"]
+
     def test_concurrent_saves_from_two_processes(self, tmp_path):
         path = tmp_path / "servers.jsonl"
         servers = [ServerDescriptor(id=f"s{i}", host=f"h{i}.example.net", port=7000 + i)
